@@ -15,7 +15,7 @@ from .errors import (CapabilityError, FormatError, InconsistentMarginalsError,
                      StructuralError)
 from .measure import (BallMarginal, CoarsenedSource, EmpiricalSource,
                       MarkovSource, MeasureSource, PairStats, Pattern,
-                      ball_marginal, check_markov_property,
+                      check_markov_property,
                       check_shift_invariance, coarsen, cylinder_prob, d1,
                       empirical_source, pair_stats, sample, sample_indices,
                       tree_entropy)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import MarkovSource, MeasureSource, PairStats, pair_stats
 from .transition import TransitionSystem
-from .words import GroupSpec, IDENTITY, Word, ball
+from .words import BallDomain, GroupSpec, IDENTITY, Word, ball
 
 ENTRY_LIMIT = 2 ** 26
 
@@ -66,7 +66,7 @@ class SuperstateSystem:
 
 def _superstate_statistics(src: MeasureSource, m: int):
     """Positive patterns on B(e, m) with their masses and pair joints."""
-    dom = tuple(sorted(ball(src.spec, m)))
+    dom = tuple(ball(src.spec, m))
     k = len(src.states)
     md = len(dom)
     weights = k ** np.arange(md - 1, -1, -1, dtype=np.int64)
@@ -98,10 +98,11 @@ def _superstate_statistics(src: MeasureSource, m: int):
     joints = {}
     for s in gens:
         step = Word((s,))
-        union = tuple(sorted(set(dom) | {w * step for w in dom}))
+        pair = BallDomain(src.spec, m, s)
+        union = tuple(pair)
         pos_a = [union.index(w) for w in dom]
         pos_b = [union.index(w * step) for w in dom]
-        mu = src.ball_marginal(union)
+        mu = src.ball_marginal(pair)
         j = np.zeros((n_super, n_super))
         if mu.is_dense:
             uflat = mu.dense.ravel()

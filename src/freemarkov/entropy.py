@@ -11,6 +11,10 @@ adds the translated ball, so every term is the entropy of one exact marginal.
 For the chain induced by an invariant transition system the infimum is
 attained at every n and has a closed form in pi and the matrices.
 
+``big_F`` and ``big_F_star`` hand their linear combination of domain
+entropies to the source's ``entropy_sum`` in one call, so a Markov source
+can add up its closed-form terms from merged integer edge counts.
+
 All entropies are in nats; rescaling to other log bases is a presentation
 concern left to callers.
 """
@@ -23,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MarkovSource, MeasureSource
+from .measure import MeasureSource
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
-from .words import Word, ball
+from .words import BallDomain, Word
 
 FSTAR_CONFIG_LIMIT = 2 ** 24
 
@@ -34,9 +38,11 @@ def shannon(dist: Sequence[float], check: bool = True) -> float:
     """Entropy -sum p log p in nats, with 0 log 0 = 0."""
     p = np.asarray(dist, dtype=float)
     if check:
+        total = p.sum()
+        if not np.isfinite(total):
+            raise ValueError("non-finite probability")
         if p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min():.3g}")
-        total = p.sum()
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
     v = p[p > 0]
@@ -57,9 +63,11 @@ def conditional_entropy(joint: np.ndarray) -> float:
 class EntropyReport:
     """F at one ball depth, with the entropies it is assembled from.
 
-    ``big_f == (1 - 2r) * h_ball + sum(pair_entropies)`` by construction;
-    ``pair_entropies[i]`` is the joint entropy over the ball united with its
-    translate by the (i+1)-th positive generator.
+    ``big_f == (1 - 2r) * h_ball + sum(pair_entropies)`` exactly when every
+    entropy comes from a table, and within rounding for rows with
+    closed-form (tree-route) entropies, whose ``big_f`` is summed from
+    merged edge counts; ``pair_entropies[i]`` is the joint entropy over the
+    ball united with its translate by the (i+1)-th positive generator.
     """
 
     n: int
@@ -81,21 +89,17 @@ class EntropyReport:
         return ",".join(cells)
 
 
-def _pair_domain(src: MeasureSource, n: int, s: int) -> list[Word]:
-    b = ball(src.spec, n)
-    step = Word((s,))
-    return sorted(set(b) | {w * step for w in b})
-
-
 def big_F(src: MeasureSource, n: int) -> EntropyReport:
     """Evaluate F on the depth-n ball refinement from exact marginal entropies."""
     if n < 0:
         raise ValueError(f"depth must be nonnegative, got {n}")
-    h_ball = src.domain_entropy(ball(src.spec, n))
-    pairs = tuple(src.domain_entropy(_pair_domain(src, n, s))
-                  for s in src.spec.positive_generators())
-    f_val = src.spec.coefficient * h_ball + sum(pairs)
-    return EntropyReport(n=n, h_ball=h_ball, pair_entropies=pairs, big_f=f_val)
+    # Pairs first: a plain left-to-right sum then rounds exactly as
+    # coefficient * h_ball + sum(pair_entropies).
+    terms = [(1, BallDomain(src.spec, n, s)) for s in src.spec.positive_generators()]
+    terms.append((src.spec.coefficient, BallDomain(src.spec, n)))
+    f_val, entropies = src.entropy_sum(terms)
+    return EntropyReport(n=n, h_ball=entropies[-1],
+                         pair_entropies=tuple(entropies[:-1]), big_f=f_val)
 
 
 def f_markov(ts: TransitionSystem, validate_tol: float | None = DEFAULT_TOL) -> float:
@@ -143,29 +147,20 @@ def big_F_star(src: MeasureSource, n: int = 0, m: int = 3) -> float:
     """
     if m < 1:
         raise ValueError(f"truncation must be at least 1, got {m}")
-    b = ball(src.spec, n)
+    b = BallDomain(src.spec, n)
+    words = list(b)
     k = len(src.states)
-    h_ball = src.domain_entropy(b)
-    total = (1 - src.spec.rank) * h_ball
+    terms = [(1 - src.spec.rank, b)]
     for s in src.spec.positive_generators():
         union: set[Word] = set()
-        prev_entropy = None
         for j in range(m + 1):
             step = Word((s,) * j)
-            union |= {w * step for w in b}
+            union |= {w * step for w in words}
             if k ** len(union) > FSTAR_CONFIG_LIMIT:
                 raise CapabilityError(
                     f"{k}^{len(union)} configurations exceed the F* guard "
                     f"({FSTAR_CONFIG_LIMIT})")
             if j == m - 1:
-                prev_entropy = src.domain_entropy(union)
-        total += src.domain_entropy(union) - prev_entropy
-    return total
-
-
-def markov_big_F(ts: TransitionSystem, n: int,
-                 validate_tol: float | None = None) -> EntropyReport:
-    """Convenience: big_F of the source induced by ``ts``."""
-    if validate_tol is not None:
-        require_valid(ts, validate_tol)
-    return big_F(MarkovSource(ts), n)
+                prev = frozenset(union)
+        terms += [(1, frozenset(union)), (-1, prev)]
+    return src.entropy_sum(terms)[0]

@@ -10,10 +10,20 @@ marginalized down, never approximated.
 Pattern storage is dense (one float per element of K^F, mixed-radix indexed
 in shortlex domain order) up to ``DENSE_LIMIT`` configurations, and switches
 to a sparse support map above that.
+
+A Markov source takes one of three routes per domain, chosen from the size
+of its tree hull: the dense table when K^|hull| fits ``DENSE_LIMIT``, else
+the closed form H(pi) + sum_s c_s e_s when the domain is its own hull (c_s
+counts the induced tree edges labelled s, e_s is the conditional entropy
+of one s-step), else the sparse support.  ``MeasureSource.entropy_sum``
+adds up a linear combination of domain entropies; the Markov override
+merges the integer edge counts of all closed-form terms before the single
+dot product with e, so coefficients that cancel do so exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -22,8 +32,8 @@ import numpy as np
 
 from .errors import CapabilityError
 from .transition import TransitionSystem
-from .words import (GroupSpec, IDENTITY, Word, ball, induced_left_edges,
-                    is_left_connected, tree_hull)
+from .words import (BallDomain, GroupSpec, IDENTITY, Word, ball,
+                    induced_left_edges, is_left_connected, tree_hull)
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
 SPARSE_LIMIT = 2 ** 20      # largest enumerated sparse support
@@ -37,7 +47,7 @@ def _plogp(values: np.ndarray) -> float:
 
 
 def _sorted_domain(domain: Iterable[Word]) -> tuple[Word, ...]:
-    out = tuple(sorted(set(domain)))
+    out = tuple(sorted(set(domain), key=Word.shortlex_key))
     if not out:
         raise ValueError("domain must be nonempty")
     return out
@@ -54,7 +64,7 @@ class Pattern:
         if len(self.domain) != len(self.values):
             raise ValueError(
                 f"{len(self.values)} values for {len(self.domain)} vertices")
-        if list(self.domain) != sorted(set(self.domain)):
+        if list(self.domain) != sorted(set(self.domain), key=Word.shortlex_key):
             raise ValueError("pattern domain must be shortlex-sorted and duplicate-free")
 
     def value_at(self, w: Word):
@@ -90,10 +100,14 @@ class BallMarginal:
                 raise ValueError(f"dense table has shape {dense.shape}, "
                                  f"expected {(k,) * n}")
             total = dense.sum()
+            if not math.isfinite(total):
+                raise ValueError("non-finite pattern probability in dense table")
             if dense.min() < -1e-12:
                 raise ValueError(f"negative pattern probability {dense.min():.3g}")
         else:
             sparse = dict(sparse)
+            if not all(map(math.isfinite, sparse.values())):
+                raise ValueError("non-finite pattern probability in sparse table")
             total = math.fsum(sparse.values())
             if sparse and min(sparse.values()) < -1e-12:
                 raise ValueError("negative pattern probability in sparse table")
@@ -211,27 +225,53 @@ class MeasureSource:
         """
         return self.ball_marginal(domain).entropy()
 
+    def entropy_sum(self, terms: Sequence[tuple[float, Iterable[Word]]]
+                    ) -> tuple[float, list[float]]:
+        """sum(coef * H(domain)) over ``(coef, domain)`` terms, and each H.
+
+        The default adds ``coef * domain_entropy(domain)`` in term order;
+        subclasses may assemble the sum more exactly.
+        """
+        entropies = [self.domain_entropy(dom) for _, dom in terms]
+        return sum(coef * h for (coef, _), h in zip(terms, entropies)), entropies
+
+
+def _dense_fits(k: int, size: int) -> bool:
+    return k ** size <= DENSE_LIMIT
+
+
+def _edge_entropies(ts: TransitionSystem) -> np.ndarray:
+    """e_s = H(x_e, x_s) - H(x_e) per generator, in ``spec.generators()`` order."""
+    h_pi = _plogp(ts.pi)
+    return np.array([_plogp((ts.pi[:, None] * ts.matrices[s]).ravel()) - h_pi
+                     for s in ts.spec.generators()])
+
+
+def _edge_label_counts(dom: Sequence[Word], spec: GroupSpec) -> np.ndarray:
+    gens = spec.generators()
+    counts = np.zeros(len(gens), dtype=np.int64)
+    for edge in induced_left_edges(dom, spec):
+        counts[gens.index(edge.label)] += 1
+    return counts
+
 
 def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
     """Closed-form marginal entropy of a Markov chain on a tree-shaped domain.
 
     Valid for left-connected domains containing the identity, where the
-    cylinder product formula applies directly: the entropy is H(pi) plus one
-    conditional edge term per induced tree edge.  Serves as the exact
-    counterpart of the brute-force ``BallMarginal.entropy``.
+    cylinder product formula applies directly: the entropy is H(pi) plus
+    c_s e_s per generator s, where c_s counts the induced tree edges
+    labelled s and e_s is the conditional entropy of one s-step.  Serves as
+    the exact counterpart of the brute-force ``BallMarginal.entropy``.
     """
-    dom = _sorted_domain(domain)
-    if dom[0] != IDENTITY or not is_left_connected(dom, ts.spec):
-        raise ValueError("tree_entropy needs a left-connected domain containing e")
-    h = _plogp(ts.pi)
-    edge_term = {}
-    for edge in induced_left_edges(dom, ts.spec):
-        s = edge.label
-        if s not in edge_term:
-            joint = ts.pi[:, None] * ts.matrices[s]
-            edge_term[s] = _plogp(joint.ravel()) - _plogp(ts.pi)
-        h += edge_term[s]
-    return h
+    if isinstance(domain, BallDomain):
+        counts = domain.label_counts()
+    else:
+        dom = _sorted_domain(domain)
+        if dom[0] != IDENTITY or not is_left_connected(dom, ts.spec):
+            raise ValueError("tree_entropy needs a left-connected domain containing e")
+        counts = _edge_label_counts(dom, ts.spec)
+    return _plogp(ts.pi) + float(counts @ _edge_entropies(ts))
 
 
 class MarkovSource(MeasureSource):
@@ -242,9 +282,16 @@ class MarkovSource(MeasureSource):
         self.spec = ts.spec
         self.states = ts.states
 
+    @functools.cached_property
+    def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
+        return _plogp(self.ts.pi), _edge_entropies(self.ts)
+
     def _hull(self, domain) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+        if isinstance(domain, BallDomain):
+            dom = tuple(domain)
+            return dom, dom
         dom = _sorted_domain(domain)
-        hull = tuple(sorted(tree_hull(dom)))
+        hull = tuple(sorted(tree_hull(dom), key=Word.shortlex_key))
         return dom, hull
 
     def _dense_hull_table(self, hull: tuple[Word, ...]) -> np.ndarray:
@@ -286,7 +333,7 @@ class MarkovSource(MeasureSource):
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom, hull = self._hull(domain)
         k = len(self.states)
-        if k ** len(hull) <= DENSE_LIMIT:
+        if _dense_fits(k, len(hull)):
             full = BallMarginal(hull, self.states,
                                 dense=self._dense_hull_table(hull))
         else:
@@ -294,13 +341,50 @@ class MarkovSource(MeasureSource):
                                 sparse=self._sparse_hull_support(hull))
         return full if hull == dom else full.marginalize(dom)
 
+    def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
+        """H(domain), with its edge-label counts if it takes the closed form.
+
+        Dense table if K^|hull| fits the guard, closed form if the domain
+        is its own hull, sparse support otherwise.
+        """
+        k = len(self.states)
+        if isinstance(domain, BallDomain):
+            tree = not _dense_fits(k, len(domain))
+            counts = domain.label_counts() if tree else None
+        else:
+            dom, hull = self._hull(domain)
+            tree = not _dense_fits(k, len(hull)) and hull == dom
+            counts = _edge_label_counts(dom, self.spec) if tree else None
+        if counts is None:
+            return self.ball_marginal(domain).entropy(), None
+        h_root, edge = self._root_and_edge_entropies
+        return h_root + float(counts @ edge), counts
+
     def domain_entropy(self, domain: Iterable[Word]) -> float:
-        dom, hull = self._hull(domain)
-        if len(self.states) ** len(hull) <= DENSE_LIMIT:
-            return self.ball_marginal(dom).entropy()
-        if hull == dom:
-            return tree_entropy(self.ts, dom)
-        return self.ball_marginal(dom).entropy()  # sparse route
+        return self._entropy(domain)[0]
+
+    def entropy_sum(self, terms: Sequence[tuple[float, Iterable[Word]]]
+                    ) -> tuple[float, list[float]]:
+        """As ``MeasureSource.entropy_sum``, with closed-form terms merged.
+
+        Table-route terms are added as ``coef * H``.  Closed-form terms
+        contribute ``(sum coef) H(pi) + (sum coef c) . e`` from their summed
+        integer edge counts, so the sum loses no precision to cancellation.
+        """
+        total, entropies = 0.0, []
+        root_coef, merged = 0, None
+        for coef, domain in terms:
+            h, counts = self._entropy(domain)
+            entropies.append(h)
+            if counts is None:
+                total += coef * h
+            else:
+                root_coef += coef
+                merged = coef * counts if merged is None else merged + coef * counts
+        if merged is not None:
+            h_root, edge = self._root_and_edge_entropies
+            total += root_coef * h_root + float(merged @ edge)
+        return total, entropies
 
 
 class CoarsenedSource(MeasureSource):
@@ -377,7 +461,7 @@ class EmpiricalSource(MeasureSource):
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom = _sorted_domain(domain)
         if not set(dom) <= set(self.domain):
-            missing = sorted(set(dom) - set(self.domain))[0]
+            missing = min(set(dom) - set(self.domain), key=Word.shortlex_key)
             raise CapabilityError(
                 f"empirical source sampled on radius-{len(self.domain[-1])} ball "
                 f"cannot see {missing}")
@@ -393,11 +477,6 @@ class EmpiricalSource(MeasureSource):
 def coarsen(ts: TransitionSystem, state_map) -> CoarsenedSource:
     """Hidden-Markov source: observe states only through ``state_map``."""
     return CoarsenedSource(ts, state_map)
-
-
-def ball_marginal(src: MeasureSource, domain: Iterable[Word]) -> BallMarginal:
-    """Exact (or frequency) distribution over patterns on ``domain``."""
-    return src.ball_marginal(domain)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +545,10 @@ def check_markov_property(src: MeasureSource, g: Word, s: int, depth: int) -> fl
 
 def _as_ball_domain(ts: TransitionSystem, domain) -> tuple[Word, ...]:
     if isinstance(domain, int):
-        return tuple(sorted(ball(ts.spec, domain)))
+        return tuple(ball(ts.spec, domain))
     dom = _sorted_domain(domain)
     radius = len(dom[-1])
-    if dom != tuple(sorted(ball(ts.spec, radius))):
+    if dom != tuple(ball(ts.spec, radius)):
         raise ValueError("sampling domain must be a ball B(e, n)")
     return dom
 

@@ -72,10 +72,6 @@ class TransitionSystem:
         except ValueError:
             raise ValueError(f"unknown state label {label!r}") from None
 
-    def matrix(self, letter: int) -> np.ndarray:
-        self.spec.check_letter(letter)
-        return self.matrices[letter]
-
 
 class Violation(NamedTuple):
     """One violated invariance condition with its residual magnitude."""
@@ -86,9 +82,20 @@ class Violation(NamedTuple):
 
 
 def validate(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> list[Violation]:
-    """Check all invariance conditions; an empty report means valid within tol."""
+    """Check all invariance conditions; an empty report means valid within tol.
+
+    Non-finite entries are reported as ``non_finite`` at ``(i,)`` in pi or
+    ``(s, i, j)`` in a matrix: NaN fails every comparison with tol, so the
+    other conditions cannot see it.
+    """
     out: list[Violation] = []
     pi, k = ts.pi, ts.n_states
+
+    for i in np.nonzero(~np.isfinite(pi))[0]:
+        out.append(Violation("non_finite", (int(i),), float("inf")))
+    for s, m in sorted(ts.matrices.items()):
+        for i, j in zip(*np.nonzero(~np.isfinite(m))):
+            out.append(Violation("non_finite", (s, int(i), int(j)), float("inf")))
 
     for i in range(k):
         if pi[i] < -tol or pi[i] > 1 + tol:
@@ -333,6 +340,9 @@ def from_json_dict(doc: Mapping) -> TransitionSystem:
         mats = {spec.letter_from_name(name): np.array(m, dtype=float)
                 for name, m in raw.items()}
         hashable = tuple(tuple(s) if isinstance(s, list) else s for s in states)
-        return TransitionSystem(spec, hashable, np.array(pi, dtype=float), mats)
+        ts = TransitionSystem(spec, hashable, np.array(pi, dtype=float), mats)
     except (StructuralError, ValueError) as exc:
         raise FormatError(f"malformed transition-system document: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in (ts.pi, *ts.matrices.values())):
+        raise FormatError("transition-system document holds a non-finite number")
+    return ts

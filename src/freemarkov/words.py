@@ -11,12 +11,22 @@ Enumeration order is shortlex throughout: first by word length, then
 letter-by-letter with each generator's inverse ranked directly after the
 generator itself (``a < a^-1 < b < b^-1 < ...``).  All downstream pattern
 encodings inherit this order.
+
+Balls are enumerated once per (spec, n) into a ``Geometry``: integer arrays
+of parent index and leading letter in shortlex order, plus the edge-label
+counts of the ball and of each pair domain B(e,n) ∪ B(e,n)·s.  A
+``BallDomain`` hands one of these domains to the measure layer as an
+iterable of words whose size and label counts are read without building
+any word; ``ball`` builds fresh words from the same arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 GROUP = "group"
 SEMIGROUP = "semigroup"
@@ -217,23 +227,117 @@ class CayleyEdge(NamedTuple):
     label: int
 
 
-def ball(spec: GroupSpec, n: int) -> list[Word]:
-    """All words of length <= n in shortlex order; index 0 is the identity."""
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """B(e, n) in shortlex order as integer arrays, with its pair domains.
+
+    Letters are stored as indices into ``gens = spec.generators()``.  Word
+    ``i`` is ``gens[letter[i]] * word[parent[i]]``; index 0 is the
+    identity, with parent and letter -1.  For each generator s the pair domain
+    B(e,n) ∪ B(e,n)·s appends to the ball the words w·s for the w in
+    ``extension[s]``: the words of length n whose last letter is not s^-1
+    (the identity alone when n = 0), in order, which keeps the appended
+    words in shortlex order.
+
+    ``ball_counts[a]`` and ``pair_counts[s][a]`` count the non-identity
+    words of the domain with leading letter a.  Both kinds of domain are
+    left-connected and contain the identity, so these are the label
+    counts of their induced tree edges.
+    """
+
+    spec: GroupSpec
+    n: int
+    parent: np.ndarray
+    letter: np.ndarray
+    extension: dict[int, np.ndarray]
+    ball_counts: np.ndarray
+    pair_counts: dict[int, np.ndarray]
+
+    def words(self, s: int | None = None) -> list[Word]:
+        """Fresh words of the ball, or of the pair domain for ``s``."""
+        gens = self.spec.generators()
+        out = [IDENTITY]
+        for p, a in zip(self.parent[1:].tolist(), self.letter[1:].tolist()):
+            out.append(Word((gens[a],) + out[p].letters))
+        if s is not None:
+            out.extend([Word(out[i].letters + (s,)) for i in self.extension[s].tolist()])
+        return out
+
+
+def _frozen_ints(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=32)
+def geometry(spec: GroupSpec, n: int) -> Geometry:
+    """The cached integer geometry of B(e, n); see ``Geometry``."""
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
-    alphabet = spec.generators()
-    out = [IDENTITY]
-    level = [IDENTITY]
-    for _ in range(n):
-        nxt = []
-        for l in alphabet:
-            for w in level:
-                if spec.is_group and not w.is_identity and w.letters[0] == -l:
-                    continue
-                nxt.append(Word((l,) + w.letters))
-        out.extend(nxt)
-        level = nxt
-    return out
+    gens = spec.generators()
+    # inverse[a]: index of gens[a]^-1; -2 matches no letter (semigroups)
+    inverse = np.array([gens.index(-l) if spec.is_group else -2 for l in gens])
+    parents, letters = [np.array([-1])], [np.array([-1])]
+    level, last = np.array([0]), np.array([-1])  # outer level: indices, last letters
+    for depth in range(n):
+        # the a-th block holds gens[a] * w for the w where that stays reduced
+        keeps = [np.nonzero(letters[-1] != inverse[a])[0] for a in range(len(gens))]
+        parents.append(np.concatenate([level[k] for k in keeps]))
+        letters.append(np.concatenate([np.full(k.size, a) for a, k in enumerate(keeps)]))
+        last = np.concatenate([last[k] if depth else np.full(k.size, a)
+                               for a, k in enumerate(keeps)])
+        level = np.arange(level[-1] + 1, level[-1] + 1 + parents[-1].size)
+    letter = np.concatenate(letters)
+    ball_counts = np.bincount(letter[1:], minlength=len(gens))
+    extension, pair_counts = {}, {}
+    for a, s in enumerate(gens):
+        outer = np.nonzero(last != inverse[a])[0]
+        lead = letters[-1][outer] if n else [a]
+        extension[s] = _frozen_ints(level[outer])
+        pair_counts[s] = _frozen_ints(ball_counts + np.bincount(lead, minlength=len(gens)))
+    return Geometry(spec=spec, n=n, parent=_frozen_ints(np.concatenate(parents)),
+                    letter=_frozen_ints(letter), extension=extension,
+                    ball_counts=_frozen_ints(ball_counts), pair_counts=pair_counts)
+
+
+@dataclass(frozen=True)
+class BallDomain:
+    """B(e, n), or with ``s`` the pair domain B(e, n) ∪ B(e, n)·s.
+
+    An iterable of words in shortlex order, backed by the cached
+    ``Geometry``: its length and edge-label counts are read without
+    building any word.  Every such domain is its own tree hull.
+    """
+
+    spec: GroupSpec
+    n: int
+    s: int | None = None
+
+    def __post_init__(self):
+        if self.s is not None:
+            self.spec.check_letter(self.s)
+
+    @property
+    def geometry(self) -> Geometry:
+        return geometry(self.spec, self.n)
+
+    def __len__(self) -> int:
+        geo = self.geometry
+        return geo.parent.size + (0 if self.s is None else geo.extension[self.s].size)
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.geometry.words(self.s))
+
+    def label_counts(self) -> np.ndarray:
+        """Induced tree edges per label, indexed like ``spec.generators()``."""
+        geo = self.geometry
+        return geo.ball_counts if self.s is None else geo.pair_counts[self.s]
+
+
+def ball(spec: GroupSpec, n: int) -> list[Word]:
+    """All words of length <= n in shortlex order; index 0 is the identity."""
+    return geometry(spec, n).words()
 
 
 def ball_size(spec: GroupSpec, n: int) -> int:
@@ -264,7 +368,7 @@ def induced_left_edges(F: Iterable[Word], spec: GroupSpec) -> list[CayleyEdge]:
     words = _check_words(F, spec)
     members = set(words)
     edges = []
-    for w in sorted(words):
+    for w in sorted(words, key=Word.shortlex_key):
         if w.is_identity:
             continue
         p = w.parent()

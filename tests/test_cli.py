@@ -192,6 +192,15 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 4
 
+    @pytest.mark.parametrize("cmd", ["validate", "finv", "fseq --nmax 1"])
+    def test_non_finite_document_exit_4(self, tmp_path, wsf_file, cmd):
+        doc = json.loads(open(wsf_file).read())
+        doc["pi"][0] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert "NaN" in bad.read_text()
+        assert main(cmd.split() + [str(bad)]) == 4
+
     def test_wrong_schema_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"states": [0, 1]}))

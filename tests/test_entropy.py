@@ -12,12 +12,36 @@ from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
                                    permutation_system, product_system,
                                    wsf_system)
+from freemarkov.verify import semigroup_example
 from freemarkov.words import GroupSpec
 
 from oracles import as_lists, oracle_big_F
 
 G2 = GroupSpec(2, "group")
 LOG2, LOG3 = math.log(2), math.log(3)
+
+
+def sinkhorn_system(k, seed, spec=G2):
+    """Random invariant system: Sinkhorn-scale a positive matrix to margins pi.
+
+    Each positive generator gets a joint J with row and column sums pi;
+    P[s] = J / pi and, for groups, P[s^-1] = J^T / pi.
+    """
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.5, 1.5, size=k)
+    pi /= pi.sum()
+    mats = {}
+    for s in spec.positive_generators():
+        j = rng.uniform(0.1, 1.0, size=(k, k))
+        for _ in range(10_000):
+            j *= (pi / j.sum(axis=1))[:, None]
+            j *= pi / j.sum(axis=0)
+            if np.abs(j.sum(axis=1) - pi).max() < 1e-15:
+                break
+        mats[s] = j / pi[:, None]
+        if spec.is_group:
+            mats[-s] = j.T / pi[:, None]
+    return TransitionSystem(spec, tuple(range(k)), pi, mats)
 
 
 class TestShannon:
@@ -37,6 +61,11 @@ class TestShannon:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             shannon([0.25, 0.25])
+
+    @pytest.mark.parametrize("dist", [[math.nan, 1.0], [math.inf, 0.0], [-math.inf, 1.0]])
+    def test_non_finite_rejected(self, dist):
+        with pytest.raises(ValueError, match="non-finite"):
+            shannon(dist)
 
 
 class TestConditionalEntropy:
@@ -92,16 +121,33 @@ class TestBigF:
         assert len(rep.pair_entropies) == 2
 
     def test_matches_independent_oracle(self, wsf2, coarsened_cycle):
-        pi, mats = as_lists(wsf2)
-        for n in (0, 1):
-            lib = big_F(MarkovSource(wsf2), n).big_f
-            assert abs(lib - oracle_big_F(pi, mats, 2, n)) < 1e-9
+        for ts, n_max in [(wsf2, 1), (sinkhorn_system(3, 11), 1),
+                          (semigroup_example(), 2)]:
+            pi, mats = as_lists(ts)
+            for n in range(n_max + 1):
+                lib = big_F(MarkovSource(ts), n).big_f
+                oracle = oracle_big_F(pi, mats, 2, n, group=ts.spec.is_group)
+                assert abs(lib - oracle) < 1e-9
         base = coarsened_cycle.base.ts
         pi, mats = as_lists(base)
         for n in (0, 1):
             lib = big_F(coarsened_cycle, n).big_f
             oracle = oracle_big_F(pi, mats, 2, n, coarsen_map=[0, 1, 1])
             assert abs(lib - oracle) < 1e-9
+
+    @pytest.mark.parametrize("builder,n_max", [
+        (lambda: wsf_system(2), 10), (lambda: wsf_system(3), 6),
+        (semigroup_example, 13),
+        (lambda: sinkhorn_system(3, 11), 7), (lambda: sinkhorn_system(4, 12), 6),
+        (lambda: sinkhorn_system(5, 13), 6),
+        (lambda: sinkhorn_system(4, 14, GroupSpec(2, "semigroup")), 10),
+    ])
+    def test_deep_markov_matches_closed_form(self, builder, n_max):
+        # dense tables at shallow depth, merged edge counts past the guard
+        ts = builder()
+        src, f = MarkovSource(ts), f_markov(ts)
+        for n in range(n_max + 1):
+            assert abs(big_F(src, n).big_f - f) <= 1e-13
 
     def test_semigroup_markov_constant(self, semigroup_ts):
         src = MarkovSource(semigroup_ts)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemarkov.errors import CapabilityError
-from freemarkov.measure import (EmpiricalSource,
+from freemarkov.measure import (BallMarginal, EmpiricalSource,
                                 MarkovSource, PairStats, Pattern,
                                 check_markov_property, check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
@@ -14,7 +14,8 @@ from freemarkov.measure import (EmpiricalSource,
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
                                    permutation_system, wsf_system)
-from freemarkov.words import GroupSpec, IDENTITY, Word, ball, parse_word
+from freemarkov.verify import semigroup_example
+from freemarkov.words import BallDomain, GroupSpec, IDENTITY, Word, ball, parse_word
 
 from oracles import as_lists, oracle_entropy, oracle_marginal
 
@@ -122,6 +123,14 @@ class TestBallMarginal:
         with pytest.raises(CapabilityError, match="support"):
             src.ball_marginal(ball(G2, 3))
 
+    @pytest.mark.parametrize("table", [{"dense": [math.nan, 1.0]},
+                                       {"dense": [math.inf, 1.0]},
+                                       {"sparse": {(0,): math.nan, (1,): 1.0}},
+                                       {"sparse": {(0,): math.inf, (1,): -math.inf}}])
+    def test_non_finite_rejected(self, table):
+        with pytest.raises(ValueError, match="non-finite"):
+            BallMarginal([IDENTITY], (0, 1), **table)
+
     def test_mixed_radix_flat_order(self, flip03):
         m = MarkovSource(flip03).ball_marginal(ball(G2, 1))
         flat = m.dense.ravel()
@@ -154,9 +163,43 @@ class TestTreeEntropyOracle:
         brute = MarkovSource(ts).ball_marginal(dom).entropy()
         assert abs(tree_entropy(ts, dom) - brute) < 1e-9
 
+    @pytest.mark.parametrize("builder,n", [
+        (lambda: flip_system(2, 0.3), 1), (semigroup_example, 2),
+        (lambda: bernoulli_system(G2, [0.2, 0.3, 0.5]), 1),
+    ])
+    def test_edge_counts_match_oracle(self, builder, n):
+        # geometry label counts in the closed form vs plain enumeration
+        ts = builder()
+        pi, mats = as_lists(ts)
+        for s in (None,) + ts.spec.generators():
+            dom = BallDomain(ts.spec, n, s)
+            exact = oracle_entropy(oracle_marginal(pi, mats, [x.letters for x in dom]))
+            assert abs(tree_entropy(ts, dom) - exact) < 1e-12
+            assert abs(tree_entropy(ts, list(dom)) - exact) < 1e-12
+
     def test_requires_connected_domain(self, flip03):
         with pytest.raises(ValueError):
             tree_entropy(flip03, [IDENTITY, w("ab")])
+
+
+class TestEntropySum:
+    def test_routes_match_word_domains(self, flip03):
+        # n = 2: the ball takes the dense table, the pair domains the closed form
+        src = MarkovSource(flip03)
+        terms = [(1, BallDomain(G2, 2, 1)), (-3, BallDomain(G2, 2))]
+        total, hs = src.entropy_sum(terms)
+        words = [src.domain_entropy(list(dom)) for _, dom in terms]
+        assert hs[1] == words[1]
+        assert abs(hs[0] - words[0]) < 1e-12
+        assert abs(total - (words[0] - 3 * words[1])) < 1e-12
+
+    def test_closed_form_builds_no_words(self, wsf2, monkeypatch):
+        from freemarkov.entropy import big_F, f_markov
+
+        def refuse(self):
+            raise AssertionError("word built on the closed-form route")
+        monkeypatch.setattr(Word, "__post_init__", refuse)
+        assert abs(big_F(MarkovSource(wsf2), 7).big_f - f_markov(wsf2)) < 1e-13
 
 
 class TestShiftInvariance:

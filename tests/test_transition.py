@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from freemarkov.errors import InconsistentMarginalsError, StructuralError
+from freemarkov.entropy import f_markov
+from freemarkov.errors import FormatError, InconsistentMarginalsError, StructuralError
 from freemarkov.measure import empirical_source, pair_stats
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, from_json_dict,
@@ -55,6 +57,22 @@ class TestValidate:
         ts = TransitionSystem(G2, (0, 1), pi, mats)
         conds = {v.condition for v in validate(ts)}
         assert "pair_consistency" in conds
+
+    def test_nan_pi_reported(self):
+        good = flip_system(2, 0.3)
+        bad = TransitionSystem(good.spec, good.states, np.array([math.nan, 0.5]),
+                               dict(good.matrices))
+        report = validate(bad)
+        assert [(v.condition, v.where) for v in report] == [("non_finite", (0,))]
+        with pytest.raises(ValueError, match="non_finite"):
+            f_markov(bad)
+
+    def test_non_finite_matrix_entry_reported(self):
+        mats = dict(flip_system(2, 0.3).matrices)
+        mats[2] = np.array([[math.inf, 0.0], [0.5, math.nan]])
+        ts = TransitionSystem(G2, (0, 1), np.array([0.5, 0.5]), mats)
+        hits = [v.where for v in validate(ts) if v.condition == "non_finite"]
+        assert hits == [(2, 0, 0), (2, 1, 1)]
 
     def test_structural_error_is_distinct(self):
         with pytest.raises(StructuralError):
@@ -228,8 +246,17 @@ class TestJson:
         doc = to_json_dict(semigroup_ts)
         assert set(doc["P"]) == {"s1", "s2"}
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_document_rejected(self, flip03, token):
+        text = json.dumps(to_json_dict(flip03)).replace("0.3", token, 1)
+        with pytest.raises(FormatError, match="non-finite"):
+            from_json_dict(json.loads(text))
+        doc = to_json_dict(flip03)
+        doc["pi"] = [json.loads(token), 0.5]
+        with pytest.raises(FormatError, match="non-finite"):
+            from_json_dict(doc)
+
     def test_malformed_document(self):
-        from freemarkov.errors import FormatError
         with pytest.raises(FormatError):
             from_json_dict({"states": [0, 1]})
         with pytest.raises(FormatError):

@@ -1,15 +1,19 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemarkov.words import (CayleyEdge, GroupSpec, IDENTITY, Word, ball,
-                              ball_size, induced_left_edges, is_left_connected,
-                              parse_word, past, reduce_word, tree_hull)
+from freemarkov.words import (BallDomain, CayleyEdge, GroupSpec, IDENTITY, Word,
+                              ball, ball_size, geometry, induced_left_edges,
+                              is_left_connected, parse_word, past, reduce_word,
+                              tree_hull)
 
 from oracles import oracle_ball
 
 G2 = GroupSpec(2, "group")
 S2 = GroupSpec(2, "semigroup")
+ALL_SPECS = [GroupSpec(r, kind) for r in (1, 2, 3) for kind in ("group", "semigroup")]
 
 
 def w(text, spec=G2):
@@ -77,13 +81,71 @@ class TestBall:
         assert got == oracle_ball(spec.rank, 3, spec.is_group)
 
     def test_shortlex_sorted(self):
-        b = ball(G2, 3)
-        assert b == sorted(b)
-        assert len(set(b)) == len(b)
+        for spec in ALL_SPECS:
+            for n in range(5):
+                b = ball(spec, n)
+                assert b == sorted(b)
+                assert len(set(b)) == len(b)
+
+    def test_fresh_list(self):
+        b = ball(G2, 1)
+        b.append(IDENTITY)
+        assert len(ball(G2, 1)) == 5
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             ball(G2, -1)
+
+
+def _label_counts(domain, spec):
+    labels = Counter(e.label for e in induced_left_edges(domain, spec))
+    return [labels[s] for s in spec.generators()]
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_arrays_match_word_ball(self, spec):
+        gens = spec.generators()
+        for n in range(6):
+            geo = geometry(spec, n)
+            words = oracle_ball(spec.rank, n, spec.is_group)
+            index = {x: i for i, x in enumerate(words)}
+            assert geo.parent.size == len(words) == ball_size(spec, n)
+            assert geo.parent[0] == geo.letter[0] == -1
+            for i, x in enumerate(words[1:], start=1):
+                assert geo.parent[i] == index[x[1:]]
+                assert gens[geo.letter[i]] == x[0]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_domains_match_word_hull_and_edges(self, spec):
+        for n in range(6):
+            b = ball(spec, n)
+            members = set(b)
+            dom = BallDomain(spec, n)
+            assert len(dom) == len(b)
+            assert list(dom.label_counts()) == _label_counts(b, spec)
+            for s in spec.generators():
+                pair = BallDomain(spec, n, s)
+                words = list(pair)
+                step = Word((s,))
+                union = members | {x * step for x in b}
+                assert words == sorted(union, key=Word.shortlex_key)
+                assert len(pair) == len(words)
+                # the ball is suffix-closed, so the added words decide the hull
+                assert tree_hull(words[len(b):]) <= union
+                assert list(pair.label_counts()) == _label_counts(words, spec)
+
+    def test_cached_arrays_are_read_only(self):
+        geo = geometry(G2, 2)
+        assert geometry(G2, 2) is geo
+        with pytest.raises(ValueError):
+            geo.parent[1] = 0
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="radius"):
+            geometry(G2, -1)
+        with pytest.raises(ValueError, match="inverse letter"):
+            BallDomain(S2, 1, -1)
 
 
 class TestEdges:
