@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MarkovSource, MeasureSource, PairStats, pair_stats
+from .measure import MarkovSource, MeasureSource, PairStats, pair_stats, pattern_code
 from .transition import TransitionSystem
 from .words import BallDomain, GroupSpec, IDENTITY, Word, ball
 
@@ -69,25 +69,29 @@ def _superstate_statistics(src: MeasureSource, m: int):
     dom = tuple(ball(src.spec, m))
     k = len(src.states)
     md = len(dom)
-    weights = k ** np.arange(md - 1, -1, -1, dtype=np.int64)
+    # weights of the vectorized dense encoding; Python ints, since K^md
+    # itself may be past int64 when the tables are sparse
+    weights = [k ** (md - 1 - a) for a in range(md)]
 
     marg = src.ball_marginal(dom)
     if marg.is_dense:
         flat = marg.dense.ravel()
         pos_idx = np.nonzero(flat > 0)[0]
         masses = flat[pos_idx]
+        codes = pos_idx.tolist()
     else:
-        keys = sorted(key for key, p in marg.sparse.items() if p > 0)
-        pos_idx = np.array([int(np.dot(key, weights)) for key in keys],
-                           dtype=np.int64)
-        masses = np.array([marg.sparse[tuple(key)] for key in keys])
-    n_super = pos_idx.size
+        keys = sorted(tuple(int(d) for d in key)
+                      for key, p in marg.sparse.items() if p > 0)
+        masses = np.array([marg.sparse[key] for key in keys])
+        codes = [pattern_code(key, k) for key in keys]
+    n_super = len(codes)
     gens = src.spec.generators()
     if n_super ** 2 * len(gens) > ENTRY_LIMIT:
         raise CapabilityError(
             f"{n_super} superstates need {n_super ** 2 * len(gens)} matrix "
-            f"entries, past the guard ({ENTRY_LIMIT})")
-    compact = {int(f): c for c, f in enumerate(pos_idx)}
+            f"entries, past the guard ({ENTRY_LIMIT})",
+            needed=n_super ** 2 * len(gens), limit=ENTRY_LIMIT)
+    compact = {f: c for c, f in enumerate(codes)}
 
     def encode(digit_cols) -> np.ndarray:
         enc = np.zeros(digit_cols[0].shape, dtype=np.int64)
@@ -118,14 +122,15 @@ def _superstate_statistics(src: MeasureSource, m: int):
             for key, p in mu.sparse.items():
                 if p <= 0:
                     continue
-                za = int(sum(w_k * key[a] for w_k, a in zip(weights, pos_a)))
-                zb = int(sum(w_k * key[a] for w_k, a in zip(weights, pos_b)))
+                za = pattern_code([key[a] for a in pos_a], k)
+                zb = pattern_code([key[a] for a in pos_b], k)
                 j[compact[za], compact[zb]] += p
         joints[s] = j
 
-    patterns = tuple(tuple(int(d) for d in np.unravel_index(f, (k,) * md))
-                     for f in pos_idx)
-    return dom, patterns, masses, joints
+    if marg.is_dense:
+        keys = [tuple(int(d) for d in np.unravel_index(f, (k,) * md))
+                for f in pos_idx]
+    return dom, tuple(keys), masses, joints
 
 
 def superstate_pair_stats(src: MeasureSource, m: int) -> PairStats:

@@ -101,6 +101,12 @@ def _cmd_example(args) -> int:
     return EXIT_OK
 
 
+def _print_violations(report, tol: float) -> None:
+    print(f"INVALID: {len(report)} violated condition(s) at {tol:g}")
+    for v in report:
+        print(f"  {v.condition} at {v.where}: residual {v.residual:.6g}")
+
+
 def _cmd_validate(args) -> int:
     ts = _load_system(args.file)
     report = transition_mod.validate(ts, args.tol)
@@ -108,9 +114,7 @@ def _cmd_validate(args) -> int:
         print(f"OK: invariant transition system ({ts.n_states} states, "
               f"rank {ts.spec.rank} {ts.spec.kind}) within {args.tol:g}")
         return EXIT_OK
-    print(f"INVALID: {len(report)} violated condition(s) at {args.tol:g}")
-    for v in report:
-        print(f"  {v.condition} at {v.where}: residual {v.residual:.6g}")
+    _print_violations(report, args.tol)
     return EXIT_FAILURE
 
 
@@ -160,6 +164,10 @@ def _cmd_marginal(args) -> int:
 
 def _cmd_sample(args) -> int:
     ts = _load_system(args.file)
+    report = transition_mod.validate(ts)
+    if report:
+        _print_violations(report, transition_mod.DEFAULT_TOL)
+        return EXIT_FAILURE
     dom, rows = measure_mod.sample_indices(ts, args.radius, args.seed, args.count)
     lines = [",".join(str(w) for w in dom)]
     lines += [",".join(str(ts.states[i]) for i in row) for row in rows]

@@ -159,7 +159,8 @@ def big_F_star(src: MeasureSource, n: int = 0, m: int = 3) -> float:
             if k ** len(union) > FSTAR_CONFIG_LIMIT:
                 raise CapabilityError(
                     f"{k}^{len(union)} configurations exceed the F* guard "
-                    f"({FSTAR_CONFIG_LIMIT})")
+                    f"({FSTAR_CONFIG_LIMIT})",
+                    needed=k ** len(union), limit=FSTAR_CONFIG_LIMIT)
             if j == m - 1:
                 prev = frozenset(union)
         terms += [(1, frozenset(union)), (-1, prev)]

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .transition import TransitionSystem
+from .transition import TransitionSystem, require_valid
 from .words import (BallDomain, GroupSpec, IDENTITY, Word, ball,
                     induced_left_edges, is_left_connected, tree_hull)
 
@@ -51,6 +51,17 @@ def _sorted_domain(domain: Iterable[Word]) -> tuple[Word, ...]:
     if not out:
         raise ValueError("domain must be nonempty")
     return out
+
+
+def pattern_code(key: Sequence[int], k: int) -> int:
+    """Exact mixed-radix index sum_a key[a] K^(n-1-a) of a state-index tuple.
+
+    A Python int, so it neither wraps nor hits numpy's 64-axis limit.
+    """
+    code = 0
+    for d in key:
+        code = code * k + int(d)
+    return code
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,8 @@ class BallMarginal:
             return np.transpose(self.dense, axes=tuple(positions))
         k, n = self.n_states, len(self.domain)
         if k ** n > DENSE_LIMIT:
-            raise CapabilityError("sparse marginal too large to densify")
+            raise CapabilityError("sparse marginal too large to densify",
+                                  needed=k ** n, limit=DENSE_LIMIT)
         arr = np.zeros((k,) * n)
         for key, p in self.sparse.items():
             arr[tuple(key[a] for a in positions)] = p
@@ -196,11 +208,9 @@ class BallMarginal:
             doc["encoding"] = "dense"
             doc["probs"] = self.dense.ravel().tolist()
         else:
-            k = self.n_states
             doc["encoding"] = "sparse"
-            doc["probs"] = sorted(
-                [int(np.ravel_multi_index(key, (k,) * len(self.domain))), p]
-                for key, p in self.sparse.items())
+            doc["probs"] = sorted([pattern_code(key, self.n_states), p]
+                                  for key, p in self.sparse.items())
         return doc
 
 
@@ -274,6 +284,17 @@ def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
     return _plogp(ts.pi) + float(counts @ _edge_entropies(ts))
 
 
+def _hull_tree(hull: Sequence[Word]) -> tuple[list[int], list[int]]:
+    """Parent index and leading letter of each non-root vertex of a tree hull.
+
+    ``hull`` is shortlex-sorted with the identity first, so every parent
+    index is smaller than its child's.
+    """
+    pos = {w: a for a, w in enumerate(hull)}
+    rest = hull[1:]
+    return [pos[w.parent()] for w in rest], [w.first_letter() for w in rest]
+
+
 class MarkovSource(MeasureSource):
     """Exact marginals of the chain induced by a transition system."""
 
@@ -309,24 +330,57 @@ class MarkovSource(MeasureSource):
             arr = arr * self.ts.matrices[edge.label].reshape(shape)
         return arr
 
+    @functools.cached_property
+    def _positive_columns(self) -> dict[int, list[list[int]]]:
+        """Per letter s and row i, the columns j with P[s][i, j] > 0."""
+        return {s: [[j for j, p in enumerate(row) if p > 0] for row in m.tolist()]
+                for s, m in self.ts.matrices.items()}
+
+    def _support_count(self, parents: Sequence[int], letters: Sequence[int]) -> int:
+        """Exact number of positive patterns on a tree hull, from ``_hull_tree``.
+
+        One sum-product pass in the integer semiring, children before
+        parents: m_v(i) = prod over children c of sum_j [P_c[i, j] > 0] m_c(j),
+        and the count is sum_i [pi_i > 0] m_root(i).  It costs
+        O(|hull| K^2) and counts exactly what ``_sparse_hull_support``
+        would enumerate.
+        """
+        cols = self._positive_columns
+        k = len(self.states)
+        counts = [[1] * k for _ in range(len(parents) + 1)]
+        for a in range(len(parents), 0, -1):
+            child, up = counts[a].__getitem__, counts[parents[a - 1]]
+            for i, row in enumerate(cols[letters[a - 1]]):
+                up[i] *= sum(map(child, row))
+        return sum(m for m, p in zip(counts[0], self.ts.pi.tolist()) if p > 0)
+
     def _sparse_hull_support(self, hull: tuple[Word, ...],
                              cap: int = SPARSE_LIMIT) -> dict[tuple, float]:
-        pos = {w: a for a, w in enumerate(hull)}
+        """Positive patterns on a tree hull with their probabilities.
+
+        Refuses before enumerating when the exact count exceeds ``cap``.
+        """
+        parents, letters = _hull_tree(hull)
+        needed = self._support_count(parents, letters)
+        if needed > cap:
+            raise CapabilityError(
+                f"support exceeds {cap} patterns on a {len(hull)}-vertex hull",
+                needed=needed, limit=cap)
         pi = self.ts.pi
         pats: list[tuple] = [(i,) for i in np.nonzero(pi > 0)[0]]
         probs: list[float] = [float(pi[i]) for i in np.nonzero(pi > 0)[0]]
-        for w in hull[1:]:
-            ip = pos[w.parent()]
-            matrix = self.ts.matrices[w.first_letter()]
+        for ip, letter in zip(parents, letters):
+            matrix = self.ts.matrices[letter]
             new_pats, new_probs = [], []
             for pat, pr in zip(pats, probs):
                 row = matrix[pat[ip]]
                 for j in np.nonzero(row > 0)[0]:
                     new_pats.append(pat + (int(j),))
                     new_probs.append(pr * float(row[j]))
-            if len(new_pats) > cap:
+            if len(new_pats) > cap:  # only rows with no positive entry get here
                 raise CapabilityError(
-                    f"support exceeds {cap} patterns on a {len(hull)}-vertex hull")
+                    f"support exceeds {cap} patterns on a {len(hull)}-vertex hull",
+                    needed=len(new_pats), limit=cap)
             pats, probs = new_pats, new_probs
         return dict(zip(pats, probs))
 
@@ -467,7 +521,8 @@ class EmpiricalSource(MeasureSource):
                 f"cannot see {missing}")
         k = len(self.states)
         if k ** len(dom) > DENSE_LIMIT:
-            raise CapabilityError("frequency table past the dense guard")
+            raise CapabilityError("frequency table past the dense guard",
+                                  needed=k ** len(dom), limit=DENSE_LIMIT)
         cols = [self.domain.index(w) for w in dom]
         counts = np.zeros((k,) * len(dom))
         np.add.at(counts, tuple(self.rows[:, c] for c in cols), 1.0)
@@ -559,8 +614,11 @@ def sample_indices(ts: TransitionSystem, domain, seed: int,
 
     Root from pi, then outward breadth-first: the state at w is drawn from
     row x(parent(w)) of the matrix of w's leading letter.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  Refuses systems that fail validation, so pi and the
+    rows sum to 1 up to rounding, which is all the normalization of pi and
+    the clamp to K-1 absorb.
     """
+    require_valid(ts)
     dom = _as_ball_domain(ts, domain)
     rng = np.random.default_rng(seed)
     k = ts.n_states

@@ -96,6 +96,20 @@ def oracle_marginal(pi, mats, domain, coarsen_map=None):
     return out
 
 
+def oracle_support_count(pi, mats, domain):
+    """Positive-probability configurations on the tree hull of ``domain``.
+
+    Counts every configuration whose root mass and edge entries are all
+    positive, by direct enumeration of K^|hull| configurations.
+    """
+    hull = oracle_hull(domain)
+    pos = {w: a for a, w in enumerate(hull)}
+    edges = [(pos[p], pos[w], l) for p, w, l in oracle_edges(hull)]
+    return sum(1 for config in itertools.product(range(len(pi)), repeat=len(hull))
+               if pi[config[pos[()]]] > 0
+               and all(mats[l][config[a]][config[b]] > 0 for a, b, l in edges))
+
+
 def oracle_entropy(dist):
     vals = dist.values() if isinstance(dist, dict) else dist
     return -math.fsum(p * math.log(p) for p in vals if p > 0.0)

@@ -9,6 +9,7 @@ from freemarkov.errors import CapabilityError
 from freemarkov.measure import MarkovSource, d1, pair_stats
 from freemarkov.transition import (bernoulli_system, flip_system,
                                    matching_system, validate, wsf_system)
+from freemarkov.verify import cycle_system
 from freemarkov.words import GroupSpec, ball
 
 G2 = GroupSpec(2, "group")
@@ -119,6 +120,18 @@ class TestStructure:
         src = MarkovSource(wsf_system(2))  # 4^17 patterns at depth 2
         with pytest.raises(CapabilityError):
             markov_approximation(src, 2)
+
+    def test_sparse_patterns_past_int64(self):
+        # 3^53 patterns on B(e,3): codes overflow int64, yet 3 superstates,
+        # each the root state shifted by the exponent sum of the word
+        ts = cycle_system(2)
+        approx = markov_approximation(MarkovSource(ts), 3)
+        shifts = [sum(1 if l > 0 else -1 for l in word.letters)
+                  for word in ball(G2, 3)]
+        expected = sorted(tuple((r + d) % 3 for d in shifts) for r in range(3))
+        assert approx.patterns == tuple(expected)
+        assert approx.inner.states == tuple("".join(map(str, p)) for p in expected)
+        assert abs(f_markov(approx.inner) - f_markov(ts)) < 1e-12
 
     def test_serializes_via_standard_format(self, coarsened_cycle):
         from freemarkov.transition import from_json_dict, to_json_dict

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +11,14 @@ from freemarkov.cli import main
 from freemarkov.transition import from_json_dict
 
 RUN = [sys.executable, "-m", "freemarkov.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def shell(cmd: str) -> subprocess.CompletedProcess:
-    return subprocess.run(cmd, shell=True, capture_output=True, text=True)
+    """Run a shell pipeline that can import the package from this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(cmd, shell=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -126,6 +132,13 @@ class TestMarginalAndSample:
         assert doc["encoding"] == "dense"
         assert abs(sum(doc["probs"]) - 1.0) < 1e-9
 
+    def test_sparse_marginal_past_64_vertices(self, cycle_file, capsys):
+        assert main(["marginal", cycle_file, "--coarsen", "0,1,1",
+                     "--radius", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["encoding"] == "sparse" and len(doc["domain"]) == 161
+        assert len(doc["probs"]) == 3
+
     def test_sample_rows(self, wsf_file, tmp_path):
         out = tmp_path / "rows.csv"
         assert main(["sample", wsf_file, "--radius", "1", "--count", "10",
@@ -134,6 +147,17 @@ class TestMarginalAndSample:
         assert lines[0] == "e,a,A,b,B"
         assert len(lines) == 11
         assert set(lines[1].split(",")) <= {"a", "A", "b", "B"}
+
+    def test_sample_invalid_system_exits_1(self, wsf_file, tmp_path, capsys):
+        with open(wsf_file) as fh:
+            doc = json.load(fh)
+        doc["pi"] = [0.5, 0.5, 0.5, 0.5]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["sample", str(bad), "--radius", "1", "--count", "10"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID: ")
+        assert "  pi_sum at (): residual 1" in out
 
     def test_identical_seed_identical_bytes(self, wsf_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

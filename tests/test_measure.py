@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freemarkov.approx import ENTRY_LIMIT, markov_approximation
+from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F_star
 from freemarkov.errors import CapabilityError
-from freemarkov.measure import (BallMarginal, EmpiricalSource,
-                                MarkovSource, PairStats, Pattern,
-                                check_markov_property, check_shift_invariance,
+from freemarkov.measure import (DENSE_LIMIT, SPARSE_LIMIT, BallMarginal,
+                                EmpiricalSource, MarkovSource, PairStats, Pattern,
+                                _hull_tree, check_markov_property,
+                                check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
                                 pair_stats, sample, sample_indices, tree_entropy)
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
                                    permutation_system, wsf_system)
-from freemarkov.verify import semigroup_example
-from freemarkov.words import BallDomain, GroupSpec, IDENTITY, Word, ball, parse_word
+from freemarkov.verify import cycle_system, perturbed_flip, semigroup_example
+from freemarkov.words import (BallDomain, GroupSpec, IDENTITY, Word, ball,
+                              parse_word, tree_hull)
 
-from oracles import as_lists, oracle_entropy, oracle_marginal
+from oracles import as_lists, oracle_entropy, oracle_marginal, oracle_support_count
 
 G2 = GroupSpec(2, "group")
 
@@ -122,6 +126,41 @@ class TestBallMarginal:
         src = MarkovSource(flip_system(2, 0.3))  # full support
         with pytest.raises(CapabilityError, match="support"):
             src.ball_marginal(ball(G2, 3))
+
+    def test_sparse_refusal_reports_predicted_size(self):
+        src = MarkovSource(flip_system(2, 0.3))  # full support on 53 vertices
+        with pytest.raises(CapabilityError) as info:
+            src.ball_marginal(ball(G2, 3))
+        assert info.value.needed == 2 ** 53
+        assert info.value.limit == SPARSE_LIMIT
+
+    @pytest.mark.parametrize("refuse,needed,limit", [
+        (lambda: MarkovSource(flip_system(2, 0.0)).ball_marginal(
+            ball(G2, 3)).permuted_table(range(53)), 2 ** 53, DENSE_LIMIT),
+        (lambda: big_F_star(MarkovSource(wsf_system(3)), 1, 4), 6 ** 12,
+         FSTAR_CONFIG_LIMIT),
+        # 2^17 superstates on B(e,2), four generators
+        (lambda: markov_approximation(MarkovSource(flip_system(2, 0.3)), 2),
+         4 * 2 ** 34, ENTRY_LIMIT),
+        (lambda: empirical_source(wsf_system(2), 2, seed=1, count=10).ball_marginal(
+            ball(G2, 2)), 4 ** 17, DENSE_LIMIT),
+    ], ids=["densify", "fstar", "superstate_entries", "frequency_table"])
+    def test_sizing_guards_report_needed_and_limit(self, refuse, needed, limit):
+        with pytest.raises(CapabilityError) as info:
+            refuse()
+        assert (info.value.needed, info.value.limit) == (needed, limit)
+
+    def test_sparse_json_past_64_vertices(self):
+        # 161 vertices: more axes than numpy indexes, codes far past int64
+        src = coarsen(cycle_system(2), [0, 1, 1])
+        marg = src.ball_marginal(ball(G2, 4))
+        doc = marg.to_json_dict()
+        assert doc["encoding"] == "sparse" and len(doc["domain"]) == 161
+        expected = sorted(
+            [sum(d * 2 ** (160 - a) for a, d in enumerate(key)), p]
+            for key, p in marg.sparse.items())
+        assert doc["probs"] == expected
+        assert len(expected) == 3 and expected[-1][0] > 2 ** 63
 
     @pytest.mark.parametrize("table", [{"dense": [math.nan, 1.0]},
                                        {"dense": [math.inf, 1.0]},
@@ -285,6 +324,14 @@ class TestSampling:
         assert all(p.domain == (IDENTITY,) for p in pats)
         assert all(p.values[0] in wsf2.states for p in pats)
 
+    def test_invalid_system_refused(self):
+        # a non-stationary pi summing to 1, and a pi summing to 2
+        doubled = TransitionSystem(G2, (0, 1), np.array([1.0, 1.0]),
+                                   dict(flip_system(2, 0.3).matrices))
+        for ts in (perturbed_flip(0.3), doubled):
+            with pytest.raises(ValueError, match="fails validation"):
+                sample_indices(ts, 1, seed=1, count=10)
+
 
 class TestEmpirical:
     def test_marginal_within_ball(self, flip03):
@@ -399,3 +446,68 @@ class TestD1:
         assert abs(d1(x, y) - d1(y, x)) < 1e-12
         assert d1(x, z) <= d1(x, y) + d1(y, z) + 1e-12
         assert d1(x, x) == 0.0
+
+
+def masked_sinkhorn_system(spec, k, rng, n_perms):
+    """Random invariant system whose matrices have zeros.
+
+    Each positive generator's joint is supported on the union of the
+    identity and ``n_perms`` random permutations, a pattern with total
+    support, and is Sinkhorn-scaled to uniform margins.
+    """
+    pi = np.full(k, 1.0 / k)
+    mats = {}
+    for s in spec.positive_generators():
+        mask = np.eye(k, dtype=bool)
+        for _ in range(n_perms):
+            mask[np.arange(k), rng.permutation(k)] = True
+        j = np.where(mask, rng.uniform(0.1, 1.0, size=(k, k)), 0.0)
+        for _ in range(10_000):
+            j *= (pi / j.sum(axis=1))[:, None]
+            j *= pi / j.sum(axis=0)
+            if np.abs(j.sum(axis=1) - pi).max() < 1e-15:
+                break
+        mats[s] = j / pi[:, None]
+        if spec.is_group:
+            mats[-s] = j.T / pi[:, None]
+    return TransitionSystem(spec, tuple(range(k)), pi, mats)
+
+
+class TestSupportCount:
+    """The hull-tree count against enumeration and the brute-force oracle."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3),
+           picks=st.sets(st.integers(min_value=0, max_value=16), min_size=1,
+                         max_size=3))
+    def test_matches_enumeration_and_oracle(self, kind, k, seed, n_perms, picks):
+        spec = GroupSpec(2, kind)
+        ts = masked_sinkhorn_system(spec, k, np.random.default_rng(seed), n_perms)
+        src = MarkovSource(ts)
+        pi, mats = as_lists(ts)
+        b2 = ball(spec, 2)
+        random_hull = sorted(tree_hull([b2[i % len(b2)] for i in picks]),
+                             key=Word.shortlex_key)
+        domains = [tuple(BallDomain(spec, 1)), tuple(random_hull)]
+        domains += [tuple(BallDomain(spec, 1, s)) for s in spec.generators()]
+        for hull in domains:
+            count = src._support_count(*_hull_tree(hull))
+            assert count == len(src._sparse_hull_support(hull, cap=2 ** 62))
+            if k ** len(hull) <= 2 ** 14:
+                assert count == oracle_support_count(
+                    pi, mats, [x.letters for x in hull])
+
+    def test_zero_root_mass_and_zero_rows(self):
+        # states outside the support of pi, and a row with no positive entry
+        spec = GroupSpec(1, "semigroup")
+        pi = np.array([0.5, 0.5, 0.0])
+        mats = {1: np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])}
+        src = MarkovSource(TransitionSystem(spec, (0, 1, 2), pi, mats))
+        hull = tuple(ball(spec, 4))
+        pi_l, mats_l = as_lists(src.ts)
+        expected = oracle_support_count(pi_l, mats_l, [x.letters for x in hull])
+        assert src._support_count(*_hull_tree(hull)) == expected
+        assert len(src._sparse_hull_support(hull)) == expected
