@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MarkovSource, MeasureSource, PairStats, pair_stats, pattern_code
+from .measure import MarkovSource, MeasureSource, PairStats, pair_stats
 from .transition import TransitionSystem
-from .words import BallDomain, GroupSpec, IDENTITY, Word, ball
+from .words import BallDomain, GroupSpec, IDENTITY, Word
 
 ENTRY_LIMIT = 2 ** 26
 
@@ -65,79 +65,41 @@ class SuperstateSystem:
 
 
 def _superstate_statistics(src: MeasureSource, m: int):
-    """Positive patterns on B(e, m) with their masses and pair joints."""
-    dom = tuple(ball(src.spec, m))
-    k = len(src.states)
-    md = len(dom)
-    # weights of the vectorized dense encoding; Python ints, since K^md
-    # itself may be past int64 when the tables are sparse
-    weights = [k ** (md - 1 - a) for a in range(md)]
-
-    marg = src.ball_marginal(dom)
-    if marg.is_dense:
-        flat = marg.dense.ravel()
-        pos_idx = np.nonzero(flat > 0)[0]
-        masses = flat[pos_idx]
-        codes = pos_idx.tolist()
-    else:
-        keys = sorted(tuple(int(d) for d in key)
-                      for key, p in marg.sparse.items() if p > 0)
-        masses = np.array([marg.sparse[key] for key in keys])
-        codes = [pattern_code(key, k) for key in keys]
-    n_super = len(codes)
+    """Positive patterns on B(e, m), their labels and masses, and pair joints."""
+    marg = src.ball_marginal(BallDomain(src.spec, m))
+    dom, codes = marg.domain, marg.codes
+    n_super = codes.size
     gens = src.spec.generators()
     if n_super ** 2 * len(gens) > ENTRY_LIMIT:
         raise CapabilityError(
             f"{n_super} superstates need {n_super ** 2 * len(gens)} matrix "
             f"entries, past the guard ({ENTRY_LIMIT})",
             needed=n_super ** 2 * len(gens), limit=ENTRY_LIMIT)
-    compact = {f: c for c, f in enumerate(codes)}
 
-    def encode(digit_cols) -> np.ndarray:
-        enc = np.zeros(digit_cols[0].shape, dtype=np.int64)
-        for w_k, col in zip(weights, digit_cols):
-            enc += w_k * col
-        return enc
+    def superstates(sub_codes: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(codes, sub_codes), n_super - 1)
+        if (codes[at] != sub_codes).any():
+            raise ValueError("a pair pattern restricts to no superstate; "
+                             "the source is not shift-invariant")
+        return at
 
     joints = {}
     for s in gens:
-        step = Word((s,))
-        pair = BallDomain(src.spec, m, s)
-        union = tuple(pair)
-        pos_a = [union.index(w) for w in dom]
-        pos_b = [union.index(w * step) for w in dom]
-        mu = src.ball_marginal(pair)
+        mu = src.ball_marginal(BallDomain(src.spec, m, s))
+        pos = {w: a for a, w in enumerate(mu.domain)}
+        za = superstates(mu.sub_codes(range(len(dom))))  # the ball comes first
+        zb = superstates(mu.sub_codes([pos[w * Word((s,))] for w in dom]))
         j = np.zeros((n_super, n_super))
-        if mu.is_dense:
-            uflat = mu.dense.ravel()
-            nz = np.nonzero(uflat > 0)[0]
-            ku = len(union)
-            digits = [(nz // k ** (ku - 1 - a)) % k for a in range(ku)]
-            za = encode([digits[a] for a in pos_a])
-            zb = encode([digits[a] for a in pos_b])
-            ca = np.array([compact[int(f)] for f in za])
-            cb = np.array([compact[int(f)] for f in zb])
-            np.add.at(j, (ca, cb), uflat[nz])
-        else:
-            for key, p in mu.sparse.items():
-                if p <= 0:
-                    continue
-                za = pattern_code([key[a] for a in pos_a], k)
-                zb = pattern_code([key[a] for a in pos_b], k)
-                j[compact[za], compact[zb]] += p
+        np.add.at(j, (za, zb), mu.masses)
         joints[s] = j
-
-    if marg.is_dense:
-        keys = [tuple(int(d) for d in np.unravel_index(f, (k,) * md))
-                for f in pos_idx]
-    return dom, tuple(keys), masses, joints
+    patterns = tuple(marg.sparse)
+    labels = tuple(pattern_label(tuple(src.states[i] for i in pat)) for pat in patterns)
+    return dom, patterns, labels, marg.masses, joints
 
 
 def superstate_pair_stats(src: MeasureSource, m: int) -> PairStats:
     """Pair statistics of the source read at the depth-m pattern alphabet."""
-    dom, patterns, masses, joints = _superstate_statistics(src, m)
-    labels = tuple(pattern_label(tuple(src.states[i] for i in pat))
-                   for pat in patterns)
+    dom, patterns, labels, masses, joints = _superstate_statistics(src, m)
     return PairStats(src.spec, labels, masses, joints)
 
 
@@ -149,9 +111,7 @@ def markov_approximation(src: MeasureSource, m: int) -> SuperstateSystem:
     pattern).  For Markov sources this reproduces the source; in general
     its f equals big_F(src, m).
     """
-    dom, patterns, masses, joints = _superstate_statistics(src, m)
-    labels = tuple(pattern_label(tuple(src.states[i] for i in pat))
-                   for pat in patterns)
+    dom, patterns, labels, masses, joints = _superstate_statistics(src, m)
     mats = {s: j / masses[:, None] for s, j in joints.items()}
     inner = TransitionSystem(src.spec, labels, masses, mats)
     return SuperstateSystem(base=src.spec, m=m, domain=dom,

@@ -7,18 +7,19 @@ tree edge.  Everything here is built from that product: marginals on
 arbitrary finite domains are computed exactly on the tree hull and then
 marginalized down, never approximated.
 
-Pattern storage is dense (one float per element of K^F, mixed-radix indexed
-in shortlex domain order) up to ``DENSE_LIMIT`` configurations, and switches
-to a sparse support map above that.
-
-A Markov source takes one of three routes per domain, chosen from the size
-of its tree hull: the dense table when K^|hull| fits ``DENSE_LIMIT``, else
-the closed form H(pi) + sum_s c_s e_s when the domain is its own hull (c_s
-counts the induced tree edges labelled s, e_s is the conditional entropy
-of one s-step), else the sparse support.  ``MeasureSource.entropy_sum``
-adds up a linear combination of domain entropies; the Markov override
-merges the integer edge counts of all closed-form terms before the single
-dot product with e, so coefficients that cancel do so exactly.
+A marginal stores its positive patterns as exact mixed-radix codes in
+shortlex domain order, ascending, with their masses.  A Markov source with
+K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
+hull vertex at a time; every other table is one leaves-to-root sum-product
+over the hull tree, with a coarsening as a 0/1 emission at domain vertices,
+and refuses when the hull holds more than ``SPARSE_LIMIT`` positive hidden
+patterns.  Per domain a Markov source takes the grid when it fits, else the
+closed form H(pi) + sum_s c_s e_s when the domain is its own hull (c_s
+counts the induced tree edges labelled s, e_s is the conditional entropy of
+one s-step), else the sum-product.  ``MeasureSource.entropy_sum`` adds up a
+linear combination of domain entropies; the Markov override merges the
+integer edge counts of all closed-form terms before the single dot product
+with e, so coefficients that cancel do so exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .words import (BallDomain, GroupSpec, IDENTITY, Word, ball,
                     induced_left_edges, is_left_connected, tree_hull)
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
-SPARSE_LIMIT = 2 ** 20      # largest enumerated sparse support
+SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hull
 
 _NORM_TOL = 1e-9
 
@@ -53,15 +54,14 @@ def _sorted_domain(domain: Iterable[Word]) -> tuple[Word, ...]:
     return out
 
 
-def pattern_code(key: Sequence[int], k: int) -> int:
-    """Exact mixed-radix index sum_a key[a] K^(n-1-a) of a state-index tuple.
-
-    A Python int, so it neither wraps nor hits numpy's 64-axis limit.
-    """
-    code = 0
-    for d in key:
-        code = code * k + int(d)
-    return code
+def _encode(digits: Iterable, k: int, n: int) -> np.ndarray:
+    """Codes sum_a x_a K^(n-1-a) of the digit columns x_0 .. x_{n-1}: int64
+    while K^n < 2^63, else exact Python ints in an object array."""
+    dtype = np.int64 if k ** n < 2 ** 63 else object
+    codes = 0
+    for column in digits:
+        codes = codes * k + np.asarray(column).astype(dtype)
+    return codes
 
 
 @dataclass(frozen=True)
@@ -92,125 +92,127 @@ class Pattern:
 class BallMarginal:
     """Exact distribution over patterns on a finite domain.
 
-    Backed either by a dense array of shape (K,)*|domain| or by a sparse
-    dict from state-index tuples to probabilities.  Flat indices follow
-    C order over the shortlex-sorted domain.
+    Stored as ``codes``, the positive patterns as ascending mixed-radix
+    indices over the shortlex-sorted domain (see ``_encode``), and
+    ``masses``, their probabilities.  Built from a dense array of shape
+    (K,)*|domain| in that C order or a sparse dict from state-index tuples
+    to probabilities; ``dense`` and ``sparse`` return fresh copies of those.
     """
 
     def __init__(self, domain: Iterable[Word], states: Sequence,
                  dense: np.ndarray | None = None,
                  sparse: Mapping[tuple, float] | None = None):
-        self.domain = _sorted_domain(domain)
-        self.states = tuple(states)
-        k, n = len(self.states), len(self.domain)
+        domain, states = _sorted_domain(domain), tuple(states)
+        k, n = len(states), len(domain)
         if (dense is None) == (sparse is None):
             raise ValueError("exactly one of dense/sparse must be given")
         if dense is not None:
-            dense = np.asarray(dense, dtype=float)
+            dense = np.array(dense, dtype=float)  # a copy: the marginal owns its masses
             if dense.shape != (k,) * n:
                 raise ValueError(f"dense table has shape {dense.shape}, "
                                  f"expected {(k,) * n}")
-            total = dense.sum()
-            if not math.isfinite(total):
-                raise ValueError("non-finite pattern probability in dense table")
-            if dense.min() < -1e-12:
-                raise ValueError(f"negative pattern probability {dense.min():.3g}")
+            codes, masses = np.arange(dense.size), dense.ravel()
         else:
-            sparse = dict(sparse)
-            if not all(map(math.isfinite, sparse.values())):
-                raise ValueError("non-finite pattern probability in sparse table")
-            total = math.fsum(sparse.values())
-            if sparse and min(sparse.values()) < -1e-12:
-                raise ValueError("negative pattern probability in sparse table")
+            keys = sorted(sparse)
+            codes = _encode(zip(*keys), k, n)
+            masses = np.array([sparse[key] for key in keys], dtype=float)
+        self._set(domain, states, codes, masses)
+
+    @classmethod
+    def _of(cls, domain: tuple[Word, ...], states: tuple, codes: np.ndarray,
+            masses: np.ndarray) -> "BallMarginal":
+        """From a sorted domain and ascending codes with their masses."""
+        out = cls.__new__(cls)
+        out._set(domain, states, codes, masses)
+        return out
+
+    def _set(self, domain, states, codes, masses) -> None:
+        with np.errstate(invalid="ignore"):  # inf - inf is reported below
+            total, low = masses.sum(), masses.min(initial=math.inf)
+        if not math.isfinite(total):
+            raise ValueError("non-finite pattern probability")
+        if low < -1e-12:
+            raise ValueError(f"negative pattern probability {low:.3g}")
         if abs(total - 1.0) > _NORM_TOL:
             raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
-        self.dense = dense
-        self.sparse = sparse
+        if low <= 0:
+            codes, masses = codes[masses > 0], masses[masses > 0]
+        self.domain, self.states, self.codes, self.masses = domain, states, codes, masses
+        for stored in (codes, masses):
+            stored.setflags(write=False)
 
     @property
     def is_dense(self) -> bool:
-        return self.dense is not None
+        """Whether the full table fits ``DENSE_LIMIT``; picks the JSON encoding."""
+        return self.n_states ** len(self.domain) <= DENSE_LIMIT
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    def total(self) -> float:
-        if self.is_dense:
-            return float(self.dense.sum())
-        return math.fsum(self.sparse.values())
+    def _flat(self) -> np.ndarray:
+        flat = np.zeros(self.n_states ** len(self.domain))
+        flat[self.codes] = self.masses
+        return flat
 
-    def prob(self, pattern: Pattern) -> float:
-        if pattern.domain != self.domain:
-            pattern = pattern.restrict(self.domain) if set(self.domain) <= set(
-                pattern.domain) else pattern
-        if pattern.domain != self.domain:
-            raise ValueError("pattern domain does not cover the marginal domain")
-        idx = tuple(self.states.index(v) for v in pattern.values)
+    @property
+    def dense(self) -> np.ndarray | None:
+        """A fresh table of shape (K,)*|domain|, or None past ``DENSE_LIMIT``."""
         if self.is_dense:
-            return float(self.dense[idx])
-        return self.sparse.get(idx, 0.0)
+            return self._flat().reshape((self.n_states,) * len(self.domain))
+        return None
+
+    @property
+    def sparse(self) -> dict[tuple, float]:
+        """A fresh map from positive patterns, as tuples of ints, to masses."""
+        columns = [d.tolist() for d in self._digits(range(len(self.domain)))]
+        return dict(zip(zip(*columns), self.masses.tolist()))
+
+    def _digits(self, positions: Iterable[int]) -> list[np.ndarray]:
+        k, n = self.n_states, len(self.domain)
+        return [(self.codes // k ** (n - 1 - a)) % k for a in positions]
+
+    def sub_codes(self, positions: Sequence[int]) -> np.ndarray:
+        """Codes of the patterns read at ``positions``, in that order."""
+        return _encode(self._digits(positions), self.n_states, len(positions))
+
+    def total(self) -> float:
+        return float(self.masses.sum())
 
     def entropy(self) -> float:
-        if self.is_dense:
-            return _plogp(self.dense.ravel())
-        return _plogp(np.array(list(self.sparse.values())))
+        return float(-(self.masses * np.log(self.masses)).sum())
 
     def marginalize(self, subdomain: Iterable[Word]) -> "BallMarginal":
         sub = _sorted_domain(subdomain)
         if not set(sub) <= set(self.domain):
             raise ValueError("subdomain is not contained in the marginal domain")
-        keep = [self.domain.index(w) for w in sub]
-        if self.is_dense:
-            drop = tuple(a for a in range(len(self.domain)) if a not in keep)
-            return BallMarginal(sub, self.states, dense=self.dense.sum(axis=drop))
-        out: dict[tuple, float] = {}
-        for key, p in self.sparse.items():
-            sk = tuple(key[a] for a in keep)
-            out[sk] = out.get(sk, 0.0) + p
-        return BallMarginal(sub, self.states, sparse=out)
+        codes, inverse = np.unique(self.sub_codes([self.domain.index(w) for w in sub]),
+                                   return_inverse=True)
+        return BallMarginal._of(sub, self.states, codes,
+                                np.bincount(inverse, weights=self.masses))
 
     def support(self) -> list[tuple[Pattern, float]]:
         """Positive-probability patterns with their masses, index order."""
-        out = []
-        if self.is_dense:
-            flat = self.dense.ravel()
-            shape = self.dense.shape
-            for f in np.nonzero(flat > 0)[0]:
-                key = np.unravel_index(f, shape)
-                out.append((Pattern(self.domain,
-                                    tuple(self.states[i] for i in key)),
-                            float(flat[f])))
-        else:
-            for key in sorted(self.sparse):
-                p = self.sparse[key]
-                if p > 0:
-                    out.append((Pattern(self.domain,
-                                        tuple(self.states[i] for i in key)), p))
-        return out
+        return [(Pattern(self.domain, tuple(self.states[i] for i in key)), p)
+                for key, p in self.sparse.items()]
 
     def permuted_table(self, positions: Sequence[int]) -> np.ndarray:
         """Dense table reindexed so axis k reads coordinate positions[k]."""
-        if self.is_dense:
-            return np.transpose(self.dense, axes=tuple(positions))
         k, n = self.n_states, len(self.domain)
         if k ** n > DENSE_LIMIT:
             raise CapabilityError("sparse marginal too large to densify",
                                   needed=k ** n, limit=DENSE_LIMIT)
-        arr = np.zeros((k,) * n)
-        for key, p in self.sparse.items():
-            arr[tuple(key[a] for a in positions)] = p
-        return arr
+        return np.transpose(self.dense, axes=tuple(positions))
 
     def to_json_dict(self) -> dict:
         doc = {"domain": [str(w) for w in self.domain], "states": list(self.states)}
         if self.is_dense:
             doc["encoding"] = "dense"
-            doc["probs"] = self.dense.ravel().tolist()
+            doc["probs"] = self._flat().tolist()
         else:
             doc["encoding"] = "sparse"
-            doc["probs"] = sorted([pattern_code(key, self.n_states), p]
-                                  for key, p in self.sparse.items())
+            doc["probs"] = [list(cp) for cp in zip(self.codes.tolist(),
+                                                   self.masses.tolist())]
         return doc
 
 
@@ -230,8 +232,8 @@ class MeasureSource:
     def domain_entropy(self, domain: Iterable[Word]) -> float:
         """Shannon entropy of the marginal on ``domain``.
 
-        Default route is the dense brute force; subclasses may add exact
-        shortcuts for domains past the dense guard.
+        Default route is the marginal's own entropy; subclasses may add
+        exact shortcuts.
         """
         return self.ball_marginal(domain).entropy()
 
@@ -246,8 +248,53 @@ class MeasureSource:
         return sum(coef * h for (coef, _), h in zip(terms, entropies)), entropies
 
 
-def _dense_fits(k: int, size: int) -> bool:
-    return k ** size <= DENSE_LIMIT
+@dataclass(frozen=True, eq=False)
+class _HullTree:
+    """A domain, iterating its words, with the tree of its hull.
+
+    Hull vertices are in shortlex order, parents first; after the root, each
+    has its parent's index in ``parents`` and leading letter in ``letters``.
+    ``keep`` lists the domain's hull positions, or is None for its own hull.
+    """
+
+    spec: GroupSpec
+    words: tuple[Word, ...]
+    parents: list[int]
+    letters: list[int]
+    keep: list[int] | None
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.words)
+
+    @property
+    def hull_size(self) -> int:
+        return len(self.parents) + 1
+
+    def label_counts(self) -> np.ndarray:
+        """Hull tree edges per label, indexed like ``spec.generators()``."""
+        return np.array([self.letters.count(s) for s in self.spec.generators()])
+
+
+def _hull_tree_of(domain, spec: GroupSpec) -> _HullTree:
+    """The hull tree of a domain, from the geometry for a ``BallDomain``."""
+    if isinstance(domain, _HullTree):
+        return domain
+    if isinstance(domain, BallDomain):
+        parents, letters = domain.geometry.trees[domain.s]
+        return _HullTree(spec, tuple(domain), parents[1:].tolist(),
+                         np.array(spec.generators())[letters[1:]].tolist(), None)
+    dom = _sorted_domain(domain)
+    hull = sorted(tree_hull(dom), key=Word.shortlex_key)
+    letters = [w.first_letter() for w in hull[1:]]
+    for s in set(letters):
+        spec.check_letter(s)
+    pos = {w: a for a, w in enumerate(hull)}
+    return _HullTree(spec, dom, [pos[w.parent()] for w in hull[1:]], letters,
+                     None if len(hull) == len(dom) else [pos[w] for w in dom])
+
+
+def _grid_fits(k: int, size: int) -> bool:
+    return k >= 2 and k ** size <= DENSE_LIMIT
 
 
 def _edge_entropies(ts: TransitionSystem) -> np.ndarray:
@@ -255,14 +302,6 @@ def _edge_entropies(ts: TransitionSystem) -> np.ndarray:
     h_pi = _plogp(ts.pi)
     return np.array([_plogp((ts.pi[:, None] * ts.matrices[s]).ravel()) - h_pi
                      for s in ts.spec.generators()])
-
-
-def _edge_label_counts(dom: Sequence[Word], spec: GroupSpec) -> np.ndarray:
-    gens = spec.generators()
-    counts = np.zeros(len(gens), dtype=np.int64)
-    for edge in induced_left_edges(dom, spec):
-        counts[gens.index(edge.label)] += 1
-    return counts
 
 
 def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
@@ -274,25 +313,36 @@ def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
     labelled s and e_s is the conditional entropy of one s-step.  Serves as
     the exact counterpart of the brute-force ``BallMarginal.entropy``.
     """
-    if isinstance(domain, BallDomain):
-        counts = domain.label_counts()
-    else:
-        dom = _sorted_domain(domain)
-        if dom[0] != IDENTITY or not is_left_connected(dom, ts.spec):
+    if not isinstance(domain, BallDomain):
+        domain = _hull_tree_of(domain, ts.spec)
+        if domain.keep is not None:
             raise ValueError("tree_entropy needs a left-connected domain containing e")
-        counts = _edge_label_counts(dom, ts.spec)
-    return _plogp(ts.pi) + float(counts @ _edge_entropies(ts))
+    return _plogp(ts.pi) + float(domain.label_counts() @ _edge_entropies(ts))
 
 
-def _hull_tree(hull: Sequence[Word]) -> tuple[list[int], list[int]]:
-    """Parent index and leading letter of each non-root vertex of a tree hull.
+def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
+    return CapabilityError(
+        f"support exceeds {SPARSE_LIMIT} patterns on a {hull_size}-vertex hull",
+        needed=needed, limit=SPARSE_LIMIT)
 
-    ``hull`` is shortlex-sorted with the identity first, so every parent
-    index is smaller than its child's.
+
+def _join(a: tuple, b: tuple, hull_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of rows of two sum-product tables, zero rows dropped.
+
+    The rows cover disjoint vertex sets, so a pair's code is the sum.  Pairs
+    are formed for a block of ``a`` at a time, no block past ``SPARSE_LIMIT``
+    rows, and the result is refused when its rows exceed that limit.
     """
-    pos = {w: a for a, w in enumerate(hull)}
-    rest = hull[1:]
-    return [pos[w.parent()] for w in rest], [w.first_letter() for w in rest]
+    (ta, ca), (tb, cb) = a, b
+    step, tables, codes = max(1, SPARSE_LIMIT // max(len(tb), 1)), [], []
+    for i in range(0, max(len(ta), 1), step):
+        table = (ta[i:i + step, None, :] * tb[None, :, :]).reshape(-1, ta.shape[1])
+        rows = table.any(axis=1)
+        tables.append(table[rows])
+        codes.append((ca[i:i + step, None] + cb[None, :]).ravel()[rows])
+        if sum(map(len, tables)) > SPARSE_LIMIT:
+            raise _support_refusal(sum(map(len, tables)), hull_size)
+    return np.concatenate(tables), np.concatenate(codes)
 
 
 class MarkovSource(MeasureSource):
@@ -307,28 +357,23 @@ class MarkovSource(MeasureSource):
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
         return _plogp(self.ts.pi), _edge_entropies(self.ts)
 
-    def _hull(self, domain) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
-        if isinstance(domain, BallDomain):
-            dom = tuple(domain)
-            return dom, dom
-        dom = _sorted_domain(domain)
-        hull = tuple(sorted(tree_hull(dom), key=Word.shortlex_key))
-        return dom, hull
+    def _grid(self, tree: _HullTree) -> tuple[np.ndarray, np.ndarray]:
+        """Codes and masses of the patterns on the domain, via the hull grid.
 
-    def _dense_hull_table(self, hull: tuple[Word, ...]) -> np.ndarray:
-        k, n = len(self.states), len(hull)
-        pos = {w: a for a, w in enumerate(hull)}
-        arr = np.ones((k,) * n)
-        shape = [1] * n
-        shape[pos[IDENTITY]] = k
-        arr = arr * self.ts.pi.reshape(shape)
-        for edge in induced_left_edges(hull, self.spec):
-            i, j = pos[edge.tail], pos[edge.head]
-            shape = [1] * n
-            shape[i] = shape[j] = k
-            # tail axis precedes head axis (shortlex sorts parents first)
-            arr = arr * self.ts.matrices[edge.label].reshape(shape)
-        return arr
+        Each hull vertex adds an axis: the grid so far times the matrix
+        entry from its parent's state to its own.
+        """
+        k = len(self.states)
+        table = self.ts.pi
+        for v, (p, s) in enumerate(zip(tree.parents, tree.letters), start=1):
+            shape = [1] * (v + 1)
+            shape[p] = shape[v] = k
+            table = table[..., None] * self.ts.matrices[s].reshape(shape)
+        if tree.keep is not None:
+            table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(tree.keep))))
+        flat = table.ravel()
+        codes = np.flatnonzero(flat)
+        return codes, flat[codes]
 
     @functools.cached_property
     def _positive_columns(self) -> dict[int, list[list[int]]]:
@@ -337,13 +382,12 @@ class MarkovSource(MeasureSource):
                 for s, m in self.ts.matrices.items()}
 
     def _support_count(self, parents: Sequence[int], letters: Sequence[int]) -> int:
-        """Exact number of positive patterns on a tree hull, from ``_hull_tree``.
+        """Exact number of positive patterns on a tree hull, from ``_HullTree``.
 
         One sum-product pass in the integer semiring, children before
         parents: m_v(i) = prod over children c of sum_j [P_c[i, j] > 0] m_c(j),
         and the count is sum_i [pi_i > 0] m_root(i).  It costs
-        O(|hull| K^2) and counts exactly what ``_sparse_hull_support``
-        would enumerate.
+        O(|hull| K^2).
         """
         cols = self._positive_columns
         k = len(self.states)
@@ -354,63 +398,61 @@ class MarkovSource(MeasureSource):
                 up[i] *= sum(map(child, row))
         return sum(m for m, p in zip(counts[0], self.ts.pi.tolist()) if p > 0)
 
-    def _sparse_hull_support(self, hull: tuple[Word, ...],
-                             cap: int = SPARSE_LIMIT) -> dict[tuple, float]:
-        """Positive patterns on a tree hull with their probabilities.
+    def _sum_product(self, tree: _HullTree, emit: Sequence[int]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Codes and masses of the observed states ``emit[x]`` on the domain.
 
-        Refuses before enumerating when the exact count exceeds ``cap``.
+        One pass over the hull tree, children before parents.  The table of
+        vertex v has a row per observed pattern on the domain vertices below
+        v, with its partial code, and a column per hidden state at v: the
+        pattern's probability given that state.  Domain vertices join the
+        0/1 emission table; other vertices add no digit and so are summed
+        out.  Refuses past ``SPARSE_LIMIT`` hidden patterns on the hull,
+        counted first, or rows in a table.
         """
-        parents, letters = _hull_tree(hull)
-        needed = self._support_count(parents, letters)
-        if needed > cap:
-            raise CapabilityError(
-                f"support exceeds {cap} patterns on a {len(hull)}-vertex hull",
-                needed=needed, limit=cap)
-        pi = self.ts.pi
-        pats: list[tuple] = [(i,) for i in np.nonzero(pi > 0)[0]]
-        probs: list[float] = [float(pi[i]) for i in np.nonzero(pi > 0)[0]]
-        for ip, letter in zip(parents, letters):
-            matrix = self.ts.matrices[letter]
-            new_pats, new_probs = [], []
-            for pat, pr in zip(pats, probs):
-                row = matrix[pat[ip]]
-                for j in np.nonzero(row > 0)[0]:
-                    new_pats.append(pat + (int(j),))
-                    new_probs.append(pr * float(row[j]))
-            if len(new_pats) > cap:  # only rows with no positive entry get here
-                raise CapabilityError(
-                    f"support exceeds {cap} patterns on a {len(hull)}-vertex hull",
-                    needed=len(new_pats), limit=cap)
-            pats, probs = new_pats, new_probs
-        return dict(zip(pats, probs))
+        k, h, n = len(self.states), tree.hull_size, len(tree.words)
+        if k ** h > SPARSE_LIMIT:
+            needed = self._support_count(tree.parents, tree.letters)
+            if needed > SPARSE_LIMIT:
+                raise _support_refusal(needed, h)
+        kp = max(emit) + 1
+        symbols = _encode([range(kp)], kp, n)
+        emission = np.eye(kp)[list(emit)].T  # emission[y, x] = [emit[x] == y]
+        slot = dict(zip(range(n) if tree.keep is None else tree.keep, range(n)))
+        tables: list = [None] * h
+        for v in range(h - 1, -1, -1):
+            table = tables.pop()
+            if v in slot:
+                own = (emission, symbols * kp ** (n - 1 - slot[v]))
+                table = own if table is None else _join(own, table, h)
+            if v == 0:
+                break
+            up = tree.parents[v - 1]
+            message = (table[0] @ self.ts.matrices[tree.letters[v - 1]].T, table[1])
+            tables[up] = message if tables[up] is None else _join(tables[up], message, h)
+        order = np.argsort(table[1], kind="stable")
+        return table[1][order], (table[0] @ self.ts.pi)[order]
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        dom, hull = self._hull(domain)
-        k = len(self.states)
-        if _dense_fits(k, len(hull)):
-            full = BallMarginal(hull, self.states,
-                                dense=self._dense_hull_table(hull))
-        else:
-            full = BallMarginal(hull, self.states,
-                                sparse=self._sparse_hull_support(hull))
-        return full if hull == dom else full.marginalize(dom)
+        tree, k = _hull_tree_of(domain, self.spec), len(self.states)
+        if _grid_fits(k, tree.hull_size):
+            return BallMarginal._of(tree.words, self.states, *self._grid(tree))
+        return BallMarginal._of(tree.words, self.states, *self._sum_product(tree, range(k)))
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
 
-        Dense table if K^|hull| fits the guard, closed form if the domain
-        is its own hull, sparse support otherwise.
+        Grid if K >= 2 and K^|hull| fits the guard, closed form if the
+        domain is its own hull, sum-product otherwise.
         """
-        k = len(self.states)
         if isinstance(domain, BallDomain):
-            tree = not _dense_fits(k, len(domain))
-            counts = domain.label_counts() if tree else None
+            size, own = len(domain), True
         else:
-            dom, hull = self._hull(domain)
-            tree = not _dense_fits(k, len(hull)) and hull == dom
-            counts = _edge_label_counts(dom, self.spec) if tree else None
-        if counts is None:
+            domain = _hull_tree_of(domain, self.spec)  # ball_marginal reuses it
+            size, own = domain.hull_size, domain.keep is None
+        if not own or _grid_fits(len(self.states), size):
             return self.ball_marginal(domain).entropy(), None
+        counts = domain.label_counts()
         h_root, edge = self._root_and_edge_entropies
         return h_root + float(counts @ edge), counts
 
@@ -445,7 +487,8 @@ class CoarsenedSource(MeasureSource):
     """Pushforward of a Markov chain through a state-space quotient.
 
     Generically not Markov; this is the stock of test measures with a
-    strict gap between F at depth 0 and depth 1.
+    strict gap between F at depth 0 and depth 1.  The quotient is the
+    emission of the base chain's sum-product.
     """
 
     def __init__(self, ts: TransitionSystem, state_map):
@@ -466,21 +509,9 @@ class CoarsenedSource(MeasureSource):
         self.index_map = tuple(self.states.index(im) for im in images)
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        raw = self.base.ball_marginal(domain)
-        kp = len(self.states)
-        if raw.is_dense:
-            push = np.zeros((len(self.base.states), kp))
-            push[np.arange(len(self.index_map)), self.index_map] = 1.0
-            arr = raw.dense
-            for axis in range(arr.ndim):
-                arr = np.moveaxis(np.tensordot(arr, push, axes=([axis], [0])),
-                                  -1, axis)
-            return BallMarginal(raw.domain, self.states, dense=arr)
-        out: dict[tuple, float] = {}
-        for key, p in raw.sparse.items():
-            mk = tuple(self.index_map[i] for i in key)
-            out[mk] = out.get(mk, 0.0) + p
-        return BallMarginal(raw.domain, self.states, sparse=out)
+        tree = _hull_tree_of(domain, self.spec)
+        return BallMarginal._of(tree.words, self.states,
+                                *self.base._sum_product(tree, self.index_map))
 
 
 class EmpiricalSource(MeasureSource):
@@ -524,9 +555,9 @@ class EmpiricalSource(MeasureSource):
             raise CapabilityError("frequency table past the dense guard",
                                   needed=k ** len(dom), limit=DENSE_LIMIT)
         cols = [self.domain.index(w) for w in dom]
-        counts = np.zeros((k,) * len(dom))
-        np.add.at(counts, tuple(self.rows[:, c] for c in cols), 1.0)
-        return BallMarginal(dom, self.states, dense=counts / self.rows.shape[0])
+        codes, counts = np.unique(_encode(self.rows[:, cols].T, k, len(dom)),
+                                  return_counts=True)
+        return BallMarginal._of(dom, self.states, codes, counts / self.rows.shape[0])
 
 
 def coarsen(ts: TransitionSystem, state_map) -> CoarsenedSource:

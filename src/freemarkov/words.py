@@ -13,8 +13,8 @@ generator itself (``a < a^-1 < b < b^-1 < ...``).  All downstream pattern
 encodings inherit this order.
 
 Balls are enumerated once per (spec, n) into a ``Geometry``: integer arrays
-of parent index and leading letter in shortlex order, plus the edge-label
-counts of the ball and of each pair domain B(e,n) ∪ B(e,n)·s.  A
+of parent index and leading letter in shortlex order, and the edge-label
+counts, of the ball and of each pair domain B(e,n) ∪ B(e,n)·s.  A
 ``BallDomain`` hands one of these domains to the measure layer as an
 iterable of words whose size and label counts are read without building
 any word; ``ball`` builds fresh words from the same arrays.
@@ -233,11 +233,12 @@ class Geometry:
 
     Letters are stored as indices into ``gens = spec.generators()``.  Word
     ``i`` is ``gens[letter[i]] * word[parent[i]]``; index 0 is the
-    identity, with parent and letter -1.  For each generator s the pair domain
-    B(e,n) ∪ B(e,n)·s appends to the ball the words w·s for the w in
-    ``extension[s]``: the words of length n whose last letter is not s^-1
-    (the identity alone when n = 0), in order, which keeps the appended
-    words in shortlex order.
+    identity, with parent and letter -1.  ``trees[None]`` is the pair
+    ``(parent, letter)``, and ``trees[s]`` extends it to the pair domain
+    B(e,n) ∪ B(e,n)·s, which appends to the ball the words w·s for the w of
+    length n whose last letter is not s^-1 (the identity alone when n = 0),
+    in order, which keeps the appended words in shortlex order.  The parent
+    of w·s is parent(w)·s, and its letter is that of w.
 
     ``ball_counts[a]`` and ``pair_counts[s][a]`` count the non-identity
     words of the domain with leading letter a.  Both kinds of domain are
@@ -249,18 +250,17 @@ class Geometry:
     n: int
     parent: np.ndarray
     letter: np.ndarray
-    extension: dict[int, np.ndarray]
+    trees: dict[int | None, tuple[np.ndarray, np.ndarray]]
     ball_counts: np.ndarray
     pair_counts: dict[int, np.ndarray]
 
     def words(self, s: int | None = None) -> list[Word]:
         """Fresh words of the ball, or of the pair domain for ``s``."""
         gens = self.spec.generators()
+        parent, letter = self.trees[s]
         out = [IDENTITY]
-        for p, a in zip(self.parent[1:].tolist(), self.letter[1:].tolist()):
+        for p, a in zip(parent[1:].tolist(), letter[1:].tolist()):
             out.append(Word((gens[a],) + out[p].letters))
-        if s is not None:
-            out.extend([Word(out[i].letters + (s,)) for i in self.extension[s].tolist()])
         return out
 
 
@@ -288,16 +288,25 @@ def geometry(spec: GroupSpec, n: int) -> Geometry:
         last = np.concatenate([last[k] if depth else np.full(k.size, a)
                                for a, k in enumerate(keeps)])
         level = np.arange(level[-1] + 1, level[-1] + 1 + parents[-1].size)
-    letter = np.concatenate(letters)
+    parent, letter = _frozen_ints(np.concatenate(parents)), _frozen_ints(np.concatenate(letters))
     ball_counts = np.bincount(letter[1:], minlength=len(gens))
-    extension, pair_counts = {}, {}
+    child = np.full((parent.size, len(gens)), -1)  # child[i, a]: gens[a] * word i
+    child[parent[1:], letter[1:]] = np.arange(1, parent.size)
+    ends = [ball_size(spec, d) for d in range(n)]
+    trees, pair_counts = {None: (parent, letter)}, {}
     for a, s in enumerate(gens):
         outer = np.nonzero(last != inverse[a])[0]
         lead = letters[-1][outer] if n else [a]
-        extension[s] = _frozen_ints(level[outer])
+        shift = np.full(parent.size, -1)  # word i · s, for |word i| < n where it reduces
+        shift[0] = child[0, a]
+        for lo, hi in zip(ends, ends[1:]):
+            up = shift[parent[lo:hi]]
+            shift[lo:hi] = np.where(up >= 0, child[up, letter[lo:hi]], -1)
+        up = shift[parent[level[outer]]] if n else [0]
+        trees[s] = (_frozen_ints(np.concatenate([parent, up])),
+                    _frozen_ints(np.concatenate([letter, lead])))
         pair_counts[s] = _frozen_ints(ball_counts + np.bincount(lead, minlength=len(gens)))
-    return Geometry(spec=spec, n=n, parent=_frozen_ints(np.concatenate(parents)),
-                    letter=_frozen_ints(letter), extension=extension,
+    return Geometry(spec=spec, n=n, parent=parent, letter=letter, trees=trees,
                     ball_counts=_frozen_ints(ball_counts), pair_counts=pair_counts)
 
 
@@ -323,8 +332,7 @@ class BallDomain:
         return geometry(self.spec, self.n)
 
     def __len__(self) -> int:
-        geo = self.geometry
-        return geo.parent.size + (0 if self.s is None else geo.extension[self.s].size)
+        return self.geometry.trees[self.s][0].size
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.geometry.words(self.s))

@@ -139,6 +139,18 @@ class TestMarginalAndSample:
         assert doc["encoding"] == "sparse" and len(doc["domain"]) == 161
         assert len(doc["probs"]) == 3
 
+    def test_one_state_source(self, tmp_path, capsys):
+        # 161 vertices at radius 4: one pattern, in a dense table of one cell
+        path = str(tmp_path / "one.json")
+        assert main(["example", "bernoulli", "--p", "1.0", "-o", path]) == 0
+        assert main(["marginal", path, "--radius", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["domain"]) == 161
+        assert (doc["encoding"], doc["probs"]) == ("dense", [1.0])
+        assert main(["fseq", path, "--nmax", "4"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [float(row.split(",")[-2]) for row in rows] == [0.0] * 5
+
     def test_sample_rows(self, wsf_file, tmp_path):
         out = tmp_path / "rows.csv"
         assert main(["sample", wsf_file, "--radius", "1", "--count", "10",

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemarkov.approx import ENTRY_LIMIT, markov_approximation
-from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F_star
+from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SPARSE_LIMIT, BallMarginal,
                                 EmpiricalSource, MarkovSource, PairStats, Pattern,
-                                _hull_tree, check_markov_property,
+                                _hull_tree_of, check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
                                 pair_stats, sample, sample_indices, tree_entropy)
@@ -127,6 +127,14 @@ class TestBallMarginal:
         with pytest.raises(CapabilityError, match="support"):
             src.ball_marginal(ball(G2, 3))
 
+    def test_support_within_limit_is_not_refused(self):
+        # 3 * 2^18 of 3^19 patterns on a 19-vertex path fit the limit, though
+        # a table joined with all three emission rows at once would not
+        spec = GroupSpec(1, "semigroup")
+        half = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        ts = TransitionSystem(spec, (0, 1, 2), np.full(3, 1 / 3), {1: half})
+        assert MarkovSource(ts).ball_marginal(ball(spec, 18)).codes.size == 3 * 2 ** 18
+
     def test_sparse_refusal_reports_predicted_size(self):
         src = MarkovSource(flip_system(2, 0.3))  # full support on 53 vertices
         with pytest.raises(CapabilityError) as info:
@@ -162,6 +170,16 @@ class TestBallMarginal:
         assert doc["probs"] == expected
         assert len(expected) == 3 and expected[-1][0] > 2 ** 63
 
+    def test_sparse_keys_are_ints(self, coarsened_cycle):
+        margs = [MarkovSource(flip_system(2, 0.0)).ball_marginal(ball(G2, 3)),
+                 coarsened_cycle.ball_marginal(ball(G2, 2)),
+                 empirical_source(flip_system(2, 0.3), 1, seed=2,
+                                  count=100).ball_marginal(ball(G2, 1))]
+        for marg in margs:
+            assert marg.sparse
+            assert all(type(d) is int for key in marg.sparse for d in key)
+            assert all(type(v) is int for pat, _ in marg.support() for v in pat.values)
+
     @pytest.mark.parametrize("table", [{"dense": [math.nan, 1.0]},
                                        {"dense": [math.inf, 1.0]},
                                        {"sparse": {(0,): math.nan, (1,): 1.0}},
@@ -188,6 +206,21 @@ class TestBallMarginal:
             ball(G2, 3)).to_json_dict()
         assert sparse_doc["encoding"] == "sparse"
         assert len(sparse_doc["probs"]) == 2
+
+
+class TestOneState:
+    def test_single_pattern_and_zero_F(self):
+        # numpy holds at most 64 axes; B(e,4) has 161 vertices
+        ts = bernoulli_system(G2, [1.0])
+        src = MarkovSource(ts)
+        marg = src.ball_marginal(ball(G2, 4))
+        assert (marg.codes.tolist(), marg.masses.tolist()) == ([0], [1.0])
+        assert marg.sparse == {(0,) * 161: 1.0}
+        assert marg.to_json_dict()["probs"] == [1.0]
+        assert coarsen(flip_system(2, 0.0), ["x", "x"]).ball_marginal(
+            ball(G2, 4)).codes.tolist() == [0]
+        assert f_markov(ts) == 0.0
+        assert [big_F(src, n).big_f for n in range(5)] == [0.0] * 5
 
 
 class TestTreeEntropyOracle:
@@ -380,8 +413,7 @@ class TestCoarsen:
             assert abs(marg.dense[key] - p) < 1e-14
 
     def test_sparse_coarsened(self, coarsened_cycle):
-        m = coarsened_cycle.ball_marginal(ball(G2, 2))  # via 3^17 > guard
-        assert not m.is_dense
+        m = coarsened_cycle.ball_marginal(ball(G2, 2))  # 3^17 hidden patterns
         assert len(m.sparse) == 3
         assert abs(m.entropy() - math.log(3)) < 1e-12
 
@@ -493,9 +525,12 @@ class TestSupportCount:
                              key=Word.shortlex_key)
         domains = [tuple(BallDomain(spec, 1)), tuple(random_hull)]
         domains += [tuple(BallDomain(spec, 1, s)) for s in spec.generators()]
+        identity = coarsen(ts, range(k))  # the sum-product, where src takes the grid
         for hull in domains:
-            count = src._support_count(*_hull_tree(hull))
-            assert count == len(src._sparse_hull_support(hull, cap=2 ** 62))
+            tree = _hull_tree_of(hull, spec)
+            count = src._support_count(tree.parents, tree.letters)
+            assert count == src.ball_marginal(hull).codes.size
+            assert count == identity.ball_marginal(hull).codes.size
             if k ** len(hull) <= 2 ** 14:
                 assert count == oracle_support_count(
                     pi, mats, [x.letters for x in hull])
@@ -509,5 +544,60 @@ class TestSupportCount:
         hull = tuple(ball(spec, 4))
         pi_l, mats_l = as_lists(src.ts)
         expected = oracle_support_count(pi_l, mats_l, [x.letters for x in hull])
-        assert src._support_count(*_hull_tree(hull)) == expected
-        assert len(src._sparse_hull_support(hull)) == expected
+        tree = _hull_tree_of(hull, spec)
+        assert src._support_count(tree.parents, tree.letters) == expected
+        # both table builders; the system is invalid, so no marginal is built
+        assert src._grid(tree)[0].size == expected
+        assert src._sum_product(tree, range(3))[0].size == expected
+
+
+class TestSumProductOracle:
+    """Coarsened marginals and F on random invariant systems, against the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3),
+           picks=st.sets(st.integers(min_value=0, max_value=16), min_size=1,
+                         max_size=4))
+    def test_coarsened_marginals(self, kind, k, seed, n_perms, picks):
+        spec = GroupSpec(2, kind)
+        rng = np.random.default_rng(seed)
+        ts = masked_sinkhorn_system(spec, k, rng, n_perms)
+        cmap = rng.integers(0, k, size=k).tolist()
+        src = coarsen(ts, cmap)
+        pi, mats = as_lists(ts)
+        b2 = ball(spec, 2)
+        subset = [b2[i % len(b2)] for i in picks]  # left-connected or not
+        domains = [BallDomain(spec, 1), subset,
+                   sorted(tree_hull(subset), key=Word.shortlex_key)]
+        domains += [BallDomain(spec, 1, s) for s in spec.generators()]
+        for dom in domains:
+            if k ** len(tree_hull(dom)) > 2 ** 14:
+                continue
+            expected = oracle_marginal(pi, mats, [x.letters for x in dom],
+                                       coarsen_map=cmap)
+            got = {tuple(src.states[i] for i in key): p
+                   for key, p in src.ball_marginal(dom).sparse.items()}
+            assert got.keys() == expected.keys()
+            assert max(abs(got[key] - p) for key, p in expected.items()) <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3))
+    def test_coarsened_F_nonincreasing(self, kind, k, seed, n_perms):
+        rng = np.random.default_rng(seed)
+        ts = masked_sinkhorn_system(GroupSpec(2, kind), k, rng, n_perms)
+        src = coarsen(ts, rng.integers(0, k, size=k).tolist())
+        prev = math.inf
+        for n in range(3):
+            try:
+                f = big_F(src, n).big_f
+            except CapabilityError as refusal:  # too many hidden patterns here and deeper
+                assert refusal.limit == SPARSE_LIMIT
+                break
+            assert f <= prev + 1e-10
+            prev = f

@@ -135,6 +135,20 @@ class TestGeometry:
                 assert tree_hull(words[len(b):]) <= union
                 assert list(pair.label_counts()) == _label_counts(words, spec)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_trees_match_word_parents(self, spec):
+        gens = spec.generators()
+        for n in range(5):
+            b = [Word(x) for x in oracle_ball(spec.rank, n, spec.is_group)]
+            for s in (None,) + gens:
+                union = set(b) if s is None else set(b) | {x * Word((s,)) for x in b}
+                words = sorted(union, key=Word.shortlex_key)
+                index = {x: i for i, x in enumerate(words)}
+                parent, letter = geometry(spec, n).trees[s]
+                assert parent.tolist() == [-1] + [index[x.parent()] for x in words[1:]]
+                assert letter.tolist() == [-1] + [gens.index(x.first_letter())
+                                                  for x in words[1:]]
+
     def test_cached_arrays_are_read_only(self):
         geo = geometry(G2, 2)
         assert geometry(G2, 2) is geo
