@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import MarkovSource, MeasureSource, PairStats, pair_stats
 from .transition import TransitionSystem
-from .words import BallDomain, GroupSpec, IDENTITY, Word
+from .words import GroupSpec, IDENTITY, Word, ball_domain
 
 ENTRY_LIMIT = 2 ** 26
 
@@ -66,7 +66,7 @@ class SuperstateSystem:
 
 def _superstate_statistics(src: MeasureSource, m: int):
     """Positive patterns on B(e, m), their labels and masses, and pair joints."""
-    marg = src.ball_marginal(BallDomain(src.spec, m))
+    marg = src.ball_marginal(ball_domain(src.spec, m))
     dom, codes = marg.domain, marg.codes
     n_super = codes.size
     gens = src.spec.generators()
@@ -85,7 +85,7 @@ def _superstate_statistics(src: MeasureSource, m: int):
 
     joints = {}
     for s in gens:
-        mu = src.ball_marginal(BallDomain(src.spec, m, s))
+        mu = src.ball_marginal(ball_domain(src.spec, m, s))
         pos = {w: a for a, w in enumerate(mu.domain)}
         za = superstates(mu.sub_codes(range(len(dom))))  # the ball comes first
         zb = superstates(mu.sub_codes([pos[w * Word((s,))] for w in dom]))

@@ -18,7 +18,7 @@ from . import measure as measure_mod
 from . import transition as transition_mod
 from . import verify as verify_mod
 from .errors import CapabilityError, FormatError
-from .words import GROUP, GroupSpec, ball
+from .words import GROUP, GroupSpec, ball_domain
 
 DEFAULT_SEED = verify_mod.DEFAULT_SEED
 
@@ -157,7 +157,7 @@ def _cmd_fseq(args) -> int:
 
 def _cmd_marginal(args) -> int:
     src = _source_from_args(args)
-    marg = src.ball_marginal(ball(src.spec, args.radius))
+    marg = src.ball_marginal(ball_domain(src.spec, args.radius))
     _write_text(args.output, json.dumps(marg.to_json_dict()))
     return EXIT_OK
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import MeasureSource
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
-from .words import BallDomain, Word
+from .words import Word, ball_domain
 
 FSTAR_CONFIG_LIMIT = 2 ** 24
 
@@ -95,8 +95,8 @@ def big_F(src: MeasureSource, n: int) -> EntropyReport:
         raise ValueError(f"depth must be nonnegative, got {n}")
     # Pairs first: a plain left-to-right sum then rounds exactly as
     # coefficient * h_ball + sum(pair_entropies).
-    terms = [(1, BallDomain(src.spec, n, s)) for s in src.spec.positive_generators()]
-    terms.append((src.spec.coefficient, BallDomain(src.spec, n)))
+    terms = [(1, ball_domain(src.spec, n, s)) for s in src.spec.positive_generators()]
+    terms.append((src.spec.coefficient, ball_domain(src.spec, n)))
     f_val, entropies = src.entropy_sum(terms)
     return EntropyReport(n=n, h_ball=entropies[-1],
                          pair_entropies=tuple(entropies[:-1]), big_f=f_val)
@@ -147,7 +147,7 @@ def big_F_star(src: MeasureSource, n: int = 0, m: int = 3) -> float:
     """
     if m < 1:
         raise ValueError(f"truncation must be at least 1, got {m}")
-    b = BallDomain(src.spec, n)
+    b = ball_domain(src.spec, n)
     words = list(b)
     k = len(src.states)
     terms = [(1 - src.spec.rank, b)]

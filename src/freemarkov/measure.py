@@ -5,7 +5,9 @@ vertex set F containing the identity) under the chain induced by a transition
 system is the stationary mass at the root times one matrix entry per induced
 tree edge.  Everything here is built from that product: marginals on
 arbitrary finite domains are computed exactly on the tree hull and then
-marginalized down, never approximated.
+marginalized down, never approximated.  Every walk over that tree (table,
+closed form, sample, cylinder) reads the parent and letter arrays of one
+``words.Domain``.
 
 A marginal stores its positive patterns as exact mixed-radix codes in
 shortlex domain order, ascending, with their masses.  A Markov source with
@@ -27,14 +29,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError
 from .transition import TransitionSystem, require_valid
-from .words import (BallDomain, GroupSpec, IDENTITY, Word, ball,
-                    induced_left_edges, is_left_connected, tree_hull)
+from .words import Domain, GroupSpec, IDENTITY, Word, ball_domain
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
 SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hull
@@ -248,53 +249,9 @@ class MeasureSource:
         return sum(coef * h for (coef, _), h in zip(terms, entropies)), entropies
 
 
-@dataclass(frozen=True, eq=False)
-class _HullTree:
-    """A domain, iterating its words, with the tree of its hull.
-
-    Hull vertices are in shortlex order, parents first; after the root, each
-    has its parent's index in ``parents`` and leading letter in ``letters``.
-    ``keep`` lists the domain's hull positions, or is None for its own hull.
-    """
-
-    spec: GroupSpec
-    words: tuple[Word, ...]
-    parents: list[int]
-    letters: list[int]
-    keep: list[int] | None
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    @property
-    def hull_size(self) -> int:
-        return len(self.parents) + 1
-
-    def label_counts(self) -> np.ndarray:
-        """Hull tree edges per label, indexed like ``spec.generators()``."""
-        return np.array([self.letters.count(s) for s in self.spec.generators()])
-
-
-def _hull_tree_of(domain, spec: GroupSpec) -> _HullTree:
-    """The hull tree of a domain, from the geometry for a ``BallDomain``."""
-    if isinstance(domain, _HullTree):
-        return domain
-    if isinstance(domain, BallDomain):
-        parents, letters = domain.geometry.trees[domain.s]
-        return _HullTree(spec, tuple(domain), parents[1:].tolist(),
-                         np.array(spec.generators())[letters[1:]].tolist(), None)
-    dom = _sorted_domain(domain)
-    hull = sorted(tree_hull(dom), key=Word.shortlex_key)
-    letters = [w.first_letter() for w in hull[1:]]
-    for s in set(letters):
-        spec.check_letter(s)
-    pos = {w: a for a, w in enumerate(hull)}
-    return _HullTree(spec, dom, [pos[w.parent()] for w in hull[1:]], letters,
-                     None if len(hull) == len(dom) else [pos[w] for w in dom])
-
-
 def _grid_fits(k: int, size: int) -> bool:
-    return k >= 2 and k ** size <= DENSE_LIMIT
+    # a grid of K >= 2 has at least 2^size cells: test the size before K^size
+    return k >= 2 and size < DENSE_LIMIT.bit_length() and k ** size <= DENSE_LIMIT
 
 
 def _edge_entropies(ts: TransitionSystem) -> np.ndarray:
@@ -313,11 +270,10 @@ def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
     labelled s and e_s is the conditional entropy of one s-step.  Serves as
     the exact counterpart of the brute-force ``BallMarginal.entropy``.
     """
-    if not isinstance(domain, BallDomain):
-        domain = _hull_tree_of(domain, ts.spec)
-        if domain.keep is not None:
-            raise ValueError("tree_entropy needs a left-connected domain containing e")
-    return _plogp(ts.pi) + float(domain.label_counts() @ _edge_entropies(ts))
+    domain = Domain.of(domain, ts.spec)
+    if domain.keep is not None:
+        raise ValueError("tree_entropy needs a left-connected domain containing e")
+    return _plogp(ts.pi) + float(domain.label_counts @ _edge_entropies(ts))
 
 
 def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
@@ -352,12 +308,13 @@ class MarkovSource(MeasureSource):
         self.ts = ts
         self.spec = ts.spec
         self.states = ts.states
+        self._mats = np.stack([ts.matrices[s] for s in ts.spec.generators()])
 
     @functools.cached_property
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
         return _plogp(self.ts.pi), _edge_entropies(self.ts)
 
-    def _grid(self, tree: _HullTree) -> tuple[np.ndarray, np.ndarray]:
+    def _grid(self, dom: Domain) -> tuple[np.ndarray, np.ndarray]:
         """Codes and masses of the patterns on the domain, via the hull grid.
 
         Each hull vertex adds an axis: the grid so far times the matrix
@@ -365,24 +322,24 @@ class MarkovSource(MeasureSource):
         """
         k = len(self.states)
         table = self.ts.pi
-        for v, (p, s) in enumerate(zip(tree.parents, tree.letters), start=1):
+        for v, (p, a) in enumerate(dom.tree_edges(), start=1):
             shape = [1] * (v + 1)
             shape[p] = shape[v] = k
-            table = table[..., None] * self.ts.matrices[s].reshape(shape)
-        if tree.keep is not None:
-            table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(tree.keep))))
+            table = table[..., None] * self._mats[a].reshape(shape)
+        if dom.keep is not None:
+            table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(dom.keep))))
         flat = table.ravel()
         codes = np.flatnonzero(flat)
         return codes, flat[codes]
 
     @functools.cached_property
-    def _positive_columns(self) -> dict[int, list[list[int]]]:
-        """Per letter s and row i, the columns j with P[s][i, j] > 0."""
-        return {s: [[j for j, p in enumerate(row) if p > 0] for row in m.tolist()]
-                for s, m in self.ts.matrices.items()}
+    def _positive_columns(self) -> list[list[list[int]]]:
+        """Per generator index a and row i, the columns j with P[a][i, j] > 0."""
+        return [[[j for j, p in enumerate(row) if p > 0] for row in m.tolist()]
+                for m in self._mats]
 
-    def _support_count(self, parents: Sequence[int], letters: Sequence[int]) -> int:
-        """Exact number of positive patterns on a tree hull, from ``_HullTree``.
+    def _support_count(self, dom: Domain) -> int:
+        """Exact number of positive patterns on the hull of ``dom``.
 
         One sum-product pass in the integer semiring, children before
         parents: m_v(i) = prod over children c of sum_j [P_c[i, j] > 0] m_c(j),
@@ -391,14 +348,16 @@ class MarkovSource(MeasureSource):
         """
         cols = self._positive_columns
         k = len(self.states)
-        counts = [[1] * k for _ in range(len(parents) + 1)]
-        for a in range(len(parents), 0, -1):
-            child, up = counts[a].__getitem__, counts[parents[a - 1]]
-            for i, row in enumerate(cols[letters[a - 1]]):
+        edges = dom.tree_edges()
+        counts = [[1] * k for _ in range(dom.hull_size)]
+        for v in range(len(edges), 0, -1):
+            p, a = edges[v - 1]
+            child, up = counts[v].__getitem__, counts[p]
+            for i, row in enumerate(cols[a]):
                 up[i] *= sum(map(child, row))
         return sum(m for m, p in zip(counts[0], self.ts.pi.tolist()) if p > 0)
 
-    def _sum_product(self, tree: _HullTree, emit: Sequence[int]
+    def _sum_product(self, dom: Domain, emit: Sequence[int]
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Codes and masses of the observed states ``emit[x]`` on the domain.
 
@@ -410,15 +369,16 @@ class MarkovSource(MeasureSource):
         out.  Refuses past ``SPARSE_LIMIT`` hidden patterns on the hull,
         counted first, or rows in a table.
         """
-        k, h, n = len(self.states), tree.hull_size, len(tree.words)
+        k, h, n = len(self.states), dom.hull_size, len(dom)
         if k ** h > SPARSE_LIMIT:
-            needed = self._support_count(tree.parents, tree.letters)
+            needed = self._support_count(dom)
             if needed > SPARSE_LIMIT:
                 raise _support_refusal(needed, h)
         kp = max(emit) + 1
         symbols = _encode([range(kp)], kp, n)
         emission = np.eye(kp)[list(emit)].T  # emission[y, x] = [emit[x] == y]
-        slot = dict(zip(range(n) if tree.keep is None else tree.keep, range(n)))
+        slot = dict(zip(range(n) if dom.keep is None else dom.keep.tolist(), range(n)))
+        edges = dom.tree_edges()
         tables: list = [None] * h
         for v in range(h - 1, -1, -1):
             table = tables.pop()
@@ -427,17 +387,17 @@ class MarkovSource(MeasureSource):
                 table = own if table is None else _join(own, table, h)
             if v == 0:
                 break
-            up = tree.parents[v - 1]
-            message = (table[0] @ self.ts.matrices[tree.letters[v - 1]].T, table[1])
+            up, a = edges[v - 1]
+            message = (table[0] @ self._mats[a].T, table[1])
             tables[up] = message if tables[up] is None else _join(tables[up], message, h)
         order = np.argsort(table[1], kind="stable")
         return table[1][order], (table[0] @ self.ts.pi)[order]
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        tree, k = _hull_tree_of(domain, self.spec), len(self.states)
-        if _grid_fits(k, tree.hull_size):
-            return BallMarginal._of(tree.words, self.states, *self._grid(tree))
-        return BallMarginal._of(tree.words, self.states, *self._sum_product(tree, range(k)))
+        dom, k = Domain.of(domain, self.spec), len(self.states)
+        if _grid_fits(k, dom.hull_size):
+            return BallMarginal._of(dom.words, self.states, *self._grid(dom))
+        return BallMarginal._of(dom.words, self.states, *self._sum_product(dom, range(k)))
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
@@ -445,16 +405,11 @@ class MarkovSource(MeasureSource):
         Grid if K >= 2 and K^|hull| fits the guard, closed form if the
         domain is its own hull, sum-product otherwise.
         """
-        if isinstance(domain, BallDomain):
-            size, own = len(domain), True
-        else:
-            domain = _hull_tree_of(domain, self.spec)  # ball_marginal reuses it
-            size, own = domain.hull_size, domain.keep is None
-        if not own or _grid_fits(len(self.states), size):
+        domain = Domain.of(domain, self.spec)  # ball_marginal reuses it
+        if domain.keep is not None or _grid_fits(len(self.states), domain.hull_size):
             return self.ball_marginal(domain).entropy(), None
-        counts = domain.label_counts()
         h_root, edge = self._root_and_edge_entropies
-        return h_root + float(counts @ edge), counts
+        return h_root + float(domain.label_counts @ edge), domain.label_counts
 
     def domain_entropy(self, domain: Iterable[Word]) -> float:
         return self._entropy(domain)[0]
@@ -509,9 +464,9 @@ class CoarsenedSource(MeasureSource):
         self.index_map = tuple(self.states.index(im) for im in images)
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        tree = _hull_tree_of(domain, self.spec)
-        return BallMarginal._of(tree.words, self.states,
-                                *self.base._sum_product(tree, self.index_map))
+        dom = Domain.of(domain, self.spec)
+        return BallMarginal._of(dom.words, self.states,
+                                *self.base._sum_product(dom, self.index_map))
 
 
 class EmpiricalSource(MeasureSource):
@@ -551,9 +506,6 @@ class EmpiricalSource(MeasureSource):
                 f"empirical source sampled on radius-{len(self.domain[-1])} ball "
                 f"cannot see {missing}")
         k = len(self.states)
-        if k ** len(dom) > DENSE_LIMIT:
-            raise CapabilityError("frequency table past the dense guard",
-                                  needed=k ** len(dom), limit=DENSE_LIMIT)
         cols = [self.domain.index(w) for w in dom]
         codes, counts = np.unique(_encode(self.rows[:, cols].T, k, len(dom)),
                                   return_counts=True)
@@ -576,17 +528,15 @@ def cylinder_prob(ts: TransitionSystem, pattern: Pattern) -> float:
     domain, take ``MarkovSource(ts).ball_marginal`` over the tree hull and
     marginalize instead.
     """
-    dom = pattern.domain
-    if dom[0] != IDENTITY:
-        raise ValueError("cylinder domain must contain the identity; "
-                         "use ball_marginal on the tree hull and marginalize")
-    if not is_left_connected(dom, ts.spec):
-        raise ValueError("cylinder domain must be left-connected; "
-                         "use ball_marginal on the tree hull and marginalize")
-    idx = {w: ts.state_index(v) for w, v in zip(dom, pattern.values)}
-    p = float(ts.pi[idx[IDENTITY]])
-    for edge in induced_left_edges(dom, ts.spec):
-        p *= float(ts.matrices[edge.label][idx[edge.tail], idx[edge.head]])
+    dom = Domain.of(pattern.domain, ts.spec)
+    if dom.keep is not None:
+        raise ValueError("cylinder domain must be left-connected and contain the "
+                         "identity; use ball_marginal on the tree hull and marginalize")
+    x = [ts.state_index(v) for v in pattern.values]
+    mats = [ts.matrices[s] for s in ts.spec.generators()]
+    p = float(ts.pi[x[0]])
+    for v, (u, a) in enumerate(dom.tree_edges(), start=1):
+        p *= float(mats[a][x[u], x[v]])
     return p
 
 
@@ -629,16 +579,6 @@ def check_markov_property(src: MeasureSource, g: Word, s: int, depth: int) -> fl
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _as_ball_domain(ts: TransitionSystem, domain) -> tuple[Word, ...]:
-    if isinstance(domain, int):
-        return tuple(ball(ts.spec, domain))
-    dom = _sorted_domain(domain)
-    radius = len(dom[-1])
-    if dom != tuple(ball(ts.spec, radius)):
-        raise ValueError("sampling domain must be a ball B(e, n)")
-    return dom
-
-
 def sample_indices(ts: TransitionSystem, domain, seed: int,
                    count: int) -> tuple[tuple[Word, ...], np.ndarray]:
     """Draw configurations on a ball; rows of state indices in domain order.
@@ -650,22 +590,23 @@ def sample_indices(ts: TransitionSystem, domain, seed: int,
     the clamp to K-1 absorb.
     """
     require_valid(ts)
-    dom = _as_ball_domain(ts, domain)
+    if isinstance(domain, int):
+        dom = ball_domain(ts.spec, domain)
+    else:
+        words = _sorted_domain(domain)
+        dom = ball_domain(ts.spec, len(words[-1]))
+        if words != dom.words:
+            raise ValueError("sampling domain must be a ball B(e, n)")
     rng = np.random.default_rng(seed)
     k = ts.n_states
     rows = np.empty((count, len(dom)), dtype=np.int64)
-    if count == 0:
-        return dom, rows
-    pos = {w: a for a, w in enumerate(dom)}
+    mats = [ts.matrices[s] for s in ts.spec.generators()]
     rows[:, 0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
-    for a, w in enumerate(dom):
-        if w.is_identity:
-            continue
-        matrix = ts.matrices[w.first_letter()]
-        cum = np.cumsum(matrix[rows[:, pos[w.parent()]]], axis=1)
+    for v, (p, a) in enumerate(dom.tree_edges(), start=1):
+        cum = np.cumsum(mats[a][rows[:, p]], axis=1)
         u = rng.random(count)
-        rows[:, a] = np.minimum((u[:, None] > cum).sum(axis=1), k - 1)
-    return dom, rows
+        rows[:, v] = np.minimum((u[:, None] > cum).sum(axis=1), k - 1)
+    return dom.words, rows
 
 
 def sample(ts: TransitionSystem, domain, seed: int, count: int) -> list[Pattern]:

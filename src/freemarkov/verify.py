@@ -16,12 +16,12 @@ import numpy as np
 
 from .approx import markov_approximation, markov_fixed_point_gap
 from .entropy import big_F, f_markov, f_sequence
-from .measure import (CoarsenedSource, MarkovSource, MeasureSource,
+from .measure import (CoarsenedSource, EmpiricalSource, MarkovSource, MeasureSource,
                       check_shift_invariance, sample_indices)
 from .transition import (TransitionSystem, bernoulli_system, flip_system,
                          matching_system, permutation_system, product_system,
                          wsf_system)
-from .words import GROUP, SEMIGROUP, GroupSpec, Word, ball, induced_left_edges
+from .words import GROUP, SEMIGROUP, GroupSpec, Word, ball, ball_domain
 
 ENTROPY_TOL = 1e-9
 EXACT_TOL = 1e-12
@@ -200,17 +200,16 @@ def structural_violations(ts: TransitionSystem, kind: str, n: int,
     """
     if kind not in ("wsf", "matching"):
         raise ValueError(f"unknown structural kind {kind!r}")
-    dom, rows = sample_indices(ts, n, seed, count)
-    pos = {w: a for a, w in enumerate(dom)}
+    _, rows = sample_indices(ts, n, seed, count)
+    gens = ts.spec.generators()
     state_of = _letter_state_index(ts)
     bad = 0
-    for edge in induced_left_edges(dom, ts.spec):
-        t = edge.label
-        ti, tii = state_of.get(t), state_of.get(-t)
+    for head, (tail, a) in enumerate(ball_domain(ts.spec, n).tree_edges(), start=1):
+        ti, tii = state_of.get(gens[a]), state_of.get(-gens[a])
         if ti is None or tii is None:
             continue
-        x_tail = rows[:, pos[edge.tail]]
-        x_head = rows[:, pos[edge.head]]
+        x_tail = rows[:, tail]
+        x_head = rows[:, head]
         if kind == "wsf":
             bad += int(((x_tail == ti) & (x_head == tii)).sum())
         else:
@@ -282,10 +281,7 @@ def check_sampling_frequencies(ts: TransitionSystem, radius: int, seed: int,
                                name: str = "sampling") -> CheckResult:
     """Empirical cylinder frequencies within sigma bands of exact values."""
     dom, rows = sample_indices(ts, radius, seed, count)
-    k = ts.n_states
-    counts = np.zeros((k,) * len(dom))
-    np.add.at(counts, tuple(rows.T), 1.0)
-    freq = counts / count
+    freq = EmpiricalSource(dom, ts.states, rows, ts.spec).ball_marginal(dom).dense
     exact = MarkovSource(ts).ball_marginal(dom).dense
     band = sigma * np.sqrt(exact * (1.0 - exact) / count)
     worst = float((np.abs(freq - exact) - band).max())
@@ -303,86 +299,71 @@ def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> list[CheckResu
     seeds = [int(s.generate_state(1)[0]) for s in streams]
     spec2 = GroupSpec(2, GROUP)
 
+    # Each check is built with its key as its name; only shift_invariance's
+    # key, "shift_invariance/builtins", differs from the name it prints.
     builders = [
-        ("f_equals_F/wsf2",
-         lambda: check_f_equals_F(wsf_system(2), 1, name="f_equals_F/wsf2")),
+        ("f_equals_F/wsf2", lambda name: check_f_equals_F(wsf_system(2), 1, name=name)),
         ("f_equals_F/matching2",
-         lambda: check_f_equals_F(matching_system(2), 1, name="f_equals_F/matching2")),
+         lambda name: check_f_equals_F(matching_system(2), 1, name=name)),
         ("f_equals_F/flip(0.3)",
-         lambda: check_f_equals_F(flip_system(2, 0.3), 2, name="f_equals_F/flip(0.3)")),
+         lambda name: check_f_equals_F(flip_system(2, 0.3), 2, name=name)),
         ("f_equals_F/bernoulli",
-         lambda: check_f_equals_F(bernoulli_system(spec2, [0.3, 0.7]), 1,
-                                  name="f_equals_F/bernoulli")),
+         lambda name: check_f_equals_F(bernoulli_system(spec2, [0.3, 0.7]), 1, name=name)),
         ("f_equals_F/semigroup",
-         lambda: check_f_equals_F(semigroup_example(), 2, name="f_equals_F/semigroup")),
+         lambda name: check_f_equals_F(semigroup_example(), 2, name=name)),
         ("characterization/coarsened_cycle",
-         lambda: check_characterization(cycle_coarsening(), expect_drop=True,
-                                        name="characterization/coarsened_cycle")),
+         lambda name: check_characterization(cycle_coarsening(), expect_drop=True,
+                                             name=name)),
         ("characterization/identity_coarsening",
-         lambda: check_characterization(
-             CoarsenedSource(flip_system(2, 0.3), [0, 1]), expect_drop=False,
-             name="characterization/identity_coarsening")),
+         lambda name: check_characterization(
+             CoarsenedSource(flip_system(2, 0.3), [0, 1]), expect_drop=False, name=name)),
         ("product_additivity/flip_x_flip",
-         lambda: check_product_additivity(flip_system(2, 0.2), flip_system(2, 0.7),
-                                          name="product_additivity/flip_x_flip")),
+         lambda name: check_product_additivity(flip_system(2, 0.2), flip_system(2, 0.7),
+                                               name=name)),
         ("product_additivity/bernoulli_x_bernoulli",
-         lambda: check_product_additivity(
+         lambda name: check_product_additivity(
              bernoulli_system(spec2, [0.3, 0.7]),
-             bernoulli_system(spec2, [0.5, 0.25, 0.25]),
-             name="product_additivity/bernoulli_x_bernoulli")),
-        ("finite_to_one/3x2_r2",
-         lambda: check_finite_to_one(3, 2, 2, name="finite_to_one/3x2_r2")),
-        ("finite_to_one/2x4_r3",
-         lambda: check_finite_to_one(2, 4, 3, name="finite_to_one/2x4_r3")),
-        ("ow87", lambda: check_ow87()),
-        ("shift_invariance/builtins", check_shift_invariance_suite),
+             bernoulli_system(spec2, [0.5, 0.25, 0.25]), name=name)),
+        ("finite_to_one/3x2_r2", lambda name: check_finite_to_one(3, 2, 2, name=name)),
+        ("finite_to_one/2x4_r3", lambda name: check_finite_to_one(2, 4, 3, name=name)),
+        ("ow87", lambda name: check_ow87(name=name)),
+        ("shift_invariance/builtins", lambda name: check_shift_invariance_suite()),
         ("markov_fixed_point/flip(0.3)_m1",
-         lambda: check_markov_fixed_point(flip_system(2, 0.3), 1,
-                                          name="markov_fixed_point/flip(0.3)_m1")),
+         lambda name: check_markov_fixed_point(flip_system(2, 0.3), 1, name=name)),
         ("markov_fixed_point/wsf2_m0",
-         lambda: check_markov_fixed_point(wsf_system(2), 0,
-                                          name="markov_fixed_point/wsf2_m0")),
+         lambda name: check_markov_fixed_point(wsf_system(2), 0, name=name)),
         ("approx_cross_validation/coarsened_cycle",
-         lambda: check_approx_cross_validation(
-             cycle_coarsening(), 1, name="approx_cross_validation/coarsened_cycle")),
+         lambda name: check_approx_cross_validation(cycle_coarsening(), 1, name=name)),
         ("monotonicity/coarsened_cycle",
-         lambda: check_monotonicity(cycle_coarsening(), 2,
-                                    name="monotonicity/coarsened_cycle")),
+         lambda name: check_monotonicity(cycle_coarsening(), 2, name=name)),
         ("monotonicity/flip(0.3)",
-         lambda: check_monotonicity(MarkovSource(flip_system(2, 0.3)), 2,
-                                    name="monotonicity/flip(0.3)")),
+         lambda name: check_monotonicity(MarkovSource(flip_system(2, 0.3)), 2, name=name)),
         ("sampling/flip(0.3)_4sigma",
-         lambda: check_sampling_frequencies(flip_system(2, 0.3), 1, seeds[0],
-                                            100_000,
-                                            name="sampling/flip(0.3)_4sigma")),
+         lambda name: check_sampling_frequencies(flip_system(2, 0.3), 1, seeds[0],
+                                                 100_000, name=name)),
         ("structural/wsf2",
-         lambda: check_structural_samples(wsf_system(2), "wsf", 2, seeds[1],
-                                          10_000, name="structural/wsf2")),
+         lambda name: check_structural_samples(wsf_system(2), "wsf", 2, seeds[1],
+                                               10_000, name=name)),
         ("structural/matching2",
-         lambda: check_structural_samples(matching_system(2), "matching", 2,
-                                          seeds[2], 10_000,
-                                          name="structural/matching2")),
+         lambda name: check_structural_samples(matching_system(2), "matching", 2,
+                                               seeds[2], 10_000, name=name)),
         ("negative_control/perturbed_pi_f_equals_F",
-         lambda: negative_control(
-             "negative_control/perturbed_pi_f_equals_F",
-             check_f_equals_F(perturbed_wsf(), 1, validate=False,
-                              name="f_equals_F/perturbed_pi_wsf"))),
+         lambda name: negative_control(
+             name, check_f_equals_F(perturbed_wsf(), 1, validate=False,
+                                    name="f_equals_F/perturbed_pi_wsf"))),
         ("negative_control/perturbed_pi_shift",
-         lambda: negative_control(
-             "negative_control/perturbed_pi_shift",
-             _result("shift_invariance/perturbed_pi_flip",
-                     check_shift_invariance(perturbed_flip(0.0), [Word()], 1),
-                     EXACT_TOL, "translation residual on {e}"))),
+         lambda name: negative_control(
+             name, _result("shift_invariance/perturbed_pi_flip",
+                           check_shift_invariance(perturbed_flip(0.0), [Word()], 1),
+                           EXACT_TOL, "translation residual on {e}"))),
         ("negative_control/matching_checker",
-         lambda: negative_control(
-             "negative_control/matching_checker",
-             check_structural_samples(flip_system(2, 0.5), "matching", 1,
-                                      seeds[3], 2_000,
-                                      name="structural/iid_flip"))),
+         lambda name: negative_control(
+             name, check_structural_samples(flip_system(2, 0.5), "matching", 1,
+                                            seeds[3], 2_000, name="structural/iid_flip"))),
     ]
     results = []
     for name, build in builders:
         if only is not None and only not in name:
             continue
-        results.append(build())
+        results.append(build(name))
     return results

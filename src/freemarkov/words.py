@@ -12,12 +12,13 @@ letter-by-letter with each generator's inverse ranked directly after the
 generator itself (``a < a^-1 < b < b^-1 < ...``).  All downstream pattern
 encodings inherit this order.
 
-Balls are enumerated once per (spec, n) into a ``Geometry``: integer arrays
-of parent index and leading letter in shortlex order, and the edge-label
-counts, of the ball and of each pair domain B(e,n) ∪ B(e,n)·s.  A
-``BallDomain`` hands one of these domains to the measure layer as an
-iterable of words whose size and label counts are read without building
-any word; ``ball`` builds fresh words from the same arrays.
+Every finite vertex set the measure layer reads is a ``Domain``: it
+iterates as its words and holds the tree of its hull as integer arrays of
+parent index and leading letter in shortlex order, with the edge-label
+counts.  ``ball_domain`` caches the ball B(e,n) and each pair domain
+B(e,n) ∪ B(e,n)·s, whose size and label counts are read without building
+any word; ``Domain.of`` takes any other word set; ``ball`` builds fresh
+words from the ball's arrays.
 """
 
 from __future__ import annotations
@@ -227,41 +228,86 @@ class CayleyEdge(NamedTuple):
     label: int
 
 
-@dataclass(frozen=True, eq=False)
-class Geometry:
-    """B(e, n) in shortlex order as integer arrays, with its pair domains.
+class Domain:
+    """A finite vertex set in shortlex order, with the tree of its hull.
 
-    Letters are stored as indices into ``gens = spec.generators()``.  Word
-    ``i`` is ``gens[letter[i]] * word[parent[i]]``; index 0 is the
-    identity, with parent and letter -1.  ``trees[None]`` is the pair
-    ``(parent, letter)``, and ``trees[s]`` extends it to the pair domain
-    B(e,n) ∪ B(e,n)·s, which appends to the ball the words w·s for the w of
-    length n whose last letter is not s^-1 (the identity alone when n = 0),
-    in order, which keeps the appended words in shortlex order.  The parent
-    of w·s is parent(w)·s, and its letter is that of w.
+    Iterates as its words.  The hull, the smallest left-connected superset
+    containing the identity, is held as read-only integer arrays in
+    shortlex order: hull vertex v is ``gens[letter[v]] * (vertex parent[v])``
+    with ``gens = spec.generators()``, so parents come first, and vertex 0
+    is the identity, with parent and letter -1.  ``keep`` lists the
+    domain's hull positions, or is None when the domain is its own hull;
+    ``label_counts[a]`` counts the hull tree edges labelled ``gens[a]``, so
+    the hull has ``label_counts.sum() + 1`` vertices.
 
-    ``ball_counts[a]`` and ``pair_counts[s][a]`` count the non-identity
-    words of the domain with leading letter a.  Both kinds of domain are
-    left-connected and contain the identity, so these are the label
-    counts of their induced tree edges.
+    ``tree`` returns (parent, letter) and is called on first use, which
+    lets ``ball_domain`` build a pair domain's tree only when one is read.
+    Balls and pair domains come from there; any other word set from ``of``.
     """
 
-    spec: GroupSpec
-    n: int
-    parent: np.ndarray
-    letter: np.ndarray
-    trees: dict[int | None, tuple[np.ndarray, np.ndarray]]
-    ball_counts: np.ndarray
-    pair_counts: dict[int, np.ndarray]
+    def __init__(self, spec: GroupSpec, label_counts: np.ndarray, tree,
+                 keep: np.ndarray | None = None, words: tuple[Word, ...] | None = None):
+        self.spec, self.label_counts, self.keep = spec, label_counts, keep
+        self.hull_size = int(label_counts.sum()) + 1
+        self._build, self._words = tree, words
 
-    def words(self, s: int | None = None) -> list[Word]:
-        """Fresh words of the ball, or of the pair domain for ``s``."""
+    @classmethod
+    def of(cls, words: Iterable[Word], spec: GroupSpec) -> "Domain":
+        """The domain of any word iterable; its hull is found on letter tuples."""
+        if isinstance(words, Domain):
+            return words
+        given = {w.letters: w for w in words}
+        if not given:
+            raise ValueError("domain must be nonempty")
+        hull = {()}
+        for x in given:
+            hull.update(x[i:] for i in range(len(x)))
+        for s in {x[0] for x in hull if x}:
+            spec.check_letter(s)
+        index = {s: a for a, s in enumerate(spec.generators())}  # in shortlex order
+        hull = sorted(hull, key=lambda x: (len(x), tuple(map(index.__getitem__, x))))
+        pos = {x: v for v, x in enumerate(hull)}
+        parent = _frozen_ints([-1] + [pos[x[1:]] for x in hull[1:]])
+        letter = _frozen_ints([-1] + [index[x[0]] for x in hull[1:]])
+        keep = [v for v, x in enumerate(hull) if x in given]
+        counts = _frozen_ints(np.bincount(letter[1:], minlength=len(index)))
+        return cls(spec, counts, lambda: (parent, letter),
+                   None if len(keep) == len(hull) else _frozen_ints(keep),
+                   tuple(given[hull[v]] for v in keep))
+
+    @functools.cached_property
+    def _tree(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._build()
+
+    @property
+    def parent(self) -> np.ndarray:
+        return self._tree[0]
+
+    @property
+    def letter(self) -> np.ndarray:
+        return self._tree[1]
+
+    def tree_edges(self) -> list[tuple[int, int]]:
+        """(parent, letter) of hull vertices 1, 2, ... as Python ints."""
+        return list(zip(self.parent[1:].tolist(), self.letter[1:].tolist()))
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """The words in shortlex order; built afresh for a ball or pair domain,
+        which is its own hull."""
+        if self._words is not None:
+            return self._words
         gens = self.spec.generators()
-        parent, letter = self.trees[s]
         out = [IDENTITY]
-        for p, a in zip(parent[1:].tolist(), letter[1:].tolist()):
+        for p, a in self.tree_edges():
             out.append(Word((gens[a],) + out[p].letters))
-        return out
+        return tuple(out)
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.words)
+
+    def __len__(self) -> int:
+        return self.hull_size if self.keep is None else self.keep.size
 
 
 def _frozen_ints(values) -> np.ndarray:
@@ -270,82 +316,73 @@ def _frozen_ints(values) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=32)
-def geometry(spec: GroupSpec, n: int) -> Geometry:
-    """The cached integer geometry of B(e, n); see ``Geometry``."""
+def ball_domain(spec: GroupSpec, n: int, s: int | None = None) -> Domain:
+    """B(e, n), or with ``s`` the pair domain B(e, n) ∪ B(e, n)·s; cached.
+
+    The pair domain appends to the ball the words w·s for the w of length
+    n whose last letter is not s^-1 (the identity alone when n = 0), in
+    order, which keeps the appended words in shortlex order.  The parent of
+    w·s is parent(w)·s, and its letter is that of w.  Its label counts are
+    read off the ball's outer level at once; its tree is built on first use.
+    """
+    return _ball_domain(spec, n, s)  # one cache key whether or not s is passed
+
+
+@functools.lru_cache(maxsize=128)
+def _ball_domain(spec: GroupSpec, n: int, s: int | None) -> Domain:
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
     gens = spec.generators()
     # inverse[a]: index of gens[a]^-1; -2 matches no letter (semigroups)
     inverse = np.array([gens.index(-l) if spec.is_group else -2 for l in gens])
-    parents, letters = [np.array([-1])], [np.array([-1])]
-    level, last = np.array([0]), np.array([-1])  # outer level: indices, last letters
-    for depth in range(n):
-        # the a-th block holds gens[a] * w for the w where that stays reduced
-        keeps = [np.nonzero(letters[-1] != inverse[a])[0] for a in range(len(gens))]
-        parents.append(np.concatenate([level[k] for k in keeps]))
-        letters.append(np.concatenate([np.full(k.size, a) for a, k in enumerate(keeps)]))
-        last = np.concatenate([last[k] if depth else np.full(k.size, a)
-                               for a, k in enumerate(keeps)])
-        level = np.arange(level[-1] + 1, level[-1] + 1 + parents[-1].size)
-    parent, letter = _frozen_ints(np.concatenate(parents)), _frozen_ints(np.concatenate(letters))
-    ball_counts = np.bincount(letter[1:], minlength=len(gens))
-    child = np.full((parent.size, len(gens)), -1)  # child[i, a]: gens[a] * word i
+    if s is None:
+        parents, letters = [np.array([-1])], [np.array([-1])]
+        level = np.array([0])  # indices of the outer level
+        for _ in range(n):
+            # the a-th block holds gens[a] * w for the w where that stays reduced
+            keeps = [np.nonzero(letters[-1] != inverse[a])[0] for a in range(len(gens))]
+            parents.append(np.concatenate([level[k] for k in keeps]))
+            letters.append(np.concatenate([np.full(k.size, a) for a, k in enumerate(keeps)]))
+            level = np.arange(level[-1] + 1, level[-1] + 1 + parents[-1].size)
+        parent = _frozen_ints(np.concatenate(parents))
+        letter = _frozen_ints(np.concatenate(letters))
+        counts = _frozen_ints(np.bincount(letter[1:], minlength=len(gens)))
+        return Domain(spec, counts, lambda: (parent, letter))
+    spec.check_letter(s)
+    ball, a = _ball_domain(spec, n, None), gens.index(s)
+    ends = [ball_size(spec, d) for d in range(n + 1)]
+    outer = np.arange(ends[-2] if n else 0, ends[-1])
+    first = outer
+    for _ in range(n - 1):
+        first = ball.parent[first]  # ancestor of length 1, whose letter is w's last
+    if n:
+        outer = outer[ball.letter[first] != inverse[a]]
+    lead = ball.letter[outer] if n else np.array([a])
+    counts = _frozen_ints(ball.label_counts + np.bincount(lead, minlength=len(gens)))
+    return Domain(spec, counts, lambda: _pair_tree(ball, ends, outer, lead, a))
+
+
+def _pair_tree(ball: Domain, ends: list[int], outer: np.ndarray, lead: np.ndarray,
+               a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parent and letter arrays of the ball followed by the words w·s, s =
+    gens[a], for the w at ``outer``, whose leading letters are ``lead``;
+    ``ends`` holds the ball sizes by radius."""
+    parent, letter = ball.parent, ball.letter
+    child = np.full((parent.size, ball.label_counts.size), -1)  # child[i, b]: gens[b] * word i
     child[parent[1:], letter[1:]] = np.arange(1, parent.size)
-    ends = [ball_size(spec, d) for d in range(n)]
-    trees, pair_counts = {None: (parent, letter)}, {}
-    for a, s in enumerate(gens):
-        outer = np.nonzero(last != inverse[a])[0]
-        lead = letters[-1][outer] if n else [a]
-        shift = np.full(parent.size, -1)  # word i · s, for |word i| < n where it reduces
-        shift[0] = child[0, a]
-        for lo, hi in zip(ends, ends[1:]):
-            up = shift[parent[lo:hi]]
-            shift[lo:hi] = np.where(up >= 0, child[up, letter[lo:hi]], -1)
-        up = shift[parent[level[outer]]] if n else [0]
-        trees[s] = (_frozen_ints(np.concatenate([parent, up])),
-                    _frozen_ints(np.concatenate([letter, lead])))
-        pair_counts[s] = _frozen_ints(ball_counts + np.bincount(lead, minlength=len(gens)))
-    return Geometry(spec=spec, n=n, parent=parent, letter=letter, trees=trees,
-                    ball_counts=_frozen_ints(ball_counts), pair_counts=pair_counts)
-
-
-@dataclass(frozen=True)
-class BallDomain:
-    """B(e, n), or with ``s`` the pair domain B(e, n) ∪ B(e, n)·s.
-
-    An iterable of words in shortlex order, backed by the cached
-    ``Geometry``: its length and edge-label counts are read without
-    building any word.  Every such domain is its own tree hull.
-    """
-
-    spec: GroupSpec
-    n: int
-    s: int | None = None
-
-    def __post_init__(self):
-        if self.s is not None:
-            self.spec.check_letter(self.s)
-
-    @property
-    def geometry(self) -> Geometry:
-        return geometry(self.spec, self.n)
-
-    def __len__(self) -> int:
-        return self.geometry.trees[self.s][0].size
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.geometry.words(self.s))
-
-    def label_counts(self) -> np.ndarray:
-        """Induced tree edges per label, indexed like ``spec.generators()``."""
-        geo = self.geometry
-        return geo.ball_counts if self.s is None else geo.pair_counts[self.s]
+    shift = np.full(parent.size, -1)  # word i · s, for |word i| < n where it reduces
+    shift[0] = child[0, a]
+    for lo, hi in zip(ends[:-1], ends[1:-1]):
+        up = shift[parent[lo:hi]]
+        shift[lo:hi] = np.where(up >= 0, child[up, letter[lo:hi]], -1)
+    up = shift[parent[outer]] if len(ends) > 1 else [0]
+    return (_frozen_ints(np.concatenate([parent, up])),
+            _frozen_ints(np.concatenate([letter, lead])))
 
 
 def ball(spec: GroupSpec, n: int) -> list[Word]:
     """All words of length <= n in shortlex order; index 0 is the identity."""
-    return geometry(spec, n).words()
+    return list(ball_domain(spec, n))
 
 
 def ball_size(spec: GroupSpec, n: int) -> int:
@@ -387,24 +424,13 @@ def induced_left_edges(F: Iterable[Word], spec: GroupSpec) -> list[CayleyEdge]:
 
 def is_left_connected(F: Iterable[Word], spec: GroupSpec) -> bool:
     """Whether the induced left-subgraph of F is connected."""
-    words = _check_words(F, spec)
-    if not words:
-        raise ValueError("F must be nonempty")
-    members = set(words)
-    # Walk the tree: each word's only route toward the rest of F is its
-    # parent chain, so repeatedly merge words into their in-F parents.
-    root = {w: w for w in members}
-
-    def find(w: Word) -> Word:
-        while root[w] != w:
-            root[w] = root[root[w]]
-            w = root[w]
-        return w
-
-    for w in members:
-        if not w.is_identity and w.parent() in members:
-            root[find(w)] = find(w.parent())
-    return len({find(w) for w in members}) == 1
+    dom = Domain.of(F, spec)
+    if dom.keep is None:
+        return True
+    # F is one subtree exactly when all its words but the top one have
+    # their parent in F
+    kept, parent = set(dom.keep.tolist()), dom.parent.tolist()
+    return sum(parent[v] not in kept for v in kept) == 1
 
 
 def tree_hull(F: Iterable[Word]) -> set[Word]:

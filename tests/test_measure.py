@@ -10,7 +10,7 @@ from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SPARSE_LIMIT, BallMarginal,
                                 EmpiricalSource, MarkovSource, PairStats, Pattern,
-                                _hull_tree_of, check_markov_property,
+                                _grid_fits, check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
                                 pair_stats, sample, sample_indices, tree_entropy)
@@ -18,7 +18,7 @@ from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
                                    permutation_system, wsf_system)
 from freemarkov.verify import cycle_system, perturbed_flip, semigroup_example
-from freemarkov.words import (BallDomain, GroupSpec, IDENTITY, Word, ball,
+from freemarkov.words import (Domain, GroupSpec, IDENTITY, Word, ball, ball_domain,
                               parse_word, tree_hull)
 
 from oracles import as_lists, oracle_entropy, oracle_marginal, oracle_support_count
@@ -150,13 +150,18 @@ class TestBallMarginal:
         # 2^17 superstates on B(e,2), four generators
         (lambda: markov_approximation(MarkovSource(flip_system(2, 0.3)), 2),
          4 * 2 ** 34, ENTRY_LIMIT),
-        (lambda: empirical_source(wsf_system(2), 2, seed=1, count=10).ball_marginal(
-            ball(G2, 2)), 4 ** 17, DENSE_LIMIT),
-    ], ids=["densify", "fstar", "superstate_entries", "frequency_table"])
+    ], ids=["densify", "fstar", "superstate_entries"])
     def test_sizing_guards_report_needed_and_limit(self, refuse, needed, limit):
         with pytest.raises(CapabilityError) as info:
             refuse()
         assert (info.value.needed, info.value.limit) == (needed, limit)
+
+    def test_empirical_marginal_holds_only_sampled_patterns(self):
+        # 4^17 patterns on B(e,2); 10 sample rows hold at most 10 of them
+        emp = empirical_source(wsf_system(2), 2, seed=1, count=10)
+        marg = emp.ball_marginal(ball(G2, 2))
+        assert marg.codes.size <= 10
+        assert abs(marg.total() - 1.0) < 1e-12
 
     def test_sparse_json_past_64_vertices(self):
         # 161 vertices: more axes than numpy indexes, codes far past int64
@@ -244,7 +249,7 @@ class TestTreeEntropyOracle:
         ts = builder()
         pi, mats = as_lists(ts)
         for s in (None,) + ts.spec.generators():
-            dom = BallDomain(ts.spec, n, s)
+            dom = ball_domain(ts.spec, n, s)
             exact = oracle_entropy(oracle_marginal(pi, mats, [x.letters for x in dom]))
             assert abs(tree_entropy(ts, dom) - exact) < 1e-12
             assert abs(tree_entropy(ts, list(dom)) - exact) < 1e-12
@@ -258,7 +263,7 @@ class TestEntropySum:
     def test_routes_match_word_domains(self, flip03):
         # n = 2: the ball takes the dense table, the pair domains the closed form
         src = MarkovSource(flip03)
-        terms = [(1, BallDomain(G2, 2, 1)), (-3, BallDomain(G2, 2))]
+        terms = [(1, ball_domain(G2, 2, 1)), (-3, ball_domain(G2, 2))]
         total, hs = src.entropy_sum(terms)
         words = [src.domain_entropy(list(dom)) for _, dom in terms]
         assert hs[1] == words[1]
@@ -272,6 +277,21 @@ class TestEntropySum:
             raise AssertionError("word built on the closed-form route")
         monkeypatch.setattr(Word, "__post_init__", refuse)
         assert abs(big_F(MarkovSource(wsf2), 7).big_f - f_markov(wsf2)) < 1e-13
+
+    def test_closed_form_builds_no_pair_tree(self, wsf2, monkeypatch):
+        from freemarkov import words
+
+        def refuse(*args):
+            raise AssertionError("pair tree built on the closed-form route")
+        words._ball_domain.cache_clear()  # no pair tree built by an earlier test
+        monkeypatch.setattr(words, "_pair_tree", refuse)
+        assert abs(big_F(MarkovSource(wsf2), 7).big_f - f_markov(wsf2)) < 1e-13
+
+    def test_grid_fits_boundary(self):
+        # 2^20 cells hold at most 20 axes, so the test stops past 20 vertices
+        assert _grid_fits(2, 20) and not _grid_fits(2, 21)
+        assert _grid_fits(3, 12) and not _grid_fits(3, 13)
+        assert not any(_grid_fits(1, size) for size in (0, 1, 20, 21, 10 ** 6))
 
 
 class TestShiftInvariance:
@@ -523,12 +543,11 @@ class TestSupportCount:
         b2 = ball(spec, 2)
         random_hull = sorted(tree_hull([b2[i % len(b2)] for i in picks]),
                              key=Word.shortlex_key)
-        domains = [tuple(BallDomain(spec, 1)), tuple(random_hull)]
-        domains += [tuple(BallDomain(spec, 1, s)) for s in spec.generators()]
+        domains = [tuple(ball_domain(spec, 1)), tuple(random_hull)]
+        domains += [tuple(ball_domain(spec, 1, s)) for s in spec.generators()]
         identity = coarsen(ts, range(k))  # the sum-product, where src takes the grid
         for hull in domains:
-            tree = _hull_tree_of(hull, spec)
-            count = src._support_count(tree.parents, tree.letters)
+            count = src._support_count(Domain.of(hull, spec))
             assert count == src.ball_marginal(hull).codes.size
             assert count == identity.ball_marginal(hull).codes.size
             if k ** len(hull) <= 2 ** 14:
@@ -544,8 +563,8 @@ class TestSupportCount:
         hull = tuple(ball(spec, 4))
         pi_l, mats_l = as_lists(src.ts)
         expected = oracle_support_count(pi_l, mats_l, [x.letters for x in hull])
-        tree = _hull_tree_of(hull, spec)
-        assert src._support_count(tree.parents, tree.letters) == expected
+        tree = Domain.of(hull, spec)
+        assert src._support_count(tree) == expected
         # both table builders; the system is invalid, so no marginal is built
         assert src._grid(tree)[0].size == expected
         assert src._sum_product(tree, range(3))[0].size == expected
@@ -570,9 +589,9 @@ class TestSumProductOracle:
         pi, mats = as_lists(ts)
         b2 = ball(spec, 2)
         subset = [b2[i % len(b2)] for i in picks]  # left-connected or not
-        domains = [BallDomain(spec, 1), subset,
+        domains = [ball_domain(spec, 1), subset,
                    sorted(tree_hull(subset), key=Word.shortlex_key)]
-        domains += [BallDomain(spec, 1, s) for s in spec.generators()]
+        domains += [ball_domain(spec, 1, s) for s in spec.generators()]
         for dom in domains:
             if k ** len(tree_hull(dom)) > 2 ** 14:
                 continue

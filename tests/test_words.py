@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemarkov.words import (BallDomain, CayleyEdge, GroupSpec, IDENTITY, Word,
-                              ball, ball_size, geometry, induced_left_edges,
+from freemarkov.words import (CayleyEdge, Domain, GroupSpec, IDENTITY, Word,
+                              ball, ball_domain, ball_size, induced_left_edges,
                               is_left_connected, parse_word, past, reduce_word,
                               tree_hull)
 
@@ -107,25 +107,25 @@ class TestGeometry:
     def test_arrays_match_word_ball(self, spec):
         gens = spec.generators()
         for n in range(6):
-            geo = geometry(spec, n)
+            dom = ball_domain(spec, n)
             words = oracle_ball(spec.rank, n, spec.is_group)
             index = {x: i for i, x in enumerate(words)}
-            assert geo.parent.size == len(words) == ball_size(spec, n)
-            assert geo.parent[0] == geo.letter[0] == -1
+            assert dom.parent.size == len(words) == ball_size(spec, n)
+            assert dom.parent[0] == dom.letter[0] == -1
             for i, x in enumerate(words[1:], start=1):
-                assert geo.parent[i] == index[x[1:]]
-                assert gens[geo.letter[i]] == x[0]
+                assert dom.parent[i] == index[x[1:]]
+                assert gens[dom.letter[i]] == x[0]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_domains_match_word_hull_and_edges(self, spec):
         for n in range(6):
             b = ball(spec, n)
             members = set(b)
-            dom = BallDomain(spec, n)
+            dom = ball_domain(spec, n)
             assert len(dom) == len(b)
-            assert list(dom.label_counts()) == _label_counts(b, spec)
+            assert list(dom.label_counts) == _label_counts(b, spec)
             for s in spec.generators():
-                pair = BallDomain(spec, n, s)
+                pair = ball_domain(spec, n, s)
                 words = list(pair)
                 step = Word((s,))
                 union = members | {x * step for x in b}
@@ -133,7 +133,7 @@ class TestGeometry:
                 assert len(pair) == len(words)
                 # the ball is suffix-closed, so the added words decide the hull
                 assert tree_hull(words[len(b):]) <= union
-                assert list(pair.label_counts()) == _label_counts(words, spec)
+                assert list(pair.label_counts) == _label_counts(words, spec)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_trees_match_word_parents(self, spec):
@@ -144,22 +144,64 @@ class TestGeometry:
                 union = set(b) if s is None else set(b) | {x * Word((s,)) for x in b}
                 words = sorted(union, key=Word.shortlex_key)
                 index = {x: i for i, x in enumerate(words)}
-                parent, letter = geometry(spec, n).trees[s]
-                assert parent.tolist() == [-1] + [index[x.parent()] for x in words[1:]]
-                assert letter.tolist() == [-1] + [gens.index(x.first_letter())
-                                                  for x in words[1:]]
+                dom = ball_domain(spec, n, s)
+                assert dom.parent.tolist() == [-1] + [index[x.parent()] for x in words[1:]]
+                assert dom.letter.tolist() == [-1] + [gens.index(x.first_letter())
+                                                      for x in words[1:]]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_of_matches_ball_domains(self, spec):
+        # the one constructor of word sets against the geometry-built domains
+        for n in range(5):
+            for s in (None,) + spec.generators():
+                dom = ball_domain(spec, n, s)
+                of = Domain.of(list(dom), spec)
+                assert of.keep is None and dom.keep is None
+                assert of.parent.tolist() == dom.parent.tolist()
+                assert of.letter.tolist() == dom.letter.tolist()
+                assert of.label_counts.tolist() == dom.label_counts.tolist()
+                assert of.words == dom.words and len(of) == len(dom)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from([G2, S2]),
+           picks=st.sets(st.integers(min_value=0, max_value=16), min_size=1, max_size=6))
+    def test_of_matches_word_hull(self, spec, picks):
+        b2 = ball(spec, 2)
+        subset = [b2[i % len(b2)] for i in picks]
+        dom = Domain.of(subset, spec)
+        hull = sorted(tree_hull(subset), key=Word.shortlex_key)
+        index = {x: i for i, x in enumerate(hull)}
+        gens = spec.generators()
+        assert dom.words == tuple(sorted(set(subset), key=Word.shortlex_key))
+        assert dom.hull_size == len(hull)
+        assert dom.parent.tolist() == [-1] + [index[x.parent()] for x in hull[1:]]
+        assert dom.letter.tolist() == [-1] + [gens.index(x.first_letter())
+                                              for x in hull[1:]]
+        keep = [index[x] for x in dom.words]
+        assert (dom.keep is None) == (keep == list(range(len(hull))))
+        assert dom.keep is None or dom.keep.tolist() == keep
+        connected = is_left_connected(subset, spec) and IDENTITY in subset
+        assert connected == (dom.keep is None)
 
     def test_cached_arrays_are_read_only(self):
-        geo = geometry(G2, 2)
-        assert geometry(G2, 2) is geo
+        dom, pair = ball_domain(G2, 2), ball_domain(G2, 2, 1)
+        assert ball_domain(G2, 2) is dom
+        for arr in (dom.parent, dom.label_counts, pair.letter, pair.label_counts):
+            with pytest.raises(ValueError):
+                arr[1] = 0
+        of = Domain.of([IDENTITY, w("ab")], G2)
         with pytest.raises(ValueError):
-            geo.parent[1] = 0
+            of.keep[0] = 0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="radius"):
-            geometry(G2, -1)
+            ball_domain(G2, -1)
         with pytest.raises(ValueError, match="inverse letter"):
-            BallDomain(S2, 1, -1)
+            ball_domain(S2, 1, -1)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            Domain.of([IDENTITY, Word((3,))], G2)
+        with pytest.raises(ValueError, match="nonempty"):
+            Domain.of([], G2)
 
 
 class TestEdges:
