@@ -34,17 +34,16 @@ from .words import Word, ball_domain
 FSTAR_CONFIG_LIMIT = 2 ** 24
 
 
-def shannon(dist: Sequence[float], check: bool = True) -> float:
-    """Entropy -sum p log p in nats, with 0 log 0 = 0."""
+def shannon(dist: Sequence[float]) -> float:
+    """Entropy -sum p log p in nats, with 0 log 0 = 0, of a probability vector."""
     p = np.asarray(dist, dtype=float)
-    if check:
-        total = p.sum()
-        if not np.isfinite(total):
-            raise ValueError("non-finite probability")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min():.3g}")
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+    total = p.sum()
+    if not np.isfinite(total):
+        raise ValueError("non-finite probability")
+    if p.min() < -1e-12:
+        raise ValueError(f"negative probability {p.min():.3g}")
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     v = p[p > 0]
     return float(-(v * np.log(v)).sum())
 

@@ -10,7 +10,8 @@ closed form, sample, cylinder) reads the parent and letter arrays of one
 ``words.Domain``.
 
 A marginal stores its positive patterns as exact mixed-radix codes in
-shortlex domain order, ascending, with their masses.  A Markov source with
+shortlex domain order, ascending, with their masses, and is built from
+them: ``BallMarginal(domain, states, codes, masses)``.  A Markov source with
 K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
 hull vertex at a time; every other table is one leaves-to-root sum-product
 over the hull tree, with a coarsening as a 0/1 emission at domain vertices,
@@ -21,7 +22,8 @@ counts the induced tree edges labelled s, e_s is the conditional entropy of
 one s-step), else the sum-product.  ``MeasureSource.entropy_sum`` adds up a
 linear combination of domain entropies; the Markov override merges the
 integer edge counts of all closed-form terms before the single dot product
-with e, so coefficients that cancel do so exactly.
+with e, so coefficients that cancel do so exactly.  Samples are drawn on a
+ball given by its radius: ``sample_indices(ts, radius, seed, count)``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,15 @@ def _plogp(values: np.ndarray) -> float:
     return float(-(v * np.log(v)).sum())
 
 
-def _sorted_domain(domain: Iterable[Word]) -> tuple[Word, ...]:
-    out = tuple(sorted(set(domain), key=Word.shortlex_key))
+def _positions(domain: tuple[Word, ...], words: Iterable[Word]) -> list[int]:
+    """Ascending positions of ``words`` in the shortlex-sorted ``domain``,
+    which are then also the shortlex order of ``words``."""
+    pos = {w: a for a, w in enumerate(domain)}
+    out = sorted({pos.get(w, -1) for w in words})
     if not out:
         raise ValueError("domain must be nonempty")
+    if out[0] < 0:
+        raise ValueError("subdomain is not contained in the domain")
     return out
 
 
@@ -83,8 +90,9 @@ class Pattern:
         return self.values[self.domain.index(w)]
 
     def restrict(self, subdomain: Iterable[Word]) -> "Pattern":
-        sub = _sorted_domain(subdomain)
-        return Pattern(sub, tuple(self.value_at(w) for w in sub))
+        keep = _positions(self.domain, subdomain)
+        return Pattern(tuple(self.domain[a] for a in keep),
+                       tuple(self.values[a] for a in keep))
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{w}:{v}" for w, v in zip(self.domain, self.values)) + "}"
@@ -95,39 +103,16 @@ class BallMarginal:
 
     Stored as ``codes``, the positive patterns as ascending mixed-radix
     indices over the shortlex-sorted domain (see ``_encode``), and
-    ``masses``, their probabilities.  Built from a dense array of shape
-    (K,)*|domain| in that C order or a sparse dict from state-index tuples
-    to probabilities; ``dense`` and ``sparse`` return fresh copies of those.
+    ``masses``, their probabilities.  ``BallMarginal(domain, states, codes,
+    masses)`` takes the sorted domain's words and ascending codes, drops the
+    zero masses, and keeps the two arrays, read-only.  ``dense`` and
+    ``sparse`` return fresh tables of shape (K,)*|domain| in that C order
+    and dicts from state-index tuples to probabilities.
     """
 
-    def __init__(self, domain: Iterable[Word], states: Sequence,
-                 dense: np.ndarray | None = None,
-                 sparse: Mapping[tuple, float] | None = None):
-        domain, states = _sorted_domain(domain), tuple(states)
-        k, n = len(states), len(domain)
-        if (dense is None) == (sparse is None):
-            raise ValueError("exactly one of dense/sparse must be given")
-        if dense is not None:
-            dense = np.array(dense, dtype=float)  # a copy: the marginal owns its masses
-            if dense.shape != (k,) * n:
-                raise ValueError(f"dense table has shape {dense.shape}, "
-                                 f"expected {(k,) * n}")
-            codes, masses = np.arange(dense.size), dense.ravel()
-        else:
-            keys = sorted(sparse)
-            codes = _encode(zip(*keys), k, n)
-            masses = np.array([sparse[key] for key in keys], dtype=float)
-        self._set(domain, states, codes, masses)
-
-    @classmethod
-    def _of(cls, domain: tuple[Word, ...], states: tuple, codes: np.ndarray,
-            masses: np.ndarray) -> "BallMarginal":
-        """From a sorted domain and ascending codes with their masses."""
-        out = cls.__new__(cls)
-        out._set(domain, states, codes, masses)
-        return out
-
-    def _set(self, domain, states, codes, masses) -> None:
+    def __init__(self, domain: Sequence[Word], states: Sequence, codes: np.ndarray,
+                 masses: np.ndarray):
+        codes, masses = np.asarray(codes), np.asarray(masses, dtype=float)
         with np.errstate(invalid="ignore"):  # inf - inf is reported below
             total, low = masses.sum(), masses.min(initial=math.inf)
         if not math.isfinite(total):
@@ -138,7 +123,8 @@ class BallMarginal:
             raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
         if low <= 0:
             codes, masses = codes[masses > 0], masses[masses > 0]
-        self.domain, self.states, self.codes, self.masses = domain, states, codes, masses
+        self.domain, self.states = tuple(domain), tuple(states)
+        self.codes, self.masses = codes, masses
         for stored in (codes, masses):
             stored.setflags(write=False)
 
@@ -184,13 +170,10 @@ class BallMarginal:
         return float(-(self.masses * np.log(self.masses)).sum())
 
     def marginalize(self, subdomain: Iterable[Word]) -> "BallMarginal":
-        sub = _sorted_domain(subdomain)
-        if not set(sub) <= set(self.domain):
-            raise ValueError("subdomain is not contained in the marginal domain")
-        codes, inverse = np.unique(self.sub_codes([self.domain.index(w) for w in sub]),
-                                   return_inverse=True)
-        return BallMarginal._of(sub, self.states, codes,
-                                np.bincount(inverse, weights=self.masses))
+        keep = _positions(self.domain, subdomain)
+        codes, inverse = np.unique(self.sub_codes(keep), return_inverse=True)
+        return BallMarginal([self.domain[a] for a in keep], self.states, codes,
+                            np.bincount(inverse, weights=self.masses))
 
     def support(self) -> list[tuple[Pattern, float]]:
         """Positive-probability patterns with their masses, index order."""
@@ -377,7 +360,7 @@ class MarkovSource(MeasureSource):
         kp = max(emit) + 1
         symbols = _encode([range(kp)], kp, n)
         emission = np.eye(kp)[list(emit)].T  # emission[y, x] = [emit[x] == y]
-        slot = dict(zip(range(n) if dom.keep is None else dom.keep.tolist(), range(n)))
+        slot = dict(zip(dom.kept(), range(n)))
         edges = dom.tree_edges()
         tables: list = [None] * h
         for v in range(h - 1, -1, -1):
@@ -396,8 +379,8 @@ class MarkovSource(MeasureSource):
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom, k = Domain.of(domain, self.spec), len(self.states)
         if _grid_fits(k, dom.hull_size):
-            return BallMarginal._of(dom.words, self.states, *self._grid(dom))
-        return BallMarginal._of(dom.words, self.states, *self._sum_product(dom, range(k)))
+            return BallMarginal(dom.words, self.states, *self._grid(dom))
+        return BallMarginal(dom.words, self.states, *self._sum_product(dom, range(k)))
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
@@ -465,18 +448,23 @@ class CoarsenedSource(MeasureSource):
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom = Domain.of(domain, self.spec)
-        return BallMarginal._of(dom.words, self.states,
-                                *self.base._sum_product(dom, self.index_map))
+        return BallMarginal(dom.words, self.states,
+                            *self.base._sum_product(dom, self.index_map))
 
 
 class EmpiricalSource(MeasureSource):
-    """Frequency marginals over a fixed sample ball."""
+    """Frequency marginals over a fixed sample ball.
+
+    Row columns follow the shortlex order of the sample domain, held as a
+    ``Domain`` with a map from each of its words to its column.
+    """
 
     def __init__(self, domain: Iterable[Word], states: Sequence,
                  index_rows: np.ndarray, spec: GroupSpec):
         self.spec = spec
         self.states = tuple(states)
-        self.domain = _sorted_domain(domain)
+        self.domain = Domain.of(domain, spec)
+        self.column = {w: a for a, w in enumerate(self.domain.words)}
         rows = np.asarray(index_rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != len(self.domain):
             raise ValueError(f"index rows have shape {rows.shape}, "
@@ -499,17 +487,16 @@ class EmpiricalSource(MeasureSource):
         return cls(dom, states, rows, spec)
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        dom = _sorted_domain(domain)
-        if not set(dom) <= set(self.domain):
-            missing = min(set(dom) - set(self.domain), key=Word.shortlex_key)
+        words = Domain.of(domain, self.spec).words
+        missing = [w for w in words if w not in self.column]
+        if missing:
             raise CapabilityError(
-                f"empirical source sampled on radius-{len(self.domain[-1])} ball "
-                f"cannot see {missing}")
-        k = len(self.states)
-        cols = [self.domain.index(w) for w in dom]
-        codes, counts = np.unique(_encode(self.rows[:, cols].T, k, len(dom)),
+                f"empirical source sampled on radius-{len(self.domain.words[-1])} "
+                f"ball cannot see {missing[0]}")
+        cols = [self.column[w] for w in words]
+        codes, counts = np.unique(_encode(self.rows[:, cols].T, len(self.states), len(cols)),
                                   return_counts=True)
-        return BallMarginal._of(dom, self.states, codes, counts / self.rows.shape[0])
+        return BallMarginal(words, self.states, codes, counts / self.rows.shape[0])
 
 
 def coarsen(ts: TransitionSystem, state_map) -> CoarsenedSource:
@@ -550,14 +537,12 @@ def check_shift_invariance(ts: TransitionSystem, domain: Iterable[Word],
     """
     ts.spec.check_letter(s)
     src = MarkovSource(ts)
-    dom = _sorted_domain(domain)
-    step = Word((s,))
-    translated = [w * step for w in dom]
-    m1 = src.ball_marginal(dom)
+    m1, step = src.ball_marginal(domain), Word((s,))
+    translated = [w * step for w in m1.domain]
     m2 = src.ball_marginal(translated)
-    positions = [m2.domain.index(w * step) for w in dom]
-    return float(np.abs(m1.permuted_table(range(len(dom)))
-                        - m2.permuted_table(positions)).max())
+    pos = {w: a for a, w in enumerate(m2.domain)}
+    return float(np.abs(m1.permuted_table(range(len(translated)))
+                        - m2.permuted_table([pos[w] for w in translated])).max())
 
 
 def check_markov_property(src: MeasureSource, g: Word, s: int, depth: int) -> float:
@@ -579,38 +564,33 @@ def check_markov_property(src: MeasureSource, g: Word, s: int, depth: int) -> fl
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_indices(ts: TransitionSystem, domain, seed: int,
+def sample_indices(ts: TransitionSystem, radius: int, seed: int,
                    count: int) -> tuple[tuple[Word, ...], np.ndarray]:
-    """Draw configurations on a ball; rows of state indices in domain order.
+    """Draw configurations on the ball B(e, radius): its words in shortlex
+    order, and rows of state indices in that order.
 
     Root from pi, then outward breadth-first: the state at w is drawn from
-    row x(parent(w)) of the matrix of w's leading letter.  Deterministic
-    for a fixed seed.  Refuses systems that fail validation, so pi and the
-    rows sum to 1 up to rounding, which is all the normalization of pi and
-    the clamp to K-1 absorb.
+    row x(parent(w)) of the matrix of w's leading letter, by comparing a
+    uniform with that row's cumulative sums.  Deterministic for a fixed
+    seed.  Refuses systems that fail validation, so pi and the rows sum to
+    1 up to rounding, which is all the normalization of pi and the clamp to
+    K-1 absorb.
     """
     require_valid(ts)
-    if isinstance(domain, int):
-        dom = ball_domain(ts.spec, domain)
-    else:
-        words = _sorted_domain(domain)
-        dom = ball_domain(ts.spec, len(words[-1]))
-        if words != dom.words:
-            raise ValueError("sampling domain must be a ball B(e, n)")
+    dom = ball_domain(ts.spec, radius)
     rng = np.random.default_rng(seed)
     k = ts.n_states
     rows = np.empty((count, len(dom)), dtype=np.int64)
-    mats = [ts.matrices[s] for s in ts.spec.generators()]
+    cums = [np.cumsum(ts.matrices[s], axis=1) for s in ts.spec.generators()]
     rows[:, 0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
     for v, (p, a) in enumerate(dom.tree_edges(), start=1):
-        cum = np.cumsum(mats[a][rows[:, p]], axis=1)
         u = rng.random(count)
-        rows[:, v] = np.minimum((u[:, None] > cum).sum(axis=1), k - 1)
+        rows[:, v] = np.minimum((u[:, None] > cums[a][rows[:, p]]).sum(axis=1), k - 1)
     return dom.words, rows
 
 
-def sample(ts: TransitionSystem, domain, seed: int, count: int) -> list[Pattern]:
-    dom, rows = sample_indices(ts, domain, seed, count)
+def sample(ts: TransitionSystem, radius: int, seed: int, count: int) -> list[Pattern]:
+    dom, rows = sample_indices(ts, radius, seed, count)
     return [Pattern(dom, tuple(ts.states[i] for i in row)) for row in rows]
 
 

@@ -3,14 +3,15 @@
 Each check returns a CheckResult whose ``passed`` flag is exactly
 ``residual <= tolerance``.  Negative controls run a detector against a
 deliberately broken input and invert the outcome, so a fully passing run
-also certifies that the detectors are sensitive.  Default tolerances:
-1e-9 for entropy identities, 1e-12 for algebraic and measure identities,
-4-sigma bands for Monte Carlo.
+also certifies that the detectors are sensitive.  Tolerances: 1e-9 for
+entropy identities, 1e-10 for the monotonicity of F, 1e-12 for algebraic
+and measure identities, 4-sigma bands for Monte Carlo.  Each check names
+its result after itself; ``run_all`` renames it after its key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .words import GROUP, SEMIGROUP, GroupSpec, Word, ball, ball_domain
 ENTROPY_TOL = 1e-9
 EXACT_TOL = 1e-12
 STRICT_DROP = 1e-3
+MONOTONE_TOL = 1e-10
+SIGMA = 4.0
 DEFAULT_SEED = 1729
 
 
@@ -116,40 +119,33 @@ def perturbed_wsf() -> TransitionSystem:
 # ---------------------------------------------------------------------------
 
 def check_f_equals_F(ts: TransitionSystem, n_max: int,
-                     tol: float = ENTROPY_TOL, name: str = "f_equals_F",
                      validate: bool = True) -> CheckResult:
     """Closed-form f against big_F at every depth up to n_max."""
     closed = f_markov(ts, validate_tol=ENTROPY_TOL if validate else None)
     src = MarkovSource(ts)
     gap = max(abs(big_F(src, n).big_f - closed) for n in range(n_max + 1))
-    return _result(name, gap, tol, f"f={closed:.7f}, depths 0..{n_max}")
+    return _result("f_equals_F", gap, ENTROPY_TOL, f"f={closed:.7f}, depths 0..{n_max}")
 
 
-def check_characterization(src: MeasureSource, tol_strict: float = STRICT_DROP,
-                           expect_drop: bool = True,
-                           name: str = "characterization") -> CheckResult:
+def check_characterization(src: MeasureSource, expect_drop: bool = True) -> CheckResult:
     """Strict F(0) > F(1) for non-Markov sources, no drop for Markov ones."""
     f0 = big_F(src, 0).big_f
     f1 = big_F(src, 1).big_f
     drop = f0 - f1
     if expect_drop:
-        return _result(name, tol_strict - drop, 0.0,
-                       f"drop {drop:.7f} must exceed {tol_strict:g}")
-    return _result(name, abs(drop), ENTROPY_TOL, "Markov, no drop expected")
+        return _result("characterization", STRICT_DROP - drop, 0.0,
+                       f"drop {drop:.7f} must exceed {STRICT_DROP:g}")
+    return _result("characterization", abs(drop), ENTROPY_TOL, "Markov, no drop expected")
 
 
-def check_product_additivity(ts1: TransitionSystem, ts2: TransitionSystem,
-                             tol: float = ENTROPY_TOL,
-                             name: str = "product_additivity") -> CheckResult:
+def check_product_additivity(ts1: TransitionSystem, ts2: TransitionSystem) -> CheckResult:
     f1, f2 = f_markov(ts1), f_markov(ts2)
     fp = f_markov(product_system(ts1, ts2))
-    return _result(name, abs(fp - f1 - f2), tol,
+    return _result("product_additivity", abs(fp - f1 - f2), ENTROPY_TOL,
                    f"f(product)={fp:.7f}, f1+f2={f1 + f2:.7f}")
 
 
-def check_finite_to_one(n_base: int, fiber: int, r: int,
-                        tol: float = ENTROPY_TOL,
-                        name: str = "finite_to_one") -> CheckResult:
+def check_finite_to_one(n_base: int, fiber: int, r: int) -> CheckResult:
     """f of a uniform n-point system against the n-to-1 factor relation.
 
     A fiber-to-1 factor map from the uniform (n_base * fiber)-point system
@@ -160,11 +156,11 @@ def check_finite_to_one(n_base: int, fiber: int, r: int,
     spec = GroupSpec(r, GROUP)
     lhs = f_markov(permutation_system(spec, n_base))
     rhs = (r - 1) * np.log(fiber) + f_markov(permutation_system(spec, n_base * fiber))
-    return _result(name, abs(lhs - rhs), tol,
+    return _result("finite_to_one", abs(lhs - rhs), ENTROPY_TOL,
                    f"{lhs:.7f} vs {rhs:.7f} (n={n_base}, fiber={fiber}, r={r})")
 
 
-def check_ow87(tol: float = ENTROPY_TOL, name: str = "ow87") -> CheckResult:
+def check_ow87() -> CheckResult:
     """The two-point extension identity log 2 = -log 2 + log 4 at rank 2.
 
     The uniform 2-symbol Bernoulli system factors through the constant-shift
@@ -175,7 +171,7 @@ def check_ow87(tol: float = ENTROPY_TOL, name: str = "ow87") -> CheckResult:
     whole = f_markov(bernoulli_system(spec, [0.5, 0.5]))
     fibers = f_markov(permutation_system(spec, 2))
     quotient = f_markov(bernoulli_system(spec, [0.25] * 4))
-    return _result(name, abs(whole - fibers - quotient), tol,
+    return _result("ow87", abs(whole - fibers - quotient), ENTROPY_TOL,
                    f"{whole:.7f} = {fibers:.7f} + {quotient:.7f}")
 
 
@@ -219,15 +215,13 @@ def structural_violations(ts: TransitionSystem, kind: str, n: int,
 
 
 def check_structural_samples(ts: TransitionSystem, kind: str, n: int,
-                             seed: int, count: int,
-                             name: str = "structural") -> CheckResult:
+                             seed: int, count: int) -> CheckResult:
     bad = structural_violations(ts, kind, n, seed, count)
-    return _result(name, float(bad), 0.0,
+    return _result("structural", float(bad), 0.0,
                    f"{kind} constraints over {count} samples on B(e,{n})")
 
 
-def check_shift_invariance_suite(tol: float = EXACT_TOL,
-                                 name: str = "shift_invariance") -> CheckResult:
+def check_shift_invariance_suite() -> CheckResult:
     """Max translation residual over built-in systems and feasible domains."""
     cases: list[tuple[TransitionSystem, int]] = [
         (wsf_system(2), 1), (matching_system(2), 1),
@@ -243,20 +237,16 @@ def check_shift_invariance_suite(tol: float = EXACT_TOL,
             dom = ball(ts.spec, n)
             for s in ts.spec.generators():
                 worst = max(worst, check_shift_invariance(ts, dom, s))
-    return _result(name, worst, tol, "all built-ins, all generators")
+    return _result("shift_invariance", worst, EXACT_TOL, "all built-ins, all generators")
 
 
-def check_markov_fixed_point(ts: TransitionSystem, m: int,
-                             tol: float = EXACT_TOL,
-                             name: str = "markov_fixed_point") -> CheckResult:
+def check_markov_fixed_point(ts: TransitionSystem, m: int) -> CheckResult:
     gap = markov_fixed_point_gap(ts, m)
-    return _result(name, gap, tol, f"d1 of matched statistics at depth {m}")
+    return _result("markov_fixed_point", gap, EXACT_TOL,
+                   f"d1 of matched statistics at depth {m}")
 
 
-def check_approx_cross_validation(src: MeasureSource, m_max: int,
-                                  tol: float = ENTROPY_TOL,
-                                  name: str = "approx_cross_validation"
-                                  ) -> CheckResult:
+def check_approx_cross_validation(src: MeasureSource, m_max: int) -> CheckResult:
     """f of the depth-m approximation against big_F(src, m) for m <= m_max."""
     worst = 0.0
     vals = []
@@ -265,28 +255,26 @@ def check_approx_cross_validation(src: MeasureSource, m_max: int,
         bf = big_F(src, m).big_f
         vals.append(f"m={m}: {fm:.7f}")
         worst = max(worst, abs(fm - bf))
-    return _result(name, worst, tol, "; ".join(vals))
+    return _result("approx_cross_validation", worst, ENTROPY_TOL, "; ".join(vals))
 
 
-def check_monotonicity(src: MeasureSource, n_max: int, tol: float = 1e-10,
-                       name: str = "monotonicity") -> CheckResult:
+def check_monotonicity(src: MeasureSource, n_max: int) -> CheckResult:
     seq = [rep.big_f for rep in f_sequence(src, n_max)]
     worst = max((seq[i + 1] - seq[i] for i in range(len(seq) - 1)), default=0.0)
-    return _result(name, max(worst, 0.0), tol,
+    return _result("monotonicity", max(worst, 0.0), MONOTONE_TOL,
                    "F sequence " + ", ".join(f"{v:.7f}" for v in seq))
 
 
 def check_sampling_frequencies(ts: TransitionSystem, radius: int, seed: int,
-                               count: int, sigma: float = 4.0,
-                               name: str = "sampling") -> CheckResult:
-    """Empirical cylinder frequencies within sigma bands of exact values."""
+                               count: int) -> CheckResult:
+    """Empirical cylinder frequencies within SIGMA bands of exact values."""
     dom, rows = sample_indices(ts, radius, seed, count)
     freq = EmpiricalSource(dom, ts.states, rows, ts.spec).ball_marginal(dom).dense
     exact = MarkovSource(ts).ball_marginal(dom).dense
-    band = sigma * np.sqrt(exact * (1.0 - exact) / count)
+    band = SIGMA * np.sqrt(exact * (1.0 - exact) / count)
     worst = float((np.abs(freq - exact) - band).max())
-    return _result(name, worst, 0.0,
-                   f"{count} samples on B(e,{radius}), {sigma:g}-sigma bands")
+    return _result("sampling", worst, 0.0,
+                   f"{count} samples on B(e,{radius}), {SIGMA:g}-sigma bands")
 
 
 # ---------------------------------------------------------------------------
@@ -299,71 +287,57 @@ def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> list[CheckResu
     seeds = [int(s.generate_state(1)[0]) for s in streams]
     spec2 = GroupSpec(2, GROUP)
 
-    # Each check is built with its key as its name; only shift_invariance's
-    # key, "shift_invariance/builtins", differs from the name it prints.
+    # Each result is renamed after its key; only shift_invariance's key,
+    # "shift_invariance/builtins", differs from the name it prints.
     builders = [
-        ("f_equals_F/wsf2", lambda name: check_f_equals_F(wsf_system(2), 1, name=name)),
-        ("f_equals_F/matching2",
-         lambda name: check_f_equals_F(matching_system(2), 1, name=name)),
-        ("f_equals_F/flip(0.3)",
-         lambda name: check_f_equals_F(flip_system(2, 0.3), 2, name=name)),
+        ("f_equals_F/wsf2", lambda: check_f_equals_F(wsf_system(2), 1)),
+        ("f_equals_F/matching2", lambda: check_f_equals_F(matching_system(2), 1)),
+        ("f_equals_F/flip(0.3)", lambda: check_f_equals_F(flip_system(2, 0.3), 2)),
         ("f_equals_F/bernoulli",
-         lambda name: check_f_equals_F(bernoulli_system(spec2, [0.3, 0.7]), 1, name=name)),
-        ("f_equals_F/semigroup",
-         lambda name: check_f_equals_F(semigroup_example(), 2, name=name)),
+         lambda: check_f_equals_F(bernoulli_system(spec2, [0.3, 0.7]), 1)),
+        ("f_equals_F/semigroup", lambda: check_f_equals_F(semigroup_example(), 2)),
         ("characterization/coarsened_cycle",
-         lambda name: check_characterization(cycle_coarsening(), expect_drop=True,
-                                             name=name)),
+         lambda: check_characterization(cycle_coarsening(), expect_drop=True)),
         ("characterization/identity_coarsening",
-         lambda name: check_characterization(
-             CoarsenedSource(flip_system(2, 0.3), [0, 1]), expect_drop=False, name=name)),
+         lambda: check_characterization(CoarsenedSource(flip_system(2, 0.3), [0, 1]),
+                                        expect_drop=False)),
         ("product_additivity/flip_x_flip",
-         lambda name: check_product_additivity(flip_system(2, 0.2), flip_system(2, 0.7),
-                                               name=name)),
+         lambda: check_product_additivity(flip_system(2, 0.2), flip_system(2, 0.7))),
         ("product_additivity/bernoulli_x_bernoulli",
-         lambda name: check_product_additivity(
-             bernoulli_system(spec2, [0.3, 0.7]),
-             bernoulli_system(spec2, [0.5, 0.25, 0.25]), name=name)),
-        ("finite_to_one/3x2_r2", lambda name: check_finite_to_one(3, 2, 2, name=name)),
-        ("finite_to_one/2x4_r3", lambda name: check_finite_to_one(2, 4, 3, name=name)),
-        ("ow87", lambda name: check_ow87(name=name)),
-        ("shift_invariance/builtins", lambda name: check_shift_invariance_suite()),
+         lambda: check_product_additivity(bernoulli_system(spec2, [0.3, 0.7]),
+                                          bernoulli_system(spec2, [0.5, 0.25, 0.25]))),
+        ("finite_to_one/3x2_r2", lambda: check_finite_to_one(3, 2, 2)),
+        ("finite_to_one/2x4_r3", lambda: check_finite_to_one(2, 4, 3)),
+        ("ow87", check_ow87),
+        ("shift_invariance/builtins", check_shift_invariance_suite),
         ("markov_fixed_point/flip(0.3)_m1",
-         lambda name: check_markov_fixed_point(flip_system(2, 0.3), 1, name=name)),
-        ("markov_fixed_point/wsf2_m0",
-         lambda name: check_markov_fixed_point(wsf_system(2), 0, name=name)),
+         lambda: check_markov_fixed_point(flip_system(2, 0.3), 1)),
+        ("markov_fixed_point/wsf2_m0", lambda: check_markov_fixed_point(wsf_system(2), 0)),
         ("approx_cross_validation/coarsened_cycle",
-         lambda name: check_approx_cross_validation(cycle_coarsening(), 1, name=name)),
-        ("monotonicity/coarsened_cycle",
-         lambda name: check_monotonicity(cycle_coarsening(), 2, name=name)),
+         lambda: check_approx_cross_validation(cycle_coarsening(), 1)),
+        ("monotonicity/coarsened_cycle", lambda: check_monotonicity(cycle_coarsening(), 2)),
         ("monotonicity/flip(0.3)",
-         lambda name: check_monotonicity(MarkovSource(flip_system(2, 0.3)), 2, name=name)),
+         lambda: check_monotonicity(MarkovSource(flip_system(2, 0.3)), 2)),
         ("sampling/flip(0.3)_4sigma",
-         lambda name: check_sampling_frequencies(flip_system(2, 0.3), 1, seeds[0],
-                                                 100_000, name=name)),
+         lambda: check_sampling_frequencies(flip_system(2, 0.3), 1, seeds[0], 100_000)),
         ("structural/wsf2",
-         lambda name: check_structural_samples(wsf_system(2), "wsf", 2, seeds[1],
-                                               10_000, name=name)),
+         lambda: check_structural_samples(wsf_system(2), "wsf", 2, seeds[1], 10_000)),
         ("structural/matching2",
-         lambda name: check_structural_samples(matching_system(2), "matching", 2,
-                                               seeds[2], 10_000, name=name)),
+         lambda: check_structural_samples(matching_system(2), "matching", 2,
+                                          seeds[2], 10_000)),
         ("negative_control/perturbed_pi_f_equals_F",
-         lambda name: negative_control(
-             name, check_f_equals_F(perturbed_wsf(), 1, validate=False,
-                                    name="f_equals_F/perturbed_pi_wsf"))),
+         lambda: negative_control("negative_control", replace(
+             check_f_equals_F(perturbed_wsf(), 1, validate=False),
+             name="f_equals_F/perturbed_pi_wsf"))),
         ("negative_control/perturbed_pi_shift",
-         lambda name: negative_control(
-             name, _result("shift_invariance/perturbed_pi_flip",
-                           check_shift_invariance(perturbed_flip(0.0), [Word()], 1),
-                           EXACT_TOL, "translation residual on {e}"))),
+         lambda: negative_control("negative_control", _result(
+             "shift_invariance/perturbed_pi_flip",
+             check_shift_invariance(perturbed_flip(0.0), [Word()], 1),
+             EXACT_TOL, "translation residual on {e}"))),
         ("negative_control/matching_checker",
-         lambda name: negative_control(
-             name, check_structural_samples(flip_system(2, 0.5), "matching", 1,
-                                            seeds[3], 2_000, name="structural/iid_flip"))),
+         lambda: negative_control("negative_control", replace(
+             check_structural_samples(flip_system(2, 0.5), "matching", 1, seeds[3], 2_000),
+             name="structural/iid_flip"))),
     ]
-    results = []
-    for name, build in builders:
-        if only is not None and only not in name:
-            continue
-        results.append(build(name))
-    return results
+    return [replace(build(), name=key.removesuffix("/builtins"))
+            for key, build in builders if only is None or only in key]

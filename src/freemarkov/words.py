@@ -18,7 +18,8 @@ parent index and leading letter in shortlex order, with the edge-label
 counts.  ``ball_domain`` caches the ball B(e,n) and each pair domain
 B(e,n) ∪ B(e,n)·s, whose size and label counts are read without building
 any word; ``Domain.of`` takes any other word set; ``ball`` builds fresh
-words from the ball's arrays.
+words from the ball's arrays.  ``tree_hull``, ``induced_left_edges`` and
+``is_left_connected`` read the domain of their word set.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ class Word:
         if self.is_identity:
             raise ValueError("the identity has no letters")
         return self.letters[0]
-
-    def suffixes(self) -> list["Word"]:
-        """All tree ancestors including self and the identity."""
-        return [Word(self.letters[i:]) for i in range(len(self.letters) + 1)]
 
     def __mul__(self, other: "Word") -> "Word":
         """Concatenate and freely reduce.
@@ -291,17 +288,23 @@ class Domain:
         """(parent, letter) of hull vertices 1, 2, ... as Python ints."""
         return list(zip(self.parent[1:].tolist(), self.letter[1:].tolist()))
 
-    @property
-    def words(self) -> tuple[Word, ...]:
-        """The words in shortlex order; built afresh for a ball or pair domain,
-        which is its own hull."""
-        if self._words is not None:
-            return self._words
+    def hull_words(self) -> tuple[Word, ...]:
+        """The hull's words in shortlex order, built afresh from the arrays."""
         gens = self.spec.generators()
         out = [IDENTITY]
         for p, a in self.tree_edges():
             out.append(Word((gens[a],) + out[p].letters))
         return tuple(out)
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """The words in shortlex order; built afresh for a ball or pair domain,
+        which is its own hull."""
+        return self.hull_words() if self._words is None else self._words
+
+    def kept(self) -> list[int]:
+        """The domain's hull positions, ascending."""
+        return list(range(self.hull_size)) if self.keep is None else self.keep.tolist()
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -395,56 +398,45 @@ def ball_size(spec: GroupSpec, n: int) -> int:
     return 1 + 2 * r * ((2 * r - 1) ** n - 1) // (2 * r - 2)
 
 
-def _check_words(F: Iterable[Word], spec: GroupSpec) -> list[Word]:
-    words = list(F)
-    for w in words:
-        for l in w.letters:
-            spec.check_letter(l)
-    return words
-
-
 def induced_left_edges(F: Iterable[Word], spec: GroupSpec) -> list[CayleyEdge]:
     """Edges of the left-Cayley graph with both endpoints in F.
 
     Each adjacent pair appears once, oriented from the endpoint closer to
-    the identity; for left-connected F containing the identity the result
-    is a spanning tree of F rooted there.
+    the identity, in shortlex order of the farther one; for left-connected F
+    containing the identity the result is a spanning tree of F rooted there.
     """
-    words = _check_words(F, spec)
-    members = set(words)
-    edges = []
-    for w in sorted(words, key=Word.shortlex_key):
-        if w.is_identity:
-            continue
-        p = w.parent()
-        if p in members:
-            edges.append(CayleyEdge(tail=p, head=w, label=w.first_letter()))
-    return edges
+    words = list(F)
+    if not words:
+        return []
+    dom = Domain.of(words, spec)
+    hull, gens, kept = dom.hull_words(), spec.generators(), dom.kept()
+    parent, letter, members = dom.parent.tolist(), dom.letter.tolist(), set(kept)
+    return [CayleyEdge(tail=hull[parent[v]], head=hull[v], label=gens[letter[v]])
+            for v in kept if parent[v] in members]
 
 
 def is_left_connected(F: Iterable[Word], spec: GroupSpec) -> bool:
     """Whether the induced left-subgraph of F is connected."""
     dom = Domain.of(F, spec)
-    if dom.keep is None:
-        return True
     # F is one subtree exactly when all its words but the top one have
     # their parent in F
-    kept, parent = set(dom.keep.tolist()), dom.parent.tolist()
-    return sum(parent[v] not in kept for v in kept) == 1
+    kept, parent = dom.kept(), dom.parent.tolist()
+    members = set(kept)
+    return sum(parent[v] not in members for v in kept) == 1
 
 
 def tree_hull(F: Iterable[Word]) -> set[Word]:
     """Smallest left-connected superset of F containing the identity.
 
     The union of tree geodesics from each element to the identity, i.e.
-    all suffixes of all members.
+    all suffixes of all members.  No rank or kind is needed: the hull in
+    the free group whose alphabet holds every letter is the same set.
     """
-    hull: set[Word] = set()
-    for w in F:
-        hull.update(w.suffixes())
-    if not hull:
-        hull.add(IDENTITY)
-    return hull
+    if not isinstance(F, Domain):
+        words = list(F) or [IDENTITY]
+        rank = max((abs(l) for w in words for l in w.letters), default=1)
+        F = Domain.of(words, GroupSpec(rank))
+    return set(F.hull_words())
 
 
 def past(sg: Word, g: Word, n: int, spec: GroupSpec) -> list[Word]:
@@ -454,7 +446,8 @@ def past(sg: Word, g: Word, n: int, spec: GroupSpec) -> list[Word]:
     ``g`` (``g`` itself included): everything outside the branch hanging
     off ``sg`` away from the identity.
     """
-    _check_words([sg, g], spec)
+    for l in sg.letters + g.letters:
+        spec.check_letter(l)
     if len(sg) != len(g) + 1 or sg.letters[1:] != g.letters:
         raise ValueError(
             f"{sg} is not of the form s*{g} with length {len(g) + 1}; "

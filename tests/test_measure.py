@@ -185,13 +185,14 @@ class TestBallMarginal:
             assert all(type(d) is int for key in marg.sparse for d in key)
             assert all(type(v) is int for pat, _ in marg.support() for v in pat.values)
 
-    @pytest.mark.parametrize("table", [{"dense": [math.nan, 1.0]},
-                                       {"dense": [math.inf, 1.0]},
-                                       {"sparse": {(0,): math.nan, (1,): 1.0}},
-                                       {"sparse": {(0,): math.inf, (1,): -math.inf}}])
+    @pytest.mark.parametrize("table", [([0, 1], [math.nan, 1.0]),
+                                       ([0, 1], [math.inf, 1.0]),
+                                       ([1], [math.nan]),
+                                       ([0, 1], [math.inf, -math.inf])])
     def test_non_finite_rejected(self, table):
+        codes, masses = table
         with pytest.raises(ValueError, match="non-finite"):
-            BallMarginal([IDENTITY], (0, 1), **table)
+            BallMarginal([IDENTITY], (0, 1), np.array(codes), np.array(masses))
 
     def test_mixed_radix_flat_order(self, flip03):
         m = MarkovSource(flip03).ball_marginal(ball(G2, 1))
@@ -368,9 +369,9 @@ class TestSampling:
         band = 4.0 * np.sqrt(exact * (1 - exact) / rows.shape[0])
         assert (np.abs(freq - exact) <= band).all()
 
-    def test_domain_must_be_ball(self, flip03):
-        with pytest.raises(ValueError, match="ball"):
-            sample(flip03, [IDENTITY, w("ab")], seed=1, count=1)
+    def test_negative_radius_rejected(self, flip03):
+        with pytest.raises(ValueError, match="radius"):
+            sample(flip03, -1, seed=1, count=1)
 
     def test_patterns_carry_labels(self, wsf2):
         pats = sample(wsf2, 0, seed=5, count=3)

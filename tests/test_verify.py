@@ -139,6 +139,26 @@ class TestRunAll:
         results = run_all(seed=1, only="ow87")
         assert [r.name for r in results] == ["ow87"]
 
+    def test_names_pinned(self):
+        # each result is named after its key, shift_invariance's key printed short
+        results = run_all(seed=1)
+        assert [r.name for r in results] == [
+            "f_equals_F/wsf2", "f_equals_F/matching2", "f_equals_F/flip(0.3)",
+            "f_equals_F/bernoulli", "f_equals_F/semigroup",
+            "characterization/coarsened_cycle", "characterization/identity_coarsening",
+            "product_additivity/flip_x_flip", "product_additivity/bernoulli_x_bernoulli",
+            "finite_to_one/3x2_r2", "finite_to_one/2x4_r3", "ow87", "shift_invariance",
+            "markov_fixed_point/flip(0.3)_m1", "markov_fixed_point/wsf2_m0",
+            "approx_cross_validation/coarsened_cycle", "monotonicity/coarsened_cycle",
+            "monotonicity/flip(0.3)", "sampling/flip(0.3)_4sigma", "structural/wsf2",
+            "structural/matching2", "negative_control/perturbed_pi_f_equals_F",
+            "negative_control/perturbed_pi_shift", "negative_control/matching_checker"]
+        details = {r.name: r.details for r in results}
+        assert details["negative_control/perturbed_pi_f_equals_F"].startswith(
+            "wrapped f_equals_F/perturbed_pi_wsf: ")
+        assert details["negative_control/matching_checker"].startswith(
+            "wrapped structural/iid_flip: ")
+
     def test_negative_controls_present(self):
         names = [r.name for r in run_all(seed=1, only="negative_control")]
         assert len(names) >= 2

@@ -9,7 +9,7 @@ from freemarkov.words import (CayleyEdge, Domain, GroupSpec, IDENTITY, Word,
                               is_left_connected, parse_word, past, reduce_word,
                               tree_hull)
 
-from oracles import oracle_ball
+from oracles import oracle_ball, oracle_edges, oracle_hull
 
 G2 = GroupSpec(2, "group")
 S2 = GroupSpec(2, "semigroup")
@@ -98,7 +98,7 @@ class TestBall:
 
 
 def _label_counts(domain, spec):
-    labels = Counter(e.label for e in induced_left_edges(domain, spec))
+    labels = Counter(label for _, _, label in oracle_edges([x.letters for x in domain]))
     return [labels[s] for s in spec.generators()]
 
 
@@ -132,7 +132,8 @@ class TestGeometry:
                 assert words == sorted(union, key=Word.shortlex_key)
                 assert len(pair) == len(words)
                 # the ball is suffix-closed, so the added words decide the hull
-                assert tree_hull(words[len(b):]) <= union
+                added = oracle_hull([x.letters for x in words[len(b):]])
+                assert {Word(x) for x in added} <= union
                 assert list(pair.label_counts) == _label_counts(words, spec)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -169,7 +170,7 @@ class TestGeometry:
         b2 = ball(spec, 2)
         subset = [b2[i % len(b2)] for i in picks]
         dom = Domain.of(subset, spec)
-        hull = sorted(tree_hull(subset), key=Word.shortlex_key)
+        hull = [Word(x) for x in oracle_hull([x.letters for x in subset])]
         index = {x: i for i, x in enumerate(hull)}
         gens = spec.generators()
         assert dom.words == tuple(sorted(set(subset), key=Word.shortlex_key))
@@ -266,6 +267,22 @@ class TestConnectivityAndHull:
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             is_left_connected([], G2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from([G2, S2]),
+           picks=st.sets(st.integers(min_value=0, max_value=52), max_size=8))
+    def test_match_oracles(self, spec, picks):
+        # random subsets of B(e,3), with or without e, connected or not, or empty
+        b3 = ball(spec, 3)
+        subset = list({b3[i % len(b3)] for i in picks})
+        letters = [x.letters for x in subset]
+        edges = oracle_edges(letters)
+        assert tree_hull(subset) == {Word(x) for x in oracle_hull(letters)}
+        assert [(e.tail.letters, e.head.letters, e.label)
+                for e in induced_left_edges(subset, spec)] == edges
+        if subset:
+            # an induced subgraph of a tree is connected when it has |F| - 1 edges
+            assert is_left_connected(subset, spec) == (len(edges) == len(subset) - 1)
 
 
 def _is_leaf(word, vertices):
