@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import f_markov
 from .errors import CapabilityError
-from .measure import MarkovSource, MeasureSource, PairStats, pair_stats
+from .measure import MarkovSource, MeasureSource, PairStats, d1, pair_stats
 from .transition import TransitionSystem
-from .words import GroupSpec, IDENTITY, Word, ball_domain
+from .words import GroupSpec, Word, ball_domain
 
 ENTRY_LIMIT = 2 ** 26
 
@@ -42,7 +43,7 @@ class SuperstateSystem:
     patterns: tuple[tuple[int, ...], ...]
     inner: TransitionSystem
 
-    def overlap_violations(self, tol: float = 0.0) -> list[tuple]:
+    def overlap_violations(self) -> list[tuple]:
         """Positive transitions whose patterns disagree on the shared window.
 
         A transition z -> z' along s constrains the two patterns on the
@@ -57,7 +58,7 @@ class SuperstateSystem:
             shared = [(pos[f * step], pos[f]) for f in self.domain
                       if f * step in pos]
             matrix = self.inner.matrices[s]
-            for zi, zj in zip(*np.nonzero(matrix > tol)):
+            for zi, zj in zip(*np.nonzero(matrix > 0)):
                 z, zp = self.patterns[zi], self.patterns[zj]
                 if any(z[a] != zp[b] for a, b in shared):
                     out.append((s, int(zi), int(zj)))
@@ -92,7 +93,7 @@ def _superstate_statistics(src: MeasureSource, m: int):
         j = np.zeros((n_super, n_super))
         np.add.at(j, (za, zb), mu.masses)
         joints[s] = j
-    patterns = tuple(marg.sparse)
+    patterns = tuple(marg.patterns())
     labels = tuple(pattern_label(tuple(src.states[i] for i in pat)) for pat in patterns)
     return dom, patterns, labels, marg.masses, joints
 
@@ -125,7 +126,6 @@ def approximation_sequence(src: MeasureSource, m_max: int) -> list[tuple[int, fl
     Computes each value through the superstate pipeline; entry-for-entry it
     equals the F sequence of the source, so the two are mutual oracles.
     """
-    from .entropy import f_markov
     return [(m, f_markov(markov_approximation(src, m).inner))
             for m in range(m_max + 1)]
 
@@ -136,18 +136,16 @@ def base_level_stats(system: SuperstateSystem) -> PairStats:
     The root coordinate of a pattern at a vertex is the base state there,
     so summing joints over root values recovers base-level statistics; for
     an approximation of any source these equal the source's own pair stats.
+    The root is the identity, which comes first in shortlex order.
     """
-    root = system.domain.index(IDENTITY)
     k = len(system.base_states)
-    roots = np.array([pat[root] for pat in system.patterns])
+    roots = np.array([pat[0] for pat in system.patterns])
     pi = np.zeros(k)
     np.add.at(pi, roots, system.inner.pi)
     joints = {}
     for s, matrix in system.inner.matrices.items():
-        joint_super = system.inner.pi[:, None] * matrix
         j = np.zeros((k, k))
-        np.add.at(j, (roots[:, None].repeat(len(roots), axis=1),
-                      roots[None, :].repeat(len(roots), axis=0)), joint_super)
+        np.add.at(j, (roots[:, None], roots[None, :]), system.inner.pi[:, None] * matrix)
         joints[s] = j
     return PairStats(system.base, system.base_states, pi, joints)
 
@@ -157,7 +155,6 @@ def markov_fixed_point_gap(ts: TransitionSystem, m: int) -> float:
 
     Zero (to rounding) always: Markov measures are their own approximations.
     """
-    from .measure import d1
     src = MarkovSource(ts)
     approx = markov_approximation(src, m)
     return d1(superstate_pair_stats(src, m), pair_stats(approx.inner))

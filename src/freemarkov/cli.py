@@ -126,7 +126,7 @@ def _cmd_finv(args) -> int:
               "run `validate` for the report")
         return EXIT_FAILURE
     scale = _scale(args)
-    f_val = entropy_mod.f_markov(ts)
+    f_val = entropy_mod.f_markov(ts, validate_tol=args.tol)
     src = measure_mod.MarkovSource(ts)
     lines = [f"f = {_fmt(f_val, scale)}"]
     worst = 0.0
@@ -287,10 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CapabilityError as exc:

@@ -27,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MeasureSource
+from .measure import MeasureSource, _plogp
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
-from .words import Word, ball_domain
+from .words import Word, ball_domain, check_radius
 
 FSTAR_CONFIG_LIMIT = 2 ** 24
 
@@ -44,8 +44,7 @@ def shannon(dist: Sequence[float]) -> float:
         raise ValueError(f"negative probability {p.min():.3g}")
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    v = p[p > 0]
-    return float(-(v * np.log(v)).sum())
+    return _plogp(p)
 
 
 def binary_entropy(eps: float) -> float:
@@ -113,13 +112,9 @@ def f_markov(ts: TransitionSystem, validate_tol: float | None = DEFAULT_TOL) -> 
     """
     if validate_tol is not None:
         require_valid(ts, validate_tol)
-    r = ts.spec.rank
-    pos = ts.pi[ts.pi > 0]
-    total = (2 * r - 1) * float((pos * np.log(pos)).sum())
+    total = ts.spec.coefficient * _plogp(ts.pi)
     for s in ts.spec.positive_generators():
-        joint = ts.pi[:, None] * ts.matrices[s]
-        v = joint[joint > 0]
-        total -= float((v * np.log(v)).sum())
+        total += _plogp(ts.pi[:, None] * ts.matrices[s])
     return total
 
 
@@ -127,8 +122,12 @@ def f_sequence(src: MeasureSource, n_max: int) -> list[EntropyReport]:
     """F at depths 0..n_max: a nonincreasing sequence of upper bounds for f.
 
     The final entry is the best bound available at this depth; it is the
-    exact f only when the source is Markov.
+    exact f only when the source is Markov.  The deepest ball is checked
+    against the ball guard before any row is computed.
     """
+    if n_max < 0:
+        raise ValueError(f"depth must be nonnegative, got {n_max}")
+    check_radius(src.spec, n_max)
     return [big_F(src, n) for n in range(n_max + 1)]
 
 

@@ -19,8 +19,8 @@ class CapabilityError(RuntimeError):
     Raised both for genuine capability limits (an empirical source asked
     beyond its sample ball) and for sizing refusals (configuration counts
     past the exactness guards).  A sizing refusal sets ``needed``, the size
-    the request would have built, and ``limit``, the guard it exceeds; both
-    are None otherwise.
+    the request would have built (None for a ball too large to count), and
+    ``limit``, the guard it exceeds; both are None otherwise.
     """
 
     def __init__(self, message: str, *, needed: int | None = None,

@@ -11,7 +11,8 @@ closed form, sample, cylinder) reads the parent and letter arrays of one
 
 A marginal stores its positive patterns as exact mixed-radix codes in
 shortlex domain order, ascending, with their masses, and is built from
-them: ``BallMarginal(domain, states, codes, masses)``.  A Markov source with
+them: ``BallMarginal(domain, states, codes, masses)``; ``patterns()`` is the
+one decode of the codes into state-index tuples.  A Markov source with
 K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
 hull vertex at a time; every other table is one leaves-to-root sum-product
 over the hull tree, with a coarsening as a 0/1 emission at domain vertices,
@@ -22,8 +23,10 @@ counts the induced tree edges labelled s, e_s is the conditional entropy of
 one s-step), else the sum-product.  ``MeasureSource.entropy_sum`` adds up a
 linear combination of domain entropies; the Markov override merges the
 integer edge counts of all closed-form terms before the single dot product
-with e, so coefficients that cancel do so exactly.  Samples are drawn on a
-ball given by its radius: ``sample_indices(ts, radius, seed, count)``.
+with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
+-sum p log p, which the closed form and ``entropy`` share.  Samples are
+drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
+count)``.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError
 from .transition import TransitionSystem, require_valid
-from .words import Domain, GroupSpec, IDENTITY, Word, ball_domain
+from .words import Domain, GroupSpec, IDENTITY, Word, ball_domain, past
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
 SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hull
@@ -86,9 +89,6 @@ class Pattern:
         if list(self.domain) != sorted(set(self.domain), key=Word.shortlex_key):
             raise ValueError("pattern domain must be shortlex-sorted and duplicate-free")
 
-    def value_at(self, w: Word):
-        return self.values[self.domain.index(w)]
-
     def restrict(self, subdomain: Iterable[Word]) -> "Pattern":
         keep = _positions(self.domain, subdomain)
         return Pattern(tuple(self.domain[a] for a in keep),
@@ -107,7 +107,7 @@ class BallMarginal:
     masses)`` takes the sorted domain's words and ascending codes, drops the
     zero masses, and keeps the two arrays, read-only.  ``dense`` and
     ``sparse`` return fresh tables of shape (K,)*|domain| in that C order
-    and dicts from state-index tuples to probabilities.
+    and dicts from the ``patterns()`` tuples to probabilities.
     """
 
     def __init__(self, domain: Sequence[Word], states: Sequence, codes: np.ndarray,
@@ -149,11 +149,15 @@ class BallMarginal:
             return self._flat().reshape((self.n_states,) * len(self.domain))
         return None
 
+    def patterns(self) -> list[tuple[int, ...]]:
+        """The positive patterns as tuples of state indices, in code order."""
+        columns = [d.tolist() for d in self._digits(range(len(self.domain)))]
+        return list(zip(*columns))
+
     @property
     def sparse(self) -> dict[tuple, float]:
         """A fresh map from positive patterns, as tuples of ints, to masses."""
-        columns = [d.tolist() for d in self._digits(range(len(self.domain)))]
-        return dict(zip(zip(*columns), self.masses.tolist()))
+        return dict(zip(self.patterns(), self.masses.tolist()))
 
     def _digits(self, positions: Iterable[int]) -> list[np.ndarray]:
         k, n = self.n_states, len(self.domain)
@@ -178,7 +182,7 @@ class BallMarginal:
     def support(self) -> list[tuple[Pattern, float]]:
         """Positive-probability patterns with their masses, index order."""
         return [(Pattern(self.domain, tuple(self.states[i] for i in key)), p)
-                for key, p in self.sparse.items()]
+                for key, p in zip(self.patterns(), self.masses.tolist())]
 
     def permuted_table(self, positions: Sequence[int]) -> np.ndarray:
         """Dense table reindexed so axis k reads coordinate positions[k]."""
@@ -432,18 +436,11 @@ class CoarsenedSource(MeasureSource):
     def __init__(self, ts: TransitionSystem, state_map):
         self.base = MarkovSource(ts)
         self.spec = ts.spec
-        if isinstance(state_map, Mapping):
-            images = [state_map[lbl] for lbl in ts.states]
-        else:
-            images = list(state_map)
-            if len(images) != len(ts.states):
-                raise ValueError(
-                    f"state_map has {len(images)} entries for {len(ts.states)} states")
-        seen: list = []
-        for im in images:
-            if im not in seen:
-                seen.append(im)
-        self.states = tuple(seen)
+        images = list(state_map)
+        if len(images) != len(ts.states):
+            raise ValueError(
+                f"state_map has {len(images)} entries for {len(ts.states)} states")
+        self.states = tuple(dict.fromkeys(images))
         self.index_map = tuple(self.states.index(im) for im in images)
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
@@ -474,17 +471,6 @@ class EmpiricalSource(MeasureSource):
         if rows.shape[0] == 0:
             raise ValueError("need at least one sample")
         self.rows = rows
-
-    @classmethod
-    def from_patterns(cls, patterns: Sequence[Pattern], states: Sequence,
-                      spec: GroupSpec) -> "EmpiricalSource":
-        if not patterns:
-            raise ValueError("need at least one sampled pattern")
-        dom = patterns[0].domain
-        states = tuple(states)
-        rows = np.array([[states.index(v) for v in p.restrict(dom).values]
-                         for p in patterns], dtype=np.int64)
-        return cls(dom, states, rows, spec)
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         words = Domain.of(domain, self.spec).words
@@ -551,10 +537,9 @@ def check_markov_property(src: MeasureSource, g: Word, s: int, depth: int) -> fl
     Zero for Markov sources by definition; strictly positive gaps witness
     hidden-Markov memory.
     """
-    from .words import past as past_set
     src.spec.check_letter(s)
     sg = Word((s,)) * g
-    p = past_set(sg, g, depth, src.spec)
+    p = past(sg, g, depth, src.spec)
     h_big = src.domain_entropy(list(p) + [sg]) - src.domain_entropy(p)
     h_small = src.domain_entropy([g, sg]) - src.domain_entropy([g])
     return abs(h_big - h_small)
@@ -576,6 +561,8 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     1 up to rounding, which is all the normalization of pi and the clamp to
     K-1 absorb.
     """
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
     require_valid(ts)
     dom = ball_domain(ts.spec, radius)
     rng = np.random.default_rng(seed)

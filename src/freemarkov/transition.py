@@ -18,10 +18,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FormatError, InconsistentMarginalsError, StructuralError
-from .words import GROUP, GroupSpec
+from .words import GROUP, GroupSpec, Word
 
 DEFAULT_TOL = 1e-9
-BUILTIN_TOL = 1e-12
 
 
 def _frozen(a) -> np.ndarray:
@@ -139,7 +138,6 @@ def require_valid(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> None:
 # ---------------------------------------------------------------------------
 
 def _generator_state_labels(spec: GroupSpec) -> tuple[str, ...]:
-    from .words import Word
     return tuple(str(Word((s,))) for s in spec.generators())
 
 
@@ -208,16 +206,14 @@ def flip_system(r: int, eps: float) -> TransitionSystem:
     return TransitionSystem(spec, (0, 1), np.array([0.5, 0.5]), mats)
 
 
-def bernoulli_system(spec: GroupSpec, p: Sequence[float], states=None) -> TransitionSystem:
+def bernoulli_system(spec: GroupSpec, p: Sequence[float]) -> TransitionSystem:
     """Site-independent system: every row of every matrix equals p."""
     p = np.array(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise StructuralError("p must be a nonempty probability vector")
-    if states is None:
-        states = tuple(range(p.size))
     m = np.tile(p, (p.size, 1))
     mats = {s: m.copy() for s in spec.generators()}
-    return TransitionSystem(spec, tuple(states), p.copy(), mats)
+    return TransitionSystem(spec, tuple(range(p.size)), p.copy(), mats)
 
 
 def permutation_system(spec: GroupSpec, n: int,

@@ -17,18 +17,24 @@ iterates as its words and holds the tree of its hull as integer arrays of
 parent index and leading letter in shortlex order, with the edge-label
 counts.  ``ball_domain`` caches the ball B(e,n) and each pair domain
 B(e,n) ∪ B(e,n)·s, whose size and label counts are read without building
-any word; ``Domain.of`` takes any other word set; ``ball`` builds fresh
-words from the ball's arrays.  ``tree_hull``, ``induced_left_edges`` and
-``is_left_connected`` read the domain of their word set.
+any word, once ``check_radius`` has refused, from the closed-form
+``ball_size``, any ball past ``BALL_LIMIT`` vertices; ``Domain.of`` takes
+any other word set; ``ball`` builds fresh words from the ball's arrays.
+``tree_hull``, ``induced_left_edges`` and ``is_left_connected`` read the
+domain of their word set.  ``Word`` products and ``reduce_word`` share one
+free reduction.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .errors import CapabilityError
 
 GROUP = "group"
 SEMIGROUP = "semigroup"
@@ -36,6 +42,8 @@ SEMIGROUP = "semigroup"
 # Printable generator names.  'e' is reserved for the identity, so the
 # generator alphabet skips it: a, b, c, d, f, g, ...
 _LETTER_CHARS = "abcdfghijklmnopqrstuvwxyz"
+
+BALL_LIMIT = 2 ** 22        # most vertices of a ball B(e, n) that is built
 
 
 def _letter_key(letter: int) -> tuple[int, int]:
@@ -82,11 +90,6 @@ class GroupSpec:
         if letter < 0 and not self.is_group:
             raise ValueError(f"inverse letter {letter} not allowed in a semigroup")
 
-    def inverse(self, letter: int) -> int:
-        if not self.is_group:
-            raise ValueError("semigroup generators have no inverses")
-        return -letter
-
     def generator_name(self, letter: int) -> str:
         """JSON key for a generator: 's1'..'sr' and 's1_inv'..'sr_inv'."""
         self.check_letter(letter)
@@ -100,6 +103,18 @@ class GroupSpec:
         letter = -letter if inv else letter
         self.check_letter(letter)
         return letter
+
+
+def _free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
+    """Cancel adjacent inverse pairs.  Semigroup letters are all positive,
+    so they never cancel."""
+    stack: list[int] = []
+    for l in letters:
+        if stack and stack[-1] == -l:
+            stack.pop()
+        else:
+            stack.append(l)
+    return tuple(stack)
 
 
 @dataclass(frozen=True)
@@ -146,18 +161,8 @@ class Word:
         return self.letters[0]
 
     def __mul__(self, other: "Word") -> "Word":
-        """Concatenate and freely reduce.
-
-        Safe for both kinds: semigroup words contain no inverse letters,
-        so no cancellation can occur there.
-        """
-        left = list(self.letters)
-        for l in other.letters:
-            if left and left[-1] == -l:
-                left.pop()
-            else:
-                left.append(l)
-        return Word(tuple(left))
+        """Concatenate and freely reduce."""
+        return Word(_free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
         return Word(tuple(-l for l in reversed(self.letters)))
@@ -198,20 +203,11 @@ def parse_word(text: str, spec: GroupSpec) -> Word:
 def reduce_word(letters: Sequence[int], spec: GroupSpec) -> Word:
     """Free reduction of a raw letter sequence to its normal form.
 
-    Semigroup words are returned verbatim after alphabet validation;
-    supplying an inverse letter under semigroup kind is an error.
+    Supplying an inverse letter under semigroup kind is an error.
     """
     for l in letters:
         spec.check_letter(l)
-    if not spec.is_group:
-        return Word(tuple(letters))
-    stack: list[int] = []
-    for l in letters:
-        if stack and stack[-1] == -l:
-            stack.pop()
-        else:
-            stack.append(l)
-    return Word(tuple(stack))
+    return Word(_free_reduce(letters))
 
 
 class CayleyEdge(NamedTuple):
@@ -319,6 +315,18 @@ def _frozen_ints(values) -> np.ndarray:
     return arr
 
 
+def check_radius(spec: GroupSpec, n: int) -> None:
+    """Refuse a negative radius, and a ball B(e, n) past ``BALL_LIMIT``
+    vertices, from its closed-form size before anything is built."""
+    if n < 0:
+        raise ValueError(f"radius must be nonnegative, got {n}")
+    # past rank 1 a ball holds at least 2^n vertices: past 2^22 it is not counted
+    size = ball_size(spec, n) if spec.rank == 1 or n < BALL_LIMIT.bit_length() else None
+    if size is None or size > BALL_LIMIT:
+        raise CapabilityError(f"ball B(e,{n}) has more than {BALL_LIMIT} vertices",
+                              needed=size, limit=BALL_LIMIT)
+
+
 def ball_domain(spec: GroupSpec, n: int, s: int | None = None) -> Domain:
     """B(e, n), or with ``s`` the pair domain B(e, n) ∪ B(e, n)·s; cached.
 
@@ -327,14 +335,18 @@ def ball_domain(spec: GroupSpec, n: int, s: int | None = None) -> Domain:
     order, which keeps the appended words in shortlex order.  The parent of
     w·s is parent(w)·s, and its letter is that of w.  Its label counts are
     read off the ball's outer level at once; its tree is built on first use.
+    A cache miss calls ``check_radius`` first, and a refusal is not cached.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"radius must be an integer, got {n!r}") from None
     return _ball_domain(spec, n, s)  # one cache key whether or not s is passed
 
 
 @functools.lru_cache(maxsize=128)
 def _ball_domain(spec: GroupSpec, n: int, s: int | None) -> Domain:
-    if n < 0:
-        raise ValueError(f"radius must be nonnegative, got {n}")
+    check_radius(spec, n)
     gens = spec.generators()
     # inverse[a]: index of gens[a]^-1; -2 matches no letter (semigroups)
     inverse = np.array([gens.index(-l) if spec.is_group else -2 for l in gens])

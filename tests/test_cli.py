@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from freemarkov.cli import main
-from freemarkov.transition import from_json_dict
+from freemarkov.entropy import f_markov
+from freemarkov.transition import flip_system, from_json_dict, to_json_dict
 
 RUN = [sys.executable, "-m", "freemarkov.cli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -25,6 +26,16 @@ def shell(cmd: str) -> subprocess.CompletedProcess:
 def wsf_file(tmp_path):
     path = tmp_path / "wsf.json"
     assert main(["example", "wsf", "--rank", "2", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture
+def off_flip_file(tmp_path):
+    """flip(0.3) with pi off by 1e-7: valid at tolerance 1e-6, not at 1e-9."""
+    doc = to_json_dict(flip_system(2, 0.3))
+    doc["pi"] = [0.5 + 1e-7, 0.5 - 1e-7]
+    path = tmp_path / "off_flip.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -88,6 +99,20 @@ class TestFinv:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["finv", str(bad)]) == 1
+
+    def test_tol_reaches_f_markov(self, off_flip_file, capsys):
+        assert main(["finv", off_flip_file, "--tol", "1e-6"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        ts = from_json_dict(json.loads(open(off_flip_file).read()))
+        assert first == f"f = {f_markov(ts, validate_tol=1e-6)!r}"
+
+    def test_tol_process_exit_codes(self, off_flip_file):
+        run = " ".join(RUN)
+        assert shell(f"{run} validate {off_flip_file} --tol 1e-6").stdout.startswith("OK")
+        proc = shell(f"{run} finv {off_flip_file} --tol 1e-6")
+        assert proc.returncode == 0, proc.stderr
+        proc = shell(f"{run} finv {off_flip_file}")
+        assert proc.returncode == 1 and proc.stdout.startswith("INVALID")
 
 
 class TestFseq:
@@ -251,6 +276,24 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,name", [
+        ("fseq --nmax -1", "depth must be nonnegative"),
+        ("sample --radius 1 --count -1", "count must be nonnegative"),
+    ])
+    def test_negative_argument_exit_2(self, wsf_file, capsys, argv, name):
+        cmd, *rest = argv.split()
+        assert main([cmd, wsf_file] + rest) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
+
+    @pytest.mark.parametrize("argv", ["fseq --nmax 18", "sample --radius 19 --count 1"])
+    def test_ball_past_the_limit_exit_3(self, wsf_file, capsys, argv):
+        cmd, *rest = argv.split()
+        assert main([cmd, wsf_file] + rest) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("refused: ball B(e,") and "4194304" in captured.err
 
     def test_bad_coarsen_length_exit_4(self, wsf_file):
         assert main(["fseq", wsf_file, "--coarsen", "0,1", "--nmax", "0"]) == 4

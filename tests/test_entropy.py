@@ -215,6 +215,22 @@ class TestFSequence:
     def test_single_report(self, flip03):
         assert len(f_sequence(MarkovSource(flip03), 0)) == 1
 
+    def test_negative_depth_refused(self, flip03):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            f_sequence(MarkovSource(flip03), -1)
+
+    def test_ball_past_the_limit_refused_before_any_row(self, wsf2):
+        asked = []
+
+        class Counting(MarkovSource):
+            def entropy_sum(self, terms):
+                asked.append(terms)
+                return super().entropy_sum(terms)
+
+        with pytest.raises(CapabilityError, match="more than") as exc:
+            f_sequence(Counting(wsf2), 18)
+        assert exc.value.needed == 2 * 3 ** 18 - 1 and asked == []
+
     def test_markov_constant(self, flip03):
         seq = [r.big_f for r in f_sequence(MarkovSource(flip03), 2)]
         assert max(seq) - min(seq) < 1e-9

@@ -9,7 +9,7 @@ from freemarkov.approx import ENTRY_LIMIT, markov_approximation
 from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SPARSE_LIMIT, BallMarginal,
-                                EmpiricalSource, MarkovSource, PairStats, Pattern,
+                                MarkovSource, PairStats, Pattern,
                                 _grid_fits, check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
@@ -76,7 +76,7 @@ class TestBallMarginal:
         assert len(supp) == 2
         for pat, p in supp:
             assert p == 0.5
-            root = pat.value_at(IDENTITY)
+            root = pat.values[0]  # the identity comes first in shortlex order
             assert all(v == 1 - root for x, v in zip(pat.domain, pat.values)
                        if x != IDENTITY)
 
@@ -373,6 +373,14 @@ class TestSampling:
         with pytest.raises(ValueError, match="radius"):
             sample(flip03, -1, seed=1, count=1)
 
+    def test_bad_radius_and_count_named(self, flip03, wsf2):
+        with pytest.raises(TypeError, match="radius must be an integer"):
+            sample_indices(flip03, [IDENTITY], seed=1, count=1)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_indices(flip03, 1, seed=1, count=-1)
+        with pytest.raises(CapabilityError, match="more than"):
+            sample_indices(wsf2, 19, seed=1, count=1)
+
     def test_patterns_carry_labels(self, wsf2):
         pats = sample(wsf2, 0, seed=5, count=3)
         assert all(p.domain == (IDENTITY,) for p in pats)
@@ -398,11 +406,6 @@ class TestEmpirical:
         src = empirical_source(flip03, 1, seed=2, count=100)
         with pytest.raises(CapabilityError, match="cannot see"):
             src.ball_marginal(ball(G2, 2))
-
-    def test_from_patterns(self, flip03):
-        pats = sample(flip03, 1, seed=4, count=500)
-        src = EmpiricalSource.from_patterns(pats, flip03.states, flip03.spec)
-        assert abs(src.ball_marginal(ball(G2, 1)).total() - 1.0) < 1e-12
 
 
 class TestCoarsen:

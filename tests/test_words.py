@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemarkov.words import (CayleyEdge, Domain, GroupSpec, IDENTITY, Word,
-                              ball, ball_domain, ball_size, induced_left_edges,
-                              is_left_connected, parse_word, past, reduce_word,
-                              tree_hull)
+from freemarkov.errors import CapabilityError
+from freemarkov.words import (BALL_LIMIT, CayleyEdge, Domain, GroupSpec, IDENTITY,
+                              Word, _ball_domain, ball, ball_domain, ball_size,
+                              check_radius, induced_left_edges, is_left_connected,
+                              parse_word, past, reduce_word, tree_hull)
 
 from oracles import oracle_ball, oracle_edges, oracle_hull
 
@@ -203,6 +204,20 @@ class TestGeometry:
             Domain.of([IDENTITY, Word((3,))], G2)
         with pytest.raises(ValueError, match="nonempty"):
             Domain.of([], G2)
+        with pytest.raises(TypeError, match="radius must be an integer"):
+            ball_domain(G2, [IDENTITY])
+
+    def test_ball_past_the_limit_refused_before_building(self):
+        # the largest semigroup ball of rank 2 that fits holds 2^22 - 1 vertices
+        check_radius(S2, 21)
+        assert ball_size(S2, 21) == BALL_LIMIT - 1
+        cached = _ball_domain.cache_info().currsize
+        for spec, n in ((S2, 22), (G2, 14), (G2, 10 ** 9)):
+            with pytest.raises(CapabilityError, match="more than") as exc:
+                ball_domain(spec, n, spec.generators()[0])
+            assert exc.value.limit == BALL_LIMIT
+            assert exc.value.needed == (ball_size(spec, n) if n < 99 else None)
+        assert _ball_domain.cache_info().currsize == cached
 
 
 class TestEdges:
