@@ -170,7 +170,7 @@ def _cmd_sample(args) -> int:
         return EXIT_FAILURE
     dom, rows = measure_mod.sample_indices(ts, args.radius, args.seed, args.count)
     lines = [",".join(str(w) for w in dom)]
-    lines += [",".join(str(ts.states[i]) for i in row) for row in rows]
+    lines += [",".join(str(ts.states[i]) for i in row) for row in rows.tolist()]
     _write_text(args.output, "\n".join(lines))
     return EXIT_OK
 

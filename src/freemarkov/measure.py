@@ -26,7 +26,11 @@ integer edge counts of all closed-form terms before the single dot product
 with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, which the closed form and ``entropy`` share.  Samples are
 drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
-count)``.
+count)`` fills a vertex-major table, each vertex's column from its
+parent's, with one uniform per sample compared against all K cumulative
+sums of the parent state's row and the count clamped to K-1, and returns
+its transposed (count, |ball|) view; it refuses a table past
+``SAMPLE_LIMIT`` cells.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .words import Domain, GroupSpec, IDENTITY, Word, ball_domain, past
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
 SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hull
+SAMPLE_LIMIT = 2 ** 25      # most cells (samples times ball vertices) of a sample table
 
 _NORM_TOL = 1e-9
 
@@ -554,31 +559,46 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     """Draw configurations on the ball B(e, radius): its words in shortlex
     order, and rows of state indices in that order.
 
-    Root from pi, then outward breadth-first: the state at w is drawn from
-    row x(parent(w)) of the matrix of w's leading letter, by comparing a
-    uniform with that row's cumulative sums.  Deterministic for a fixed
-    seed.  Refuses systems that fail validation, so pi and the rows sum to
-    1 up to rounding, which is all the normalization of pi and the clamp to
-    K-1 absorb.
+    Root from pi, then outward breadth-first, one ``rng.random(count)`` per
+    vertex: the state at w is min(#{j : u > cum[x(parent(w)), j]}, K-1),
+    where cum holds the row cumulative sums of the matrix of w's leading
+    letter, taken once per generator.  The table is vertex-major: each
+    vertex's column is filled from its parent's column by K contiguous
+    compare-and-add passes, one per column of cum, and the (count, |ball|)
+    rows are returned as its transposed view.  All K compares and the clamp
+    stay, so the draws are those of the row-wise comparison even where a
+    cumulative sum is not monotone.  Deterministic for a fixed seed.
+    Refuses systems that fail validation, so pi and the rows sum to 1 up to
+    rounding, which is all the normalization of pi and the clamp absorb.
+    Refuses a table of more than ``SAMPLE_LIMIT`` cells before allocating it.
     """
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
     require_valid(ts)
     dom = ball_domain(ts.spec, radius)
+    cells = count * len(dom)
+    if cells > SAMPLE_LIMIT:
+        raise CapabilityError(f"{count} samples on B(e,{radius}) need {cells} table "
+                              f"cells, more than {SAMPLE_LIMIT}",
+                              needed=cells, limit=SAMPLE_LIMIT)
     rng = np.random.default_rng(seed)
     k = ts.n_states
-    rows = np.empty((count, len(dom)), dtype=np.int64)
-    cums = [np.cumsum(ts.matrices[s], axis=1) for s in ts.spec.generators()]
-    rows[:, 0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
+    cols = np.empty((len(dom), count), dtype=np.int64)
+    cums = [np.cumsum(ts.matrices[s], axis=1).T.copy() for s in ts.spec.generators()]
+    cols[0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
     for v, (p, a) in enumerate(dom.tree_edges(), start=1):
         u = rng.random(count)
-        rows[:, v] = np.minimum((u[:, None] > cums[a][rows[:, p]]).sum(axis=1), k - 1)
-    return dom.words, rows
+        parent, x = cols[p], cols[v]
+        x.fill(0)
+        for cum_j in cums[a]:
+            x += u > cum_j.take(parent)
+        np.minimum(x, k - 1, out=x)
+    return dom.words, cols.T
 
 
 def sample(ts: TransitionSystem, radius: int, seed: int, count: int) -> list[Pattern]:
     dom, rows = sample_indices(ts, radius, seed, count)
-    return [Pattern(dom, tuple(ts.states[i] for i in row)) for row in rows]
+    return [Pattern(dom, tuple(ts.states[i] for i in row)) for row in rows.tolist()]
 
 
 def empirical_source(ts: TransitionSystem, radius: int, seed: int,

@@ -3,12 +3,17 @@
 Everything here recomputes measure-theoretic quantities from first
 principles with plain Python (itertools enumeration, dict accumulation,
 math.fsum), sharing no code path with the library's numpy implementation.
+The one exception is ``oracle_sample_rows``: seeded draws are defined by
+numpy's random stream, so it uses numpy, on a row-major table with a
+row-wise comparison, where the library fills a vertex-major one.
 Words are bare tuples of signed ints; the letter order matches the
 library's shortlex convention so pattern encodings agree.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def letter_key(letter):
@@ -132,3 +137,27 @@ def as_lists(ts):
     mats = {s: [[float(x) for x in row] for row in m]
             for s, m in ts.matrices.items()}
     return pi, mats
+
+
+def oracle_sample_rows(pi, mats, rank, radius, seed, count, group=True):
+    """Seeded sample rows on the oracle ball, drawn row-major.
+
+    The root takes ``choice`` on the normalized pi; then each word, in
+    shortlex order, takes one ``random(count)`` and the state
+    min(#{j : u > cum[x(parent), j]}, K-1), where cum is the cumulative
+    sum of the rows of its leading letter's matrix and its parent is the
+    word without that letter.
+    """
+    words = oracle_ball(rank, radius, group)
+    pos = {w: a for a, w in enumerate(words)}
+    pi = np.asarray(pi, dtype=float)
+    k = len(pi)
+    cums = {s: np.cumsum(np.asarray(m, dtype=float), axis=1) for s, m in mats.items()}
+    rng = np.random.default_rng(seed)
+    rows = np.empty((count, len(words)), dtype=np.int64)
+    rows[:, 0] = rng.choice(k, size=count, p=pi / pi.sum())
+    for v, word in enumerate(words[1:], start=1):
+        u = rng.random(count)
+        parent = rows[:, pos[word[1:]]]
+        rows[:, v] = np.minimum((u[:, None] > cums[word[0]][parent]).sum(axis=1), k - 1)
+    return rows

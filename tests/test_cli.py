@@ -295,5 +295,13 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("refused: ball B(e,") and "4194304" in captured.err
 
+    def test_sample_table_past_the_limit_exit_3(self, wsf_file, capsys):
+        # 100,000 samples on the 13,121-vertex B(e,8): 1.3e9 table cells
+        assert main(["sample", wsf_file, "--radius", "8", "--count", "100000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("refused: 100000 samples on B(e,8)")
+        assert "1312100000" in captured.err and "33554432" in captured.err
+
     def test_bad_coarsen_length_exit_4(self, wsf_file):
         assert main(["fseq", wsf_file, "--coarsen", "0,1", "--nmax", "0"]) == 4

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freemarkov.approx import ENTRY_LIMIT, markov_approximation
 from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
-from freemarkov.measure import (DENSE_LIMIT, SPARSE_LIMIT, BallMarginal,
-                                MarkovSource, PairStats, Pattern,
+from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
+                                EmpiricalSource, MarkovSource, PairStats, Pattern,
                                 _grid_fits, check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
@@ -21,7 +21,8 @@ from freemarkov.verify import cycle_system, perturbed_flip, semigroup_example
 from freemarkov.words import (Domain, GroupSpec, IDENTITY, Word, ball, ball_domain,
                               parse_word, tree_hull)
 
-from oracles import as_lists, oracle_entropy, oracle_marginal, oracle_support_count
+from oracles import (as_lists, oracle_ball, oracle_entropy, oracle_marginal,
+                     oracle_sample_rows, oracle_support_count)
 
 G2 = GroupSpec(2, "group")
 
@@ -381,6 +382,13 @@ class TestSampling:
         with pytest.raises(CapabilityError, match="more than"):
             sample_indices(wsf2, 19, seed=1, count=1)
 
+    def test_table_past_the_limit_refused(self, wsf2):
+        # 2600 samples on the 13,121-vertex B(e,8) are 34,114,600 cells
+        with pytest.raises(CapabilityError, match="table cells") as exc:
+            sample_indices(wsf2, 8, seed=1, count=2600)
+        assert exc.value.needed == 2600 * 13_121 > SAMPLE_LIMIT
+        assert exc.value.limit == SAMPLE_LIMIT
+
     def test_patterns_carry_labels(self, wsf2):
         pats = sample(wsf2, 0, seed=5, count=3)
         assert all(p.domain == (IDENTITY,) for p in pats)
@@ -406,6 +414,18 @@ class TestEmpirical:
         src = empirical_source(flip03, 1, seed=2, count=100)
         with pytest.raises(CapabilityError, match="cannot see"):
             src.ball_marginal(ball(G2, 2))
+
+    def test_row_layout_does_not_matter(self, wsf2):
+        dom, rows = sample_indices(wsf2, 2, seed=4, count=500)
+        assert rows.flags.f_contiguous  # the sampler's vertex-major table
+        by_rows = EmpiricalSource(dom, wsf2.states, np.ascontiguousarray(rows), G2)
+        by_cols = EmpiricalSource(dom, wsf2.states, rows, G2)
+        domains = [ball_domain(G2, 1)] + [ball_domain(G2, 1, s) for s in (1, 2)]
+        for d in domains:
+            a, b = by_rows.ball_marginal(d), by_cols.ball_marginal(d)
+            np.testing.assert_array_equal(a.codes, b.codes)
+            np.testing.assert_array_equal(a.masses, b.masses)
+        assert big_F(by_rows, 1).big_f == big_F(by_cols, 1).big_f
 
 
 class TestCoarsen:
@@ -624,3 +644,41 @@ class TestSumProductOracle:
                 break
             assert f <= prev + 1e-10
             prev = f
+
+
+class TestSamplerOracle:
+    """Seeded draws against the row-major oracle: same shape, dtype and values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           rank=st.integers(min_value=1, max_value=3),
+           k=st.integers(min_value=1, max_value=6),
+           radius=st.integers(min_value=0, max_value=3),
+           count=st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=400),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3))
+    @example(kind="group", rank=2, k=1, radius=2, count=300, seed=5, n_perms=0)
+    @example(kind="semigroup", rank=3, k=6, radius=3, count=0, seed=6, n_perms=3)
+    def test_sinkhorn_systems(self, kind, rank, k, radius, count, seed, n_perms):
+        ts = masked_sinkhorn_system(GroupSpec(rank, kind), k,
+                                    np.random.default_rng(seed), n_perms)
+        self._check(ts, radius, seed, count)
+
+    @pytest.mark.parametrize("ts", [flip_system(2, 0.3), wsf_system(2), matching_system(2),
+                                    wsf_system(3), semigroup_example()],
+                             ids=["flip03", "wsf2", "matching2", "wsf3", "semigroup"])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_builtin_systems(self, ts, radius):
+        for count in (0, 1, 7, 300):
+            self._check(ts, radius, 20260810 + count, count)
+
+    @staticmethod
+    def _check(ts, radius, seed, count):
+        pi, mats = as_lists(ts)
+        dom, rows = sample_indices(ts, radius, seed, count)
+        expected = oracle_sample_rows(pi, mats, ts.spec.rank, radius, seed, count,
+                                      ts.spec.is_group)
+        assert [x.letters for x in dom] == oracle_ball(ts.spec.rank, radius,
+                                                        ts.spec.is_group)
+        assert rows.shape == expected.shape and rows.dtype == expected.dtype
+        np.testing.assert_array_equal(rows, expected)
