@@ -15,16 +15,23 @@ them: ``BallMarginal(domain, states, codes, masses)``; ``patterns()`` is the
 one decode of the codes into state-index tuples.  A Markov source with
 K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
 hull vertex at a time; every other table is one leaves-to-root sum-product
-over the hull tree, with a coarsening as a 0/1 emission at domain vertices,
-and refuses when the hull holds more than ``SPARSE_LIMIT`` positive hidden
-patterns.  Per domain a Markov source takes the grid when it fits, else the
-closed form H(pi) + sum_s c_s e_s when the domain is its own hull (c_s
-counts the induced tree edges labelled s, e_s is the conditional entropy of
-one s-step), else the sum-product.  ``MeasureSource.entropy_sum`` adds up a
-linear combination of domain entropies; the Markov override merges the
-integer edge counts of all closed-form terms before the single dot product
-with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
--sum p log p, which the closed form and ``entropy`` share.  Samples are
+over the hull's subtree classes (``Domain.subtree_classes``), with a
+coarsening as a 0/1 emission at domain vertices, and refuses when the hull
+holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
+over the same classes.  A marginal needs codes, so there every vertex is
+its own class; an entropy shares one table and one message per class and
+letter across isomorphic subtrees, and takes -sum p log p of the uncoded
+root masses once they pass the checks a marginal's masses pass
+(``_check_masses``).  Per domain a Markov source takes the grid when it
+fits, else the closed form H(pi) + sum_s c_s e_s when the domain is its own
+hull (c_s counts the induced tree edges labelled s, e_s is the conditional
+entropy of one s-step), else the sum-product; a coarsened source always
+takes the sum-product.  ``MeasureSource.entropy_sum`` adds up a linear
+combination of domain entropies; the Markov override merges the integer
+edge counts of all closed-form terms before the single dot product with e,
+so coefficients that cancel do so exactly; ``_plogp`` is the one
+-sum p log p, which the closed form, the sum-product entropy and
+``entropy`` share.  Samples are
 drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
 count)`` fills a vertex-major table, each vertex's column from its
 parent's, with one uniform per sample compared against all K cumulative
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,6 +64,20 @@ _NORM_TOL = 1e-9
 def _plogp(values: np.ndarray) -> float:
     v = values[values > 0]
     return float(-(v * np.log(v)).sum())
+
+
+def _check_masses(masses: np.ndarray) -> float:
+    """The smallest of the pattern probabilities, after refusing non-finite
+    ones, any below -1e-12, and a total off 1 by more than ``_NORM_TOL``."""
+    with np.errstate(invalid="ignore"):  # inf - inf is reported below
+        total, low = masses.sum(), masses.min(initial=math.inf)
+    if not math.isfinite(total):
+        raise ValueError("non-finite pattern probability")
+    if low < -1e-12:
+        raise ValueError(f"negative pattern probability {low:.3g}")
+    if abs(total - 1.0) > _NORM_TOL:
+        raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
+    return low
 
 
 def _positions(domain: tuple[Word, ...], words: Iterable[Word]) -> list[int]:
@@ -94,6 +116,18 @@ class Pattern:
         if list(self.domain) != sorted(set(self.domain), key=Word.shortlex_key):
             raise ValueError("pattern domain must be shortlex-sorted and duplicate-free")
 
+    @classmethod
+    def _on(cls, domain: tuple[Word, ...], rows: Iterable[tuple]) -> list["Pattern"]:
+        """A pattern per row of |domain| values; the domain is checked once,
+        not re-sorted for each row."""
+        cls(domain, (None,) * len(domain))
+        out = []
+        for values in rows:
+            pattern = object.__new__(cls)
+            pattern.__dict__.update(domain=domain, values=values)
+            out.append(pattern)
+        return out
+
     def restrict(self, subdomain: Iterable[Word]) -> "Pattern":
         keep = _positions(self.domain, subdomain)
         return Pattern(tuple(self.domain[a] for a in keep),
@@ -118,15 +152,7 @@ class BallMarginal:
     def __init__(self, domain: Sequence[Word], states: Sequence, codes: np.ndarray,
                  masses: np.ndarray):
         codes, masses = np.asarray(codes), np.asarray(masses, dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf is reported below
-            total, low = masses.sum(), masses.min(initial=math.inf)
-        if not math.isfinite(total):
-            raise ValueError("non-finite pattern probability")
-        if low < -1e-12:
-            raise ValueError(f"negative pattern probability {low:.3g}")
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
-        if low <= 0:
+        if _check_masses(masses) <= 0:
             codes, masses = codes[masses > 0], masses[masses > 0]
         self.domain, self.states = tuple(domain), tuple(states)
         self.codes, self.masses = codes, masses
@@ -186,8 +212,8 @@ class BallMarginal:
 
     def support(self) -> list[tuple[Pattern, float]]:
         """Positive-probability patterns with their masses, index order."""
-        return [(Pattern(self.domain, tuple(self.states[i] for i in key)), p)
-                for key, p in zip(self.patterns(), self.masses.tolist())]
+        rows = [tuple(self.states[i] for i in key) for key in self.patterns()]
+        return list(zip(Pattern._on(self.domain, rows), self.masses.tolist()))
 
     def permuted_table(self, positions: Sequence[int]) -> np.ndarray:
         """Dense table reindexed so axis k reads coordinate positions[k]."""
@@ -274,23 +300,33 @@ def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
         needed=needed, limit=SPARSE_LIMIT)
 
 
-def _join(a: tuple, b: tuple, hull_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _join(a: tuple, b: tuple, hull_size: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Every pair of rows of two sum-product tables, zero rows dropped.
 
-    The rows cover disjoint vertex sets, so a pair's code is the sum.  Pairs
-    are formed for a block of ``a`` at a time, no block past ``SPARSE_LIMIT``
-    rows, and the result is refused when its rows exceed that limit.
+    The rows cover disjoint vertex sets, so a pair's code is the sum; tables
+    without codes (None) give none.  When there are more than
+    ``SPARSE_LIMIT`` pairs they are formed for a block of ``a`` at a time,
+    no block past that many, and the result is refused when its rows exceed
+    the limit.
     """
     (ta, ca), (tb, cb) = a, b
-    step, tables, codes = max(1, SPARSE_LIMIT // max(len(tb), 1)), [], []
-    for i in range(0, max(len(ta), 1), step):
-        table = (ta[i:i + step, None, :] * tb[None, :, :]).reshape(-1, ta.shape[1])
+
+    def pairs(block: slice) -> tuple[np.ndarray, np.ndarray | None]:
+        table = (ta[block, None, :] * tb[None, :, :]).reshape(-1, ta.shape[1])
         rows = table.any(axis=1)
-        tables.append(table[rows])
-        codes.append((ca[i:i + step, None] + cb[None, :]).ravel()[rows])
-        if sum(map(len, tables)) > SPARSE_LIMIT:
-            raise _support_refusal(sum(map(len, tables)), hull_size)
-    return np.concatenate(tables), np.concatenate(codes)
+        codes = None if ca is None else (ca[block, None] + cb[None, :]).ravel()[rows]
+        return table[rows], codes
+
+    if len(ta) * len(tb) <= SPARSE_LIMIT:
+        return pairs(slice(None))
+    step, blocks, total = max(1, SPARSE_LIMIT // len(tb)), [], 0
+    for i in range(0, len(ta), step):
+        blocks.append(pairs(slice(i, i + step)))
+        total += len(blocks[-1][0])
+        if total > SPARSE_LIMIT:
+            raise _support_refusal(total, hull_size)
+    tables, codes = zip(*blocks)
+    return np.concatenate(tables), None if ca is None else np.concatenate(codes)
 
 
 class MarkovSource(MeasureSource):
@@ -333,33 +369,39 @@ class MarkovSource(MeasureSource):
     def _support_count(self, dom: Domain) -> int:
         """Exact number of positive patterns on the hull of ``dom``.
 
-        One sum-product pass in the integer semiring, children before
-        parents: m_v(i) = prod over children c of sum_j [P_c[i, j] > 0] m_c(j),
-        and the count is sum_i [pi_i > 0] m_root(i).  It costs
-        O(|hull| K^2).
+        One sum-product pass in the integer semiring over the hull's subtree
+        classes, children first: m_c(i) = prod over children (d, s) of
+        sum_j [P_s[i, j] > 0] m_d(j), and the count is sum_i [pi_i > 0]
+        m_root(i).  It costs O(classes K^2) after the class pass.
         """
         cols = self._positive_columns
-        k = len(self.states)
-        edges = dom.tree_edges()
-        counts = [[1] * k for _ in range(dom.hull_size)]
-        for v in range(len(edges), 0, -1):
-            p, a = edges[v - 1]
-            child, up = counts[v].__getitem__, counts[p]
-            for i, row in enumerate(cols[a]):
-                up[i] *= sum(map(child, row))
-        return sum(m for m, p in zip(counts[0], self.ts.pi.tolist()) if p > 0)
+        classes, root = dom.subtree_classes()
+        counts: list[list[int]] = []
+        for _, children in classes:
+            m = [1] * len(self.states)
+            for c, a in children:
+                child = counts[c].__getitem__
+                for i, row in enumerate(cols[a]):
+                    m[i] *= sum(map(child, row))
+            counts.append(m)
+        return sum(m for m, p in zip(counts[root], self.ts.pi.tolist()) if p > 0)
 
-    def _sum_product(self, dom: Domain, emit: Sequence[int]
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def _sum_product(self, dom: Domain, emit: Sequence[int], coded: bool = True
+                     ) -> tuple[np.ndarray | None, np.ndarray]:
         """Codes and masses of the observed states ``emit[x]`` on the domain.
 
-        One pass over the hull tree, children before parents.  The table of
-        vertex v has a row per observed pattern on the domain vertices below
-        v, with its partial code, and a column per hidden state at v: the
-        pattern's probability given that state.  Domain vertices join the
-        0/1 emission table; other vertices add no digit and so are summed
-        out.  Refuses past ``SPARSE_LIMIT`` hidden patterns on the hull,
-        counted first, or rows in a table.
+        One pass over the hull's subtree classes, children first.  The
+        table of a class has a row per observed pattern on the domain
+        vertices below it, with its partial code, and a column per hidden
+        state there: the pattern's probability given that state.  Domain
+        vertices join the 0/1 emission table; other vertices add no digit
+        and so are summed out.  A class sends one message per letter it
+        hangs by, shared by every parent that has it as a child.  With
+        ``coded`` every vertex is its own class and the codes come back
+        ascending; without, the classes are shared, no code is formed, and
+        the codes are None and the masses unordered.  Refuses past
+        ``SPARSE_LIMIT`` hidden patterns on the hull, counted first, or
+        rows in a table.
         """
         k, h, n = len(self.states), dom.hull_size, len(dom)
         if k ** h > SPARSE_LIMIT:
@@ -369,27 +411,42 @@ class MarkovSource(MeasureSource):
         kp = max(emit) + 1
         symbols = _encode([range(kp)], kp, n)
         emission = np.eye(kp)[list(emit)].T  # emission[y, x] = [emit[x] == y]
-        slot = dict(zip(dom.kept(), range(n)))
-        edges = dom.tree_edges()
-        tables: list = [None] * h
-        for v in range(h - 1, -1, -1):
-            table = tables.pop()
-            if v in slot:
-                own = (emission, symbols * kp ** (n - 1 - slot[v]))
-                table = own if table is None else _join(own, table, h)
-            if v == 0:
-                break
-            up, a = edges[v - 1]
-            message = (table[0] @ self._mats[a].T, table[1])
-            tables[up] = message if tables[up] is None else _join(tables[up], message, h)
+        classes, _ = dom.subtree_classes(coded)
+        uses = Counter(child for _, children in classes for child in children)
+        sends: dict[int, list[int]] = {}
+        for c, a in uses:
+            sends.setdefault(c, []).append(a)
+        messages: dict[tuple[int, int], tuple] = {}
+        for c, (own, children) in enumerate(classes):
+            table = None
+            for child in children:
+                uses[child] -= 1  # a message is dropped after its last use
+                message = messages[child] if uses[child] else messages.pop(child)
+                table = message if table is None else _join(table, message, h)
+            if own is not None:
+                emitted = (emission, symbols * kp ** (n - 1 - own) if coded else None)
+                table = emitted if table is None else _join(emitted, table, h)
+            for a in sends.get(c, ()):
+                messages[c, a] = (table[0] @ self._mats[a].T, table[1])
+        masses = table[0] @ self.ts.pi  # the root's class is the last
+        if not coded:
+            return None, masses
         order = np.argsort(table[1], kind="stable")
-        return table[1][order], (table[0] @ self.ts.pi)[order]
+        return table[1][order], masses[order]
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom, k = Domain.of(domain, self.spec), len(self.states)
         if _grid_fits(k, dom.hull_size):
             return BallMarginal(dom.words, self.states, *self._grid(dom))
         return BallMarginal(dom.words, self.states, *self._sum_product(dom, range(k)))
+
+    def _table_entropy(self, dom: Domain, emit: Sequence[int]) -> float:
+        """H of the observed states ``emit[x]`` on the domain, from the
+        uncoded root masses of the shared-class sum-product, which pass the
+        checks of a marginal's masses."""
+        masses = self._sum_product(dom, emit, coded=False)[1]
+        _check_masses(masses)
+        return _plogp(masses)
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
@@ -398,8 +455,10 @@ class MarkovSource(MeasureSource):
         domain is its own hull, sum-product otherwise.
         """
         domain = Domain.of(domain, self.spec)  # ball_marginal reuses it
-        if domain.keep is not None or _grid_fits(len(self.states), domain.hull_size):
+        if _grid_fits(len(self.states), domain.hull_size):
             return self.ball_marginal(domain).entropy(), None
+        if domain.keep is not None:
+            return self._table_entropy(domain, range(len(self.states))), None
         h_root, edge = self._root_and_edge_entropies
         return h_root + float(domain.label_counts @ edge), domain.label_counts
 
@@ -452,6 +511,9 @@ class CoarsenedSource(MeasureSource):
         dom = Domain.of(domain, self.spec)
         return BallMarginal(dom.words, self.states,
                             *self.base._sum_product(dom, self.index_map))
+
+    def domain_entropy(self, domain: Iterable[Word]) -> float:
+        return self.base._table_entropy(Domain.of(domain, self.spec), self.index_map)
 
 
 class EmpiricalSource(MeasureSource):
@@ -598,7 +660,7 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
 
 def sample(ts: TransitionSystem, radius: int, seed: int, count: int) -> list[Pattern]:
     dom, rows = sample_indices(ts, radius, seed, count)
-    return [Pattern(dom, tuple(ts.states[i] for i in row)) for row in rows.tolist()]
+    return Pattern._on(dom, [tuple(ts.states[i] for i in row) for row in rows.tolist()])
 
 
 def empirical_source(ts: TransitionSystem, radius: int, seed: int,

@@ -20,9 +20,10 @@ B(e,n) ∪ B(e,n)·s, whose size and label counts are read without building
 any word, once ``check_radius`` has refused, from the closed-form
 ``ball_size``, any ball past ``BALL_LIMIT`` vertices; ``Domain.of`` takes
 any other word set; ``ball`` builds fresh words from the ball's arrays.
-``tree_hull``, ``induced_left_edges`` and ``is_left_connected`` read the
-domain of their word set.  ``Word`` products and ``reduce_word`` share one
-free reduction.
+``Domain.subtree_classes`` groups hull vertices whose subtrees are alike,
+once per domain, for the measure layer's table passes.  ``tree_hull``,
+``induced_left_edges`` and ``is_left_connected`` read the domain of their
+word set.  ``Word`` products and ``reduce_word`` share one free reduction.
 """
 
 from __future__ import annotations
@@ -235,7 +236,10 @@ class Domain:
 
     ``tree`` returns (parent, letter) and is called on first use, which
     lets ``ball_domain`` build a pair domain's tree only when one is read.
-    Balls and pair domains come from there; any other word set from ``of``.
+    Balls and pair domains come from there, cached, so that their subtree
+    classes (``subtree_classes``: hull vertices grouped by the shape,
+    letters and domain vertices of the subtree below them) are found once;
+    any other word set comes from ``of``.
     """
 
     def __init__(self, spec: GroupSpec, label_counts: np.ndarray, tree,
@@ -243,6 +247,7 @@ class Domain:
         self.spec, self.label_counts, self.keep = spec, label_counts, keep
         self.hull_size = int(label_counts.sum()) + 1
         self._build, self._words = tree, words
+        self._classes: dict[bool, tuple[list[tuple], int]] = {}
 
     @classmethod
     def of(cls, words: Iterable[Word], spec: GroupSpec) -> "Domain":
@@ -301,6 +306,31 @@ class Domain:
     def kept(self) -> list[int]:
         """The domain's hull positions, ascending."""
         return list(range(self.hull_size)) if self.keep is None else self.keep.tolist()
+
+    def subtree_classes(self, coded: bool = False) -> tuple[list[tuple], int]:
+        """The hull's subtree classes, children first, and the root's class.
+
+        Class c is ``classes[c] = (own, ((child class, child letter), ...))``,
+        the children in descending vertex order; ``own`` is None for a hull
+        vertex outside the domain and True for a domain vertex, or with
+        ``coded`` its position in the domain, so that then every vertex is a
+        class of its own.  Vertices share a class exactly when their
+        subtrees have the same shape, letters and domain vertices (Aho,
+        Hopcroft and Ullman's bottom-up labelling).  The root's class is the
+        last.  One pass over the hull; cached per ``coded``.
+        """
+        if coded not in self._classes:
+            parent, letter = self.parent.tolist(), self.letter.tolist()
+            slot = dict(zip(self.kept(), range(len(self))))
+            kids: list[list] = [[] for _ in parent]
+            ids: dict[tuple, int] = {}
+            for v in range(len(parent) - 1, -1, -1):
+                own = slot.get(v) if coded else (True if v in slot else None)
+                c = ids.setdefault((own, tuple(kids[v])), len(ids))
+                if v:
+                    kids[parent[v]].append((c, letter[v]))
+            self._classes[coded] = (list(ids), c)
+        return self._classes[coded]
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)

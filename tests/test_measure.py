@@ -16,7 +16,7 @@ from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMar
                                 pair_stats, sample, sample_indices, tree_entropy)
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
-                                   permutation_system, wsf_system)
+                                   permutation_system, product_system, wsf_system)
 from freemarkov.verify import cycle_system, perturbed_flip, semigroup_example
 from freemarkov.words import (Domain, GroupSpec, IDENTITY, Word, ball, ball_domain,
                               parse_word, tree_hull)
@@ -185,6 +185,20 @@ class TestBallMarginal:
             assert marg.sparse
             assert all(type(d) is int for key in marg.sparse for d in key)
             assert all(type(v) is int for pat, _ in marg.support() for v in pat.values)
+
+    def test_support_is_one_pattern_per_row(self, coarsened_cycle):
+        marg = coarsened_cycle.ball_marginal(ball(G2, 3))
+        assert not marg.is_dense
+        expected = [(Pattern(marg.domain, tuple(marg.states[i] for i in key)), p)
+                    for key, p in zip(marg.patterns(), marg.masses.tolist())]
+        assert marg.support() == expected
+        assert [hash(pat) for pat, _ in marg.support()] == [hash(pat) for pat, _ in expected]
+
+    @pytest.mark.parametrize("domain", [(w("a"), IDENTITY), (IDENTITY, w("a"), w("a"))],
+                             ids=["unsorted", "duplicate"])
+    def test_pattern_domain_checked(self, domain):
+        with pytest.raises(ValueError, match="shortlex-sorted and duplicate-free"):
+            Pattern(domain, (0,) * len(domain))
 
     @pytest.mark.parametrize("table", [([0, 1], [math.nan, 1.0]),
                                        ([0, 1], [math.inf, 1.0]),
@@ -644,6 +658,110 @@ class TestSumProductOracle:
                 break
             assert f <= prev + 1e-10
             prev = f
+
+
+class TestDomainEntropy:
+    """The uncoded shared-class sum-product entropy against the marginal's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3),
+           picks=st.sets(st.integers(min_value=0, max_value=16), min_size=1,
+                         max_size=4))
+    def test_matches_marginal_and_oracle(self, kind, k, seed, n_perms, picks):
+        spec = GroupSpec(2, kind)
+        rng = np.random.default_rng(seed)
+        ts = masked_sinkhorn_system(spec, k, rng, n_perms)
+        cmap = rng.integers(0, k, size=k).tolist()
+        pi, mats = as_lists(ts)
+        b2 = ball(spec, 2)
+        domains = [ball_domain(spec, n) for n in range(3)]
+        domains += [ball_domain(spec, 1, s) for s in spec.generators()]
+        domains.append([b2[i % len(b2)] for i in picks])  # left-connected or not
+        # spheres and balls without e are not their own hulls
+        domains += [[x for x in b2 if len(x) == n] for n in (1, 2)]
+        domains += [b2[1:], ball(spec, 3)[1:]]
+        base = MarkovSource(ts)
+        for src, coarsen_map in ((coarsen(ts, cmap), cmap), (base, None)):
+            for dom in domains:
+                if 2 ** 14 < base._support_count(Domain.of(dom, spec)) <= SPARSE_LIMIT:
+                    continue  # a large table; refusals are still compared
+                try:
+                    marg = src.ball_marginal(dom)
+                except CapabilityError as refusal:
+                    if src is base and Domain.of(dom, spec).keep is None:
+                        continue  # the closed form builds no table
+                    with pytest.raises(CapabilityError) as info:
+                        src.domain_entropy(dom)
+                    assert (str(info.value), info.value.needed, info.value.limit) == (
+                        str(refusal), refusal.needed, refusal.limit)
+                    continue
+                h = src.domain_entropy(dom)
+                assert abs(h - marg.entropy()) <= 1e-12
+                if k ** len(tree_hull(dom)) <= 2 ** 14:
+                    exact = oracle_entropy(oracle_marginal(
+                        pi, mats, [x.letters for x in dom], coarsen_map=coarsen_map))
+                    assert abs(h - exact) <= 1e-12
+
+    @pytest.mark.parametrize("src,dom", [
+        # 4^17 hidden patterns on B(e,2)
+        (coarsen(product_system(flip_system(2, 0.3), flip_system(2, 0.1)), [0, 1, 1, 0]),
+         ball_domain(G2, 2)),
+        # full support on B(e,3), whose hull B(e,3) without e is not
+        (MarkovSource(flip_system(2, 0.3)), ball(G2, 3)[1:]),
+    ], ids=["coarsened_ball", "markov_non_hull"])
+    def test_refusals_match_the_marginal(self, src, dom):
+        refusals = []
+        for compute in (src.ball_marginal, src.domain_entropy):
+            with pytest.raises(CapabilityError) as info:
+                compute(dom)
+            refusals.append((str(info.value), info.value.needed, info.value.limit))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][1] > SPARSE_LIMIT == refusals[0][2]
+
+    @pytest.mark.parametrize("pi,row", [
+        ([0.6, 0.6], [0.5, 0.5]), ([math.nan, 0.5], [0.5, 0.5]),
+        ([math.inf, 0.5], [0.5, 0.5]), ([0.5, 0.5], [1.5, -0.5]),
+    ], ids=["unnormalized", "nan", "inf", "negative"])
+    def test_invalid_systems_fail_alike(self, pi, row):
+        spec = GroupSpec(1, "semigroup")
+        m = np.array([row, [0.0, 1.0]])  # few hidden patterns: no support refusal
+        ts = TransitionSystem(spec, (0, 1), np.array(pi), {1: m})
+        dom = ball(spec, 22)[1:]  # 23 hull vertices: no grid; not its own hull: no closed form
+        for src in (MarkovSource(ts), coarsen(ts, [0, 1])):
+            errors = []
+            for compute in (src.ball_marginal, src.domain_entropy):
+                with pytest.raises(ValueError) as info:
+                    compute(dom)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+
+    def test_class_counts(self):
+        # the root, a class per leading letter and height, and the leaves
+        for spec, n, classes, pairs in [(G2, 5, 18, [19, 19]), (GroupSpec(3), 3, 14, [15] * 3),
+                                        (GroupSpec(2, "semigroup"), 5, 6, [7, 7])]:
+            dom = ball_domain(spec, n)
+            shared, root = dom.subtree_classes()
+            assert (len(shared), root) == (classes, classes - 1)
+            assert [len(ball_domain(spec, n, s).subtree_classes()[0])
+                    for s in spec.positive_generators()] == pairs
+            coded, root = dom.subtree_classes(coded=True)
+            assert (len(coded), root) == (dom.hull_size, dom.hull_size - 1)
+            assert dom.subtree_classes() is dom.subtree_classes()  # cached
+
+    def test_shared_classes_have_one_shape(self):
+        # each class's vertices: same domain flag, children and letters
+        dom = Domain.of([x for x in ball(G2, 3) if len(x) != 1], G2)
+        classes, root = dom.subtree_classes()
+        kept = set(dom.kept())
+        cls = {}
+        for v in range(dom.hull_size - 1, -1, -1):
+            kids = tuple((cls[c], int(dom.letter[c])) for c in range(dom.hull_size - 1, 0, -1)
+                         if dom.parent[c] == v)
+            cls[v] = classes.index((True if v in kept else None, kids))
+        assert cls[0] == root and set(cls.values()) == set(range(len(classes)))
 
 
 class TestSamplerOracle:
