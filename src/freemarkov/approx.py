@@ -88,7 +88,8 @@ def _superstate_statistics(src: MeasureSource, m: int):
     for s in gens:
         mu = src.ball_marginal(ball_domain(src.spec, m, s))
         pos = {w: a for a, w in enumerate(mu.domain)}
-        za = superstates(mu.sub_codes(range(len(dom))))  # the ball comes first
+        lead = mu.codes // mu.n_states ** (len(mu.domain) - len(dom))  # the ball comes first
+        za = superstates(lead.astype(codes.dtype))
         zb = superstates(mu.sub_codes([pos[w * Word((s,))] for w in dom]))
         j = np.zeros((n_super, n_super))
         np.add.at(j, (za, zb), mu.masses)

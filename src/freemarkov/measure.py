@@ -18,11 +18,12 @@ hull vertex at a time; every other table is one leaves-to-root sum-product
 over the hull's subtree classes (``Domain.subtree_classes``), with a
 coarsening as a 0/1 emission at domain vertices, and refuses when the hull
 holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
-over the same classes.  A marginal needs codes, so there every vertex is
-its own class; an entropy shares one table and one message per class and
-letter across isomorphic subtrees, and takes -sum p log p of the uncoded
-root masses once they pass the checks a marginal's masses pass
-(``_check_masses``).  Per domain a Markov source takes the grid when it
+over the same classes.  Isomorphic subtrees share one table and one
+message per class and letter.  A marginal's tables carry class-local
+codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
+at their shortlex positions (``Domain.preorder``); an entropy forms no
+codes and takes -sum p log p of the root masses once they pass the checks
+a marginal's masses pass (``_check_masses``).  Per domain a Markov source takes the grid when it
 fits, else the closed form H(pi) + sum_s c_s e_s when the domain is its own
 hull (c_s counts the induced tree edges labelled s, e_s is the conditional
 entropy of one s-step), else the sum-product; a coarsened source always
@@ -34,10 +35,11 @@ so coefficients that cancel do so exactly; ``_plogp`` is the one
 ``entropy`` share.  Samples are
 drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
 count)`` fills a vertex-major table, each vertex's column from its
-parent's, with one uniform per sample compared against all K cumulative
+parent's, with one uniform per sample compared against the cumulative
 sums of the parent state's row and the count clamped to K-1, and returns
 its transposed (count, |ball|) view; it refuses a table past
-``SAMPLE_LIMIT`` cells.
+``SAMPLE_LIMIT`` cells.  An empirical marginal encodes that table's
+vertex columns in place.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hul
 SAMPLE_LIMIT = 2 ** 25      # most cells (samples times ball vertices) of a sample table
 
 _NORM_TOL = 1e-9
+_PLACE_FIRST = 2 ** 14     # root rows times digits past which its pieces are placed first
 
 
 def _plogp(values: np.ndarray) -> float:
@@ -80,26 +83,30 @@ def _check_masses(masses: np.ndarray) -> float:
     return low
 
 
-def _positions(domain: tuple[Word, ...], words: Iterable[Word]) -> list[int]:
-    """Ascending positions of ``words`` in the shortlex-sorted ``domain``,
-    which are then also the shortlex order of ``words``."""
-    pos = {w: a for a, w in enumerate(domain)}
-    out = sorted({pos.get(w, -1) for w in words})
-    if not out:
-        raise ValueError("domain must be nonempty")
-    if out[0] < 0:
-        raise ValueError("subdomain is not contained in the domain")
-    return out
-
-
 def _encode(digits: Iterable, k: int, n: int) -> np.ndarray:
-    """Codes sum_a x_a K^(n-1-a) of the digit columns x_0 .. x_{n-1}: int64
-    while K^n < 2^63, else exact Python ints in an object array."""
+    """Codes sum_a x_a K^(n-1-a) of the digit columns x_0 .. x_{n-1}, formed
+    in place: int64 while K^n < 2^63, else exact ints in an object array."""
     dtype = np.int64 if k ** n < 2 ** 63 else object
-    codes = 0
-    for column in digits:
-        codes = codes * k + np.asarray(column).astype(dtype)
+    columns = iter(digits)
+    codes = np.array(next(columns), dtype=dtype)
+    for column in columns:
+        codes *= k
+        codes += np.asarray(column).astype(dtype, copy=False)  # object digits of int64 codes
     return codes
+
+
+def _place(table: tuple, k: int, weights: np.ndarray) -> tuple:
+    """A sum-product table with codes sum_a x_a weights[a] of the base-k
+    digits x_0, x_1, .. of its codes, in the dtype of the weights, and width
+    0, so that joins add them; a block of rows at a time."""
+    rows, codes, width = table
+    lead = k ** np.arange(width - 1, -1, -1, dtype=codes.dtype)[:, None]
+    placed, step = [], 2 ** 16 // width + 1
+    for i in range(0, len(codes) or 1, step):
+        x = codes[i:i + step] // lead  # row a: the leading a + 1 digits
+        x[1:] -= k * x[:-1]  # row a: digit a
+        placed.append(weights @ x.astype(weights.dtype))
+    return rows, np.concatenate(placed), 0
 
 
 @dataclass(frozen=True)
@@ -127,11 +134,6 @@ class Pattern:
             pattern.__dict__.update(domain=domain, values=values)
             out.append(pattern)
         return out
-
-    def restrict(self, subdomain: Iterable[Word]) -> "Pattern":
-        keep = _positions(self.domain, subdomain)
-        return Pattern(tuple(self.domain[a] for a in keep),
-                       tuple(self.values[a] for a in keep))
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{w}:{v}" for w, v in zip(self.domain, self.values)) + "}"
@@ -191,8 +193,8 @@ class BallMarginal:
         return dict(zip(self.patterns(), self.masses.tolist()))
 
     def _digits(self, positions: Iterable[int]) -> list[np.ndarray]:
-        k, n = self.n_states, len(self.domain)
-        return [(self.codes // k ** (n - 1 - a)) % k for a in positions]
+        k, n = self.n_states, len(self.domain)  # a division by k is faster than a remainder
+        return [(q := self.codes // k ** (n - 1 - a)) - q // k * k for a in positions]
 
     def sub_codes(self, positions: Sequence[int]) -> np.ndarray:
         """Codes of the patterns read at ``positions``, in that order."""
@@ -205,7 +207,11 @@ class BallMarginal:
         return float(-(self.masses * np.log(self.masses)).sum())
 
     def marginalize(self, subdomain: Iterable[Word]) -> "BallMarginal":
-        keep = _positions(self.domain, subdomain)
+        pos = {w: a for a, w in enumerate(self.domain)}
+        keep = sorted({pos.get(w, -1) for w in subdomain})  # ascending, so in shortlex order
+        if not keep or keep[0] < 0:
+            raise ValueError("subdomain is not contained in the domain" if keep
+                             else "domain must be nonempty")
         codes, inverse = np.unique(self.sub_codes(keep), return_inverse=True)
         return BallMarginal([self.domain[a] for a in keep], self.states, codes,
                             np.bincount(inverse, weights=self.masses))
@@ -300,25 +306,28 @@ def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
         needed=needed, limit=SPARSE_LIMIT)
 
 
-def _join(a: tuple, b: tuple, hull_size: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _join(a: tuple, b: tuple, kp: int, hull_size: int) -> tuple:
     """Every pair of rows of two sum-product tables, zero rows dropped.
 
-    The rows cover disjoint vertex sets, so a pair's code is the sum; tables
-    without codes (None) give none.  When there are more than
-    ``SPARSE_LIMIT`` pairs they are formed for a block of ``a`` at a time,
-    no block past that many, and the result is refused when its rows exceed
-    the limit.
+    A table is (rows, codes, width): a row per observed pattern on
+    ``width`` domain vertices, with its code in base ``kp`` (None in a
+    table without codes).  A pair's code is code_a * kp**width_b + code_b,
+    int64 while kp**width < 2^63, else exact ints.  Past ``SPARSE_LIMIT``
+    pairs they are formed for a block of ``a`` at a time, no block past
+    that many, and the result is refused when its rows exceed the limit.
     """
-    (ta, ca), (tb, cb) = a, b
+    (ta, ca, wa), (tb, cb, wb) = a, b
+    if ca is not None and kp ** (wa + wb) >= 2 ** 63:
+        ca, cb = ca.astype(object, copy=False), cb.astype(object, copy=False)
 
     def pairs(block: slice) -> tuple[np.ndarray, np.ndarray | None]:
         table = (ta[block, None, :] * tb[None, :, :]).reshape(-1, ta.shape[1])
         rows = table.any(axis=1)
-        codes = None if ca is None else (ca[block, None] + cb[None, :]).ravel()[rows]
+        codes = None if ca is None else ((ca[block] * kp ** wb)[:, None] + cb).ravel()[rows]
         return table[rows], codes
 
     if len(ta) * len(tb) <= SPARSE_LIMIT:
-        return pairs(slice(None))
+        return (*pairs(slice(None)), wa + wb)
     step, blocks, total = max(1, SPARSE_LIMIT // len(tb)), [], 0
     for i in range(0, len(ta), step):
         blocks.append(pairs(slice(i, i + step)))
@@ -326,7 +335,7 @@ def _join(a: tuple, b: tuple, hull_size: int) -> tuple[np.ndarray, np.ndarray | 
         if total > SPARSE_LIMIT:
             raise _support_refusal(total, hull_size)
     tables, codes = zip(*blocks)
-    return np.concatenate(tables), None if ca is None else np.concatenate(codes)
+    return np.concatenate(tables), None if ca is None else np.concatenate(codes), wa + wb
 
 
 class MarkovSource(MeasureSource):
@@ -375,7 +384,7 @@ class MarkovSource(MeasureSource):
         m_root(i).  It costs O(classes K^2) after the class pass.
         """
         cols = self._positive_columns
-        classes, root = dom.subtree_classes()
+        classes, root = dom.subtree_classes
         counts: list[list[int]] = []
         for _, children in classes:
             m = [1] * len(self.states)
@@ -392,16 +401,18 @@ class MarkovSource(MeasureSource):
 
         One pass over the hull's subtree classes, children first.  The
         table of a class has a row per observed pattern on the domain
-        vertices below it, with its partial code, and a column per hidden
-        state there: the pattern's probability given that state.  Domain
-        vertices join the 0/1 emission table; other vertices add no digit
-        and so are summed out.  A class sends one message per letter it
-        hangs by, shared by every parent that has it as a child.  With
-        ``coded`` every vertex is its own class and the codes come back
-        ascending; without, the classes are shared, no code is formed, and
-        the codes are None and the masses unordered.  Refuses past
-        ``SPARSE_LIMIT`` hidden patterns on the hull, counted first, or
-        rows in a table.
+        vertices below it, with its class-local code, and a column per
+        hidden state there: the pattern's probability given that state.
+        Domain vertices join the 0/1 emission table, as the leading digit;
+        other vertices add no digit and so are summed out.  A class sends
+        one message per letter it hangs by, shared by every parent that has
+        it as a child.  The root's digits, in the order of
+        ``dom.preorder``, are put at their shortlex positions: in the
+        pieces it joins when their rows bound it past ``_PLACE_FIRST``
+        cells, else in its own table.  The codes come back ascending.
+        Without ``coded`` no code is formed, and the codes are None and the
+        masses unordered.  Refuses past ``SPARSE_LIMIT`` hidden patterns on
+        the hull, counted first, or rows in a table.
         """
         k, h, n = len(self.states), dom.hull_size, len(dom)
         if k ** h > SPARSE_LIMIT:
@@ -409,30 +420,42 @@ class MarkovSource(MeasureSource):
             if needed > SPARSE_LIMIT:
                 raise _support_refusal(needed, h)
         kp = max(emit) + 1
-        symbols = _encode([range(kp)], kp, n)
-        emission = np.eye(kp)[list(emit)].T  # emission[y, x] = [emit[x] == y]
-        classes, _ = dom.subtree_classes(coded)
+        # emission[y, x] = [emit[x] == y], with code y on one vertex
+        emitted = (np.eye(kp)[list(emit)].T, np.arange(kp) if coded else None, 1)
+        classes, root = dom.subtree_classes
         uses = Counter(child for _, children in classes for child in children)
         sends: dict[int, list[int]] = {}
         for c, a in uses:
             sends.setdefault(c, []).append(a)
+        weights = None  # at the root, the weight of each digit's shortlex position
+        if coded and dom.preorder is not None:
+            dtype = np.int64 if kp ** n < 2 ** 63 else object
+            weights = kp ** (n - 1 - dom.preorder).astype(dtype)
         messages: dict[tuple[int, int], tuple] = {}
         for c, (own, children) in enumerate(classes):
-            table = None
+            pieces = [emitted] if own else []
             for child in children:
                 uses[child] -= 1  # a message is dropped after its last use
-                message = messages[child] if uses[child] else messages.pop(child)
-                table = message if table is None else _join(table, message, h)
-            if own is not None:
-                emitted = (emission, symbols * kp ** (n - 1 - own) if coded else None)
-                table = emitted if table is None else _join(emitted, table, h)
+                pieces.append(messages[child] if uses[child] else messages.pop(child))
+            if c == root and weights is not None and math.prod(
+                    len(t[0]) for t in pieces) * n > _PLACE_FIRST:  # a bound on the root rows
+                ends = np.cumsum([t[2] for t in pieces]).tolist()
+                pieces, weights = [_place(t, kp, weights[e - t[2]:e])
+                                   for t, e in zip(pieces, ends)], None
+            table = None
+            for piece in pieces[1 if own else 0:]:
+                table = piece if table is None else _join(table, piece, kp, h)
+            if own:
+                table = pieces[0] if table is None else _join(pieces[0], table, kp, h)
             for a in sends.get(c, ()):
-                messages[c, a] = (table[0] @ self._mats[a].T, table[1])
-        masses = table[0] @ self.ts.pi  # the root's class is the last
+                messages[c, a] = (table[0] @ self._mats[a].T, *table[1:])
+        if weights is not None:
+            table = _place(table, kp, weights)
+        masses, codes = table[0] @ self.ts.pi, table[1]  # the root's class is the last
         if not coded:
             return None, masses
-        order = np.argsort(table[1], kind="stable")
-        return table[1][order], masses[order]
+        order = np.argsort(codes, kind="stable")
+        return codes[order], masses[order]
 
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom, k = Domain.of(domain, self.spec), len(self.states)
@@ -546,9 +569,8 @@ class EmpiricalSource(MeasureSource):
             raise CapabilityError(
                 f"empirical source sampled on radius-{len(self.domain.words[-1])} "
                 f"ball cannot see {missing[0]}")
-        cols = [self.column[w] for w in words]
-        codes, counts = np.unique(_encode(self.rows[:, cols].T, len(self.states), len(cols)),
-                                  return_counts=True)
+        codes, counts = np.unique(_encode((self.rows[:, self.column[w]] for w in words),
+                                          len(self.states), len(words)), return_counts=True)
         return BallMarginal(words, self.states, codes, counts / self.rows.shape[0])
 
 
@@ -625,11 +647,13 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     vertex: the state at w is min(#{j : u > cum[x(parent(w)), j]}, K-1),
     where cum holds the row cumulative sums of the matrix of w's leading
     letter, taken once per generator.  The table is vertex-major: each
-    vertex's column is filled from its parent's column by K contiguous
+    vertex's column is filled from its parent's column by contiguous
     compare-and-add passes, one per column of cum, and the (count, |ball|)
-    rows are returned as its transposed view.  All K compares and the clamp
-    stay, so the draws are those of the row-wise comparison even where a
-    cumulative sum is not monotone.  Deterministic for a fixed seed.
+    rows are returned as its transposed view.  A generator whose last
+    column of cum is at least 1 everywhere drops that column and the clamp,
+    which u < 1 never passes; every other compare stays, so the draws are
+    those of the row-wise comparison even where a cumulative sum is not
+    monotone.  Deterministic for a fixed seed.
     Refuses systems that fail validation, so pi and the rows sum to 1 up to
     rounding, which is all the normalization of pi and the clamp absorb.
     Refuses a table of more than ``SAMPLE_LIMIT`` cells before allocating it.
@@ -647,6 +671,7 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     k = ts.n_states
     cols = np.empty((len(dom), count), dtype=np.int64)
     cums = [np.cumsum(ts.matrices[s], axis=1).T.copy() for s in ts.spec.generators()]
+    cums = [cum[:-1] if (cum[-1] >= 1.0).all() else cum for cum in cums]  # u < 1 passes none
     cols[0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
     for v, (p, a) in enumerate(dom.tree_edges(), start=1):
         u = rng.random(count)
@@ -654,7 +679,8 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
         x.fill(0)
         for cum_j in cums[a]:
             x += u > cum_j.take(parent)
-        np.minimum(x, k - 1, out=x)
+        if len(cums[a]) == k:
+            np.minimum(x, k - 1, out=x)
     return dom.words, cols.T
 
 

@@ -85,8 +85,11 @@ def validate(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> list[Violation]:
 
     Non-finite entries are reported as ``non_finite`` at ``(i,)`` in pi or
     ``(s, i, j)`` in a matrix: NaN fails every comparison with tol, so the
-    other conditions cannot see it.
+    other conditions cannot see it.  A tolerance that is not finite and
+    nonnegative is refused: NaN would pass every residual.
     """
+    if not np.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     out: list[Violation] = []
     pi, k = ts.pi, ts.n_states
 
@@ -207,10 +210,13 @@ def flip_system(r: int, eps: float) -> TransitionSystem:
 
 
 def bernoulli_system(spec: GroupSpec, p: Sequence[float]) -> TransitionSystem:
-    """Site-independent system: every row of every matrix equals p."""
+    """Site-independent system: every row of every matrix equals p, which
+    must be finite, nonnegative and sum to 1 within ``DEFAULT_TOL``."""
     p = np.array(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise StructuralError("p must be a nonempty probability vector")
+    if not np.isfinite(p).all() or p.min() < 0 or abs(p.sum() - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"p must be a probability vector, got {p.tolist()}")
     m = np.tile(p, (p.size, 1))
     mats = {s: m.copy() for s in spec.generators()}
     return TransitionSystem(spec, tuple(range(p.size)), p.copy(), mats)

@@ -19,8 +19,10 @@ counts.  ``ball_domain`` caches the ball B(e,n) and each pair domain
 B(e,n) ∪ B(e,n)·s, whose size and label counts are read without building
 any word, once ``check_radius`` has refused, from the closed-form
 ``ball_size``, any ball past ``BALL_LIMIT`` vertices; ``Domain.of`` takes
-any other word set; ``ball`` builds fresh words from the ball's arrays.
+any other word set, and returns the cached ball for the words of a whole
+ball; ``ball`` lists the ball's words, built once from its arrays.
 ``Domain.subtree_classes`` groups hull vertices whose subtrees are alike,
+and ``Domain.preorder`` gives the digit order of their class-local codes,
 once per domain, for the measure layer's table passes.  ``tree_hull``,
 ``induced_left_edges`` and ``is_left_connected`` read the domain of their
 word set.  ``Word`` products and ``reduce_word`` share one free reduction.
@@ -236,32 +238,37 @@ class Domain:
 
     ``tree`` returns (parent, letter) and is called on first use, which
     lets ``ball_domain`` build a pair domain's tree only when one is read.
-    Balls and pair domains come from there, cached, so that their subtree
-    classes (``subtree_classes``: hull vertices grouped by the shape,
-    letters and domain vertices of the subtree below them) are found once;
-    any other word set comes from ``of``.
+    Balls and pair domains come from there, cached, so that their words,
+    subtree classes (``subtree_classes``: hull vertices grouped by the
+    shape, letters and domain vertices of the subtree below them) and
+    ``preorder`` are found once; any other word set comes from ``of``.
     """
 
     def __init__(self, spec: GroupSpec, label_counts: np.ndarray, tree,
                  keep: np.ndarray | None = None, words: tuple[Word, ...] | None = None):
         self.spec, self.label_counts, self.keep = spec, label_counts, keep
         self.hull_size = int(label_counts.sum()) + 1
-        self._build, self._words = tree, words
-        self._classes: dict[bool, tuple[list[tuple], int]] = {}
+        self._build = tree
+        if words is not None:
+            self.words = words
 
     @classmethod
     def of(cls, words: Iterable[Word], spec: GroupSpec) -> "Domain":
-        """The domain of any word iterable; its hull is found on letter tuples."""
+        """The domain of any word iterable: the cached ``ball_domain`` when
+        the words are a whole ball, else a hull found on letter tuples."""
         if isinstance(words, Domain):
             return words
         given = {w.letters: w for w in words}
         if not given:
             raise ValueError("domain must be nonempty")
+        for s in {s for x in given for s in x}:
+            spec.check_letter(s)
+        n = max(map(len, given))
+        if len(given) == ball_size(spec, n) <= BALL_LIMIT:  # every word of length <= n
+            return ball_domain(spec, n)
         hull = {()}
         for x in given:
             hull.update(x[i:] for i in range(len(x)))
-        for s in {x[0] for x in hull if x}:
-            spec.check_letter(s)
         index = {s: a for a, s in enumerate(spec.generators())}  # in shortlex order
         hull = sorted(hull, key=lambda x: (len(x), tuple(map(index.__getitem__, x))))
         pos = {x: v for v, x in enumerate(hull)}
@@ -297,40 +304,48 @@ class Domain:
             out.append(Word((gens[a],) + out[p].letters))
         return tuple(out)
 
-    @property
+    @functools.cached_property
     def words(self) -> tuple[Word, ...]:
-        """The words in shortlex order; built afresh for a ball or pair domain,
-        which is its own hull."""
-        return self.hull_words() if self._words is None else self._words
+        """The words in shortlex order; for a ball or pair domain, which is
+        its own hull, built on first use."""
+        return self.hull_words()
 
     def kept(self) -> list[int]:
         """The domain's hull positions, ascending."""
         return list(range(self.hull_size)) if self.keep is None else self.keep.tolist()
 
-    def subtree_classes(self, coded: bool = False) -> tuple[list[tuple], int]:
+    @functools.cached_property
+    def subtree_classes(self) -> tuple[list[tuple], int]:
         """The hull's subtree classes, children first, and the root's class.
 
         Class c is ``classes[c] = (own, ((child class, child letter), ...))``,
-        the children in descending vertex order; ``own`` is None for a hull
-        vertex outside the domain and True for a domain vertex, or with
-        ``coded`` its position in the domain, so that then every vertex is a
-        class of its own.  Vertices share a class exactly when their
-        subtrees have the same shape, letters and domain vertices (Aho,
-        Hopcroft and Ullman's bottom-up labelling).  The root's class is the
-        last.  One pass over the hull; cached per ``coded``.
+        the children in descending vertex order; ``own`` is True for a
+        domain vertex and None for a hull vertex outside the domain.
+        Vertices share a class exactly when their subtrees have the same
+        shape, letters and domain vertices (Aho, Hopcroft and Ullman's
+        bottom-up labelling).  The root's class is the last.  One pass over
+        the hull, on first use.
         """
-        if coded not in self._classes:
-            parent, letter = self.parent.tolist(), self.letter.tolist()
-            slot = dict(zip(self.kept(), range(len(self))))
-            kids: list[list] = [[] for _ in parent]
-            ids: dict[tuple, int] = {}
-            for v in range(len(parent) - 1, -1, -1):
-                own = slot.get(v) if coded else (True if v in slot else None)
-                c = ids.setdefault((own, tuple(kids[v])), len(ids))
-                if v:
-                    kids[parent[v]].append((c, letter[v]))
-            self._classes[coded] = (list(ids), c)
-        return self._classes[coded]
+        parent, letter = self.parent.tolist(), self.letter.tolist()
+        members = set(self.kept())
+        kids: list[list] = [[] for _ in parent]
+        ids: dict[tuple, int] = {}
+        for v in range(len(parent) - 1, -1, -1):
+            c = ids.setdefault((True if v in members else None, tuple(kids[v])), len(ids))
+            if v:
+                kids[parent[v]].append((c, letter[v]))
+        return list(ids), c
+
+    @functools.cached_property
+    def preorder(self) -> np.ndarray | None:
+        """The domain positions in the digit order of the sum-product's
+        class-local codes: depth first from the identity, each vertex
+        before its children, those in descending vertex order, that is by
+        descending letter.  None when that is the shortlex order."""
+        rank = {s: -a for a, s in enumerate(self.spec.generators())}
+        words = self.words
+        order = sorted(range(len(words)), key=lambda a: [rank[s] for s in words[a].letters[::-1]])
+        return None if order == sorted(order) else _frozen_ints(order)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)

@@ -60,6 +60,13 @@ class TestExampleAndValidate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("OK")
 
+    @pytest.mark.parametrize("p", ["nan,0.5", "0.7,0.7", "1.2,-0.2"])
+    def test_bernoulli_p_refused_exit_2(self, tmp_path, capsys, p):
+        out = tmp_path / "b.json"
+        assert main(["example", "bernoulli", f"--p={p}", "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: p must be a probability vector")
+
     def test_example_writes_loadable_json(self, wsf_file):
         with open(wsf_file) as fh:
             ts = from_json_dict(json.load(fh))
@@ -113,6 +120,19 @@ class TestFinv:
         assert proc.returncode == 0, proc.stderr
         proc = shell(f"{run} finv {off_flip_file}")
         assert proc.returncode == 1 and proc.stdout.startswith("INVALID")
+
+
+    @pytest.mark.parametrize("cmd", ["validate", "finv"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_not_finite_and_nonnegative_exit_2(self, tmp_path, cmd, tol):
+        # a Bernoulli system whose pi sums to 1.4
+        doc = to_json_dict(flip_system(2, 0.5))
+        doc["pi"] = [0.7, 0.7]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = shell(f"{' '.join(RUN)} {cmd} {bad} --tol={tol}")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: tolerance must be finite and nonnegative")
 
 
 class TestFseq:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMar
                                 pair_stats, sample, sample_indices, tree_entropy)
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
-                                   permutation_system, product_system, wsf_system)
-from freemarkov.verify import cycle_system, perturbed_flip, semigroup_example
+                                   permutation_system, product_system, validate,
+                                   wsf_system)
+from freemarkov.verify import (cycle_coarsening, cycle_system, perturbed_flip,
+                              semigroup_example)
 from freemarkov.words import (Domain, GroupSpec, IDENTITY, Word, ball, ball_domain,
                               parse_word, tree_hull)
 
@@ -743,18 +747,19 @@ class TestDomainEntropy:
         for spec, n, classes, pairs in [(G2, 5, 18, [19, 19]), (GroupSpec(3), 3, 14, [15] * 3),
                                         (GroupSpec(2, "semigroup"), 5, 6, [7, 7])]:
             dom = ball_domain(spec, n)
-            shared, root = dom.subtree_classes()
+            shared, root = dom.subtree_classes
             assert (len(shared), root) == (classes, classes - 1)
-            assert [len(ball_domain(spec, n, s).subtree_classes()[0])
+            assert [len(ball_domain(spec, n, s).subtree_classes[0])
                     for s in spec.positive_generators()] == pairs
-            coded, root = dom.subtree_classes(coded=True)
-            assert (len(coded), root) == (dom.hull_size, dom.hull_size - 1)
-            assert dom.subtree_classes() is dom.subtree_classes()  # cached
+            # the class-local codes' digit order: e's digit first, every position once
+            order = dom.preorder.tolist()
+            assert order[0] == 0 and sorted(order) == list(range(len(dom)))
+            assert dom.subtree_classes is dom.subtree_classes  # cached
 
     def test_shared_classes_have_one_shape(self):
         # each class's vertices: same domain flag, children and letters
         dom = Domain.of([x for x in ball(G2, 3) if len(x) != 1], G2)
-        classes, root = dom.subtree_classes()
+        classes, root = dom.subtree_classes
         kept = set(dom.kept())
         cls = {}
         for v in range(dom.hull_size - 1, -1, -1):
@@ -762,6 +767,106 @@ class TestDomainEntropy:
                          if dom.parent[c] == v)
             cls[v] = classes.index((True if v in kept else None, kids))
         assert cls[0] == root and set(cls.values()) == set(range(len(classes)))
+
+
+def _oracle_codes(dist, states, k, n):
+    """Ascending codes, with the dtype of the K^n rule, and masses of an
+    oracle distribution whose keys are state labels."""
+    dtype = np.int64 if k ** n < 2 ** 63 else object
+    rows = sorted((sum(states.index(v) * k ** (n - 1 - a) for a, v in enumerate(key)), p)
+                  for key, p in dist.items() if p > 0)
+    return np.array([c for c, _ in rows], dtype=dtype), np.array([p for _, p in rows])
+
+
+class TestClassCodes:
+    """Class-local codes, placed at the root in shortlex order."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3),
+           picks=st.sets(st.integers(min_value=0, max_value=16), min_size=1,
+                         max_size=4))
+    def test_coarsened_codes_match_oracle(self, kind, k, seed, n_perms, picks):
+        spec = GroupSpec(2, kind)
+        rng = np.random.default_rng(seed)
+        ts = masked_sinkhorn_system(spec, k, rng, n_perms)
+        cmap = rng.integers(0, k, size=k).tolist()
+        src = coarsen(ts, cmap)
+        pi, mats = as_lists(ts)
+        b2 = ball(spec, 2)
+        domains = [ball_domain(spec, n) for n in range(3)]
+        domains += [ball_domain(spec, 1, s) for s in spec.generators()]
+        domains += [[b2[i % len(b2)] for i in picks], b2[1:], [x for x in b2 if len(x) == 2]]
+        for dom in domains:
+            if k ** len(tree_hull(dom)) > 2 ** 14:
+                continue
+            marg = src.ball_marginal(dom)
+            codes, masses = _oracle_codes(oracle_marginal(
+                pi, mats, [x.letters for x in dom], coarsen_map=cmap),
+                src.states, len(src.states), len(marg.domain))
+            assert marg.codes.dtype == codes.dtype
+            np.testing.assert_array_equal(marg.codes, codes)
+            assert np.abs(marg.masses - masses).max() <= 1e-14
+
+    @pytest.mark.parametrize("src,domains", [
+        (cycle_coarsening(), [ball_domain(G2, n) for n in (2, 3, 4)] + [ball_domain(G2, 3, -1)]),
+        (coarsen(flip_system(3, 0.3), [0, 1]),
+         [ball_domain(GroupSpec(3), 1), ball_domain(GroupSpec(3), 1, 2)]),
+        (coarsen(product_system(flip_system(2, 0.3), flip_system(2, 0.1)), [0, 1, 1, 0]),
+         [ball_domain(G2, 1, 1), ball(G2, 2)[1:9]]),
+        (MarkovSource(semigroup_example()), [ball_domain(GroupSpec(2, "semigroup"), 3)]),
+        (MarkovSource(cycle_system(2)), [ball_domain(G2, 3), ball(G2, 3)[1:]]),
+    ], ids=["cycle", "rank3", "flipflip", "semigroup", "markov_cycle"])
+    def test_pieces_placed_first_or_root_after(self, src, domains, monkeypatch):
+        from freemarkov import measure
+        for dom in domains:
+            dom = Domain.of(dom, src.spec)
+            base = getattr(src, "base", src)
+            emit = getattr(src, "index_map", range(len(src.states)))
+            out = []
+            for first in (0, 10 ** 30):  # every root placed first, none
+                monkeypatch.setattr(measure, "_PLACE_FIRST", first)
+                out.append(base._sum_product(dom, emit))
+            assert out[0][0].dtype == out[1][0].dtype
+            np.testing.assert_array_equal(out[0][0], out[1][0])
+            np.testing.assert_array_equal(out[0][1], out[1][1])
+
+    def test_coarsened_cycle_exact_ints(self, coarsened_cycle):
+        # x(w) = x(e) + (signed letter count of w) mod 3, observed as [0, 1, 1]
+        words = ball(G2, 5)
+        marg = coarsened_cycle.ball_marginal(ball_domain(G2, 5))
+        expected = sorted(sum(int((x + sum(1 if l > 0 else -1 for l in v.letters)) % 3 != 0)
+                              << (len(words) - 1 - a) for a, v in enumerate(words))
+                          for x in range(3))
+        assert marg.codes.dtype == object and marg.codes.tolist() == expected
+        assert all(type(c) is int for c in marg.codes)
+        # the values of the per-vertex walk this replaced
+        assert hashlib.sha256(str(marg.codes.tolist()).encode()).hexdigest() == (
+            "e310fef12ae116404565425d0487cfee07c4987b3c1f4046be32e976ac1f1eab")
+        assert [m.hex() for m in marg.masses.tolist()] == ["0x1.5555555555555p-2"] * 3
+        # exact-int digits read into int64 codes
+        positions = list(range(0, 485, 13))
+        sub = marg.sub_codes(positions)
+        assert sub.dtype == np.int64
+        assert sub.tolist() == [sum(((c >> (484 - a)) & 1) << (len(positions) - 1 - b)
+                                    for b, a in enumerate(positions)) for c in expected]
+
+    def test_empirical_codes_from_sample_columns(self, wsf2):
+        dom, rows = sample_indices(wsf2, 3, seed=6, count=300)
+        before = rows.copy()
+        src = EmpiricalSource(dom, wsf2.states, rows, G2)
+        for sub in (ball(G2, 3), ball_domain(G2, 1), ball(G2, 3)[5::4]):
+            marg = src.ball_marginal(sub)
+            col = [dom.index(x) for x in marg.domain]
+            n = len(col)
+            counts = Counter(sum(int(r[c]) * 4 ** (n - 1 - a) for a, c in enumerate(col))
+                             for r in rows.tolist())
+            assert marg.codes.dtype == (np.int64 if 4 ** n < 2 ** 63 else object)
+            assert marg.codes.tolist() == sorted(counts)
+            assert marg.masses.tolist() == [counts[c] / 300 for c in sorted(counts)]
+        np.testing.assert_array_equal(rows, before)  # the sample table is left as drawn
 
 
 class TestSamplerOracle:
@@ -789,6 +894,38 @@ class TestSamplerOracle:
     def test_builtin_systems(self, ts, radius):
         for count in (0, 1, 7, 300):
             self._check(ts, radius, 20260810 + count, count)
+
+    @pytest.mark.parametrize("ts,digest", [
+        (flip_system(2, 0.3), "75b6c9bb1ffe3e5f67305e289af56204d1d3d9b9134d86d5489eb4e12cd82fa7"),
+        (wsf_system(2), "8078d4015fb8d2870710fbf1505b4dc6fbde70c4ac81464edc843e5ff8dbcb61"),
+        (matching_system(2), "b63df0c13802ba534c1aa1830b2125032718dc3f1ddab63f4b2aa730dc346e66"),
+        (semigroup_example(), "dbfb4b9bf17f0c68dd92c15c840f0b3872ff3d39e8283cc00b3f08c6074c00b1"),
+    ], ids=["flip03", "wsf2", "matching2", "semigroup"])
+    def test_draws_pinned(self, ts, digest):
+        # every built-in's last cumulative column is 1: the draws of all K compares
+        _, rows = sample_indices(ts, 3, 20261018, 500)
+        assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest
+
+    def test_last_column_below_one_is_kept(self, monkeypatch):
+        # row 0 sums to 1 - 1e-15 and its cumulative sums are not monotone:
+        # u just below 1 passes its last compare and not the one before it
+        spec = GroupSpec(1, "semigroup")
+        row = [0.6, 0.4 + 1e-10, -1e-10 - 1e-15]
+        ts = TransitionSystem(spec, (0, 1, 2), np.array([0.6, 0.4, 0.0]),
+                              {1: np.array([row, [0.6, 0.4, 0.0], [0.6, 0.4, 0.0]])})
+        assert validate(ts) == [] and np.cumsum(row)[-1] < 1.0
+
+        class Uniforms:  # root state 0, then u = 1 - 2^-53 everywhere
+            def choice(self, k, size, p):
+                return np.zeros(size, dtype=np.int64)
+
+            def random(self, count):
+                return np.full(count, 1.0 - 2.0 ** -53)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Uniforms())
+        _, rows = sample_indices(ts, 2, seed=0, count=4)
+        pi, mats = as_lists(ts)
+        np.testing.assert_array_equal(rows, oracle_sample_rows(pi, mats, 1, 2, 0, 4, False))
+        assert rows.tolist() == [[0, 2, 1]] * 4  # the kept compare makes state 2
 
     @staticmethod
     def _check(ts, radius, seed, count):

@@ -11,7 +11,8 @@ from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, from_json_dict,
                                    from_pair_marginals, matching_system,
                                    permutation_system, product_system,
-                                   to_json_dict, validate, wsf_system)
+                                   require_valid, to_json_dict, validate,
+                                   wsf_system)
 from freemarkov.words import GroupSpec
 
 G2 = GroupSpec(2, "group")
@@ -74,6 +75,18 @@ class TestValidate:
         hits = [v.where for v in validate(ts) if v.condition == "non_finite"]
         assert hits == [(2, 0, 0), (2, 1, 1)]
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # pi sums to 1.4: a NaN or infinite tolerance would pass it
+        bad = bernoulli_system(G2, [0.3, 0.7])
+        bad = TransitionSystem(G2, bad.states, np.array([0.7, 0.7]), dict(bad.matrices))
+        for check in (lambda: validate(bad, tol), lambda: require_valid(bad, tol),
+                      lambda: f_markov(bad, validate_tol=tol),
+                      lambda: validate(flip_system(2, 0.3), tol)):
+            with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+                check()
+        assert validate(flip_system(2, 0.3), 0.0) == validate(flip_system(2, 0.3)) == []
+
     def test_structural_error_is_distinct(self):
         with pytest.raises(StructuralError):
             TransitionSystem(G2, (0, 1), np.array([0.5, 0.5]),
@@ -120,6 +133,21 @@ class TestBuiltins:
     def test_flip_eps_range(self):
         with pytest.raises(ValueError):
             flip_system(2, 1.5)
+
+    @pytest.mark.parametrize("p", [[math.nan, 0.5], [math.inf, 0.0], [1.2, -0.2],
+                                   [0.7, 0.7], [0.3, 0.3], [0.5, 0.5 + 2e-9]],
+                             ids=["nan", "inf", "negative", "over", "under", "past_tol"])
+    def test_bernoulli_p_refused(self, p):
+        with pytest.raises(ValueError, match="p must be a probability vector"):
+            bernoulli_system(G2, p)
+
+    def test_bernoulli_p_within_tolerance(self):
+        # every caller's p, and rounding off 1 within DEFAULT_TOL
+        for p in ([0.5, 0.5], [0.3, 0.7], [0.2, 0.3, 0.5], [0.25] * 4, [0.5, 0.25, 0.25],
+                  [1.0], [1 / 3] * 3, [0.5, 0.5 + 5e-10], [0.0, 1.0]):
+            ts = bernoulli_system(G2, p)
+            assert ts.pi.tolist() == [float(x) for x in p]
+            assert validate(ts) == []
 
 
 class TestPermutation:

@@ -185,6 +185,40 @@ class TestGeometry:
         connected = is_left_connected(subset, spec) and IDENTITY in subset
         assert connected == (dom.keep is None)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_of_a_ball_is_the_cached_ball(self, spec):
+        import random
+        for n in range(4):
+            words = ball(spec, n)
+            random.Random(n).shuffle(words)
+            assert Domain.of(words, spec) is ball_domain(spec, n)
+            assert Domain.of(words + words[:3], spec) is ball_domain(spec, n)  # repeats
+
+    def test_of_a_non_ball_takes_the_general_path(self):
+        b2 = ball(G2, 2)
+        # as many words as B(e,1), but not B(e,1)
+        for words in (b2[:4] + [b2[5]], b2[1:], b2[:-1], [b2[-1]]):
+            dom = Domain.of(words, G2)
+            assert dom is not ball_domain(G2, max(map(len, words)))
+            assert dom.words == tuple(sorted(set(words), key=Word.shortlex_key))
+        # a ball of the group is not a ball of the semigroup
+        with pytest.raises(ValueError, match="inverse letter"):
+            Domain.of(ball(G2, 1), S2)
+        # as many words as the semigroup's B(e,1), one with an inverse letter
+        with pytest.raises(ValueError, match="inverse letter"):
+            Domain.of([IDENTITY, Word((1,)), Word((-2,))], S2)
+
+    def test_preorder(self):
+        # B(e,1) in rank 2: e, then its children in descending vertex order
+        assert ball_domain(G2, 1).preorder.tolist() == [0, 4, 3, 2, 1]
+        # a path is its own preorder, as is a single vertex
+        assert ball_domain(GroupSpec(1, "semigroup"), 6).preorder is None
+        assert ball_domain(G2, 0).preorder is None
+        # a domain that is not its own hull: the positions of its vertices only
+        dom = Domain.of([w("a"), w("ba"), w("Ba"), w("b")], G2)
+        assert dom.hull_size == 5 and dom.words == (w("a"), w("b"), w("ba"), w("Ba"))
+        assert dom.preorder.tolist() == [1, 0, 3, 2]
+
     def test_cached_arrays_are_read_only(self):
         dom, pair = ball_domain(G2, 2), ball_domain(G2, 2, 1)
         assert ball_domain(G2, 2) is dom
