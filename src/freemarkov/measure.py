@@ -327,7 +327,8 @@ def _join(a: tuple, b: tuple, kp: int, hull_size: int) -> tuple:
         return table[rows], codes
 
     if len(ta) * len(tb) <= SPARSE_LIMIT:
-        return (*pairs(slice(None)), wa + wb)
+        rows, codes = pairs(slice(None))
+        return rows, codes, wa + wb
     step, blocks, total = max(1, SPARSE_LIMIT // len(tb)), [], 0
     for i in range(0, len(ta), step):
         blocks.append(pairs(slice(i, i + step)))
@@ -433,23 +434,22 @@ class MarkovSource(MeasureSource):
             weights = kp ** (n - 1 - dom.preorder).astype(dtype)
         messages: dict[tuple[int, int], tuple] = {}
         for c, (own, children) in enumerate(classes):
-            pieces = [emitted] if own else []
+            # the pieces' rows bound the root's: past _PLACE_FIRST cells, place them first
+            placing = c == root and weights is not None and math.prod(
+                len(messages[child][0]) for child in children) * kp * n > _PLACE_FIRST
+            table, at = None, 1 if own else 0  # at: the digit a placed piece starts at
             for child in children:
                 uses[child] -= 1  # a message is dropped after its last use
-                pieces.append(messages[child] if uses[child] else messages.pop(child))
-            if c == root and weights is not None and math.prod(
-                    len(t[0]) for t in pieces) * n > _PLACE_FIRST:  # a bound on the root rows
-                ends = np.cumsum([t[2] for t in pieces]).tolist()
-                pieces, weights = [_place(t, kp, weights[e - t[2]:e])
-                                   for t, e in zip(pieces, ends)], None
-            table = None
-            for piece in pieces[1 if own else 0:]:
-                table = piece if table is None else _join(table, piece, kp, h)
+                message = messages[child] if uses[child] else messages.pop(child)
+                if placing:
+                    message, at = _place(message, kp, weights[at:at + message[2]]), at + message[2]
+                table = message if table is None else _join(table, message, kp, h)
             if own:
-                table = pieces[0] if table is None else _join(pieces[0], table, kp, h)
+                head = _place(emitted, kp, weights[:1]) if placing else emitted
+                table = head if table is None else _join(head, table, kp, h)
             for a in sends.get(c, ()):
-                messages[c, a] = (table[0] @ self._mats[a].T, *table[1:])
-        if weights is not None:
+                messages[c, a] = (table[0] @ self._mats[a].T, table[1], table[2])
+        if weights is not None and not placing:
             table = _place(table, kp, weights)
         masses, codes = table[0] @ self.ts.pi, table[1]  # the root's class is the last
         if not coded:
