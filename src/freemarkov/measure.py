@@ -21,9 +21,10 @@ holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
 over the same classes.  Isomorphic subtrees share one table and one
 message per class and letter.  A marginal's tables carry class-local
 codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
-at their shortlex positions (``Domain.preorder``); an entropy forms no
-codes and takes -sum p log p of the root masses once they pass the checks
-a marginal's masses pass (``_check_masses``).  Per domain a Markov source takes the grid when it
+at their shortlex positions (``Domain.preorder``).  An entropy forms no
+codes on either engine: it takes -sum p log p of the flat grid or of the
+sum-product's root masses once they pass the checks a marginal's masses
+pass (``_check_masses``).  Per domain a Markov source takes the grid when it
 fits, else the closed form H(pi) + sum_s c_s e_s when the domain is its own
 hull (c_s counts the induced tree edges labelled s, e_s is the conditional
 entropy of one s-step), else the sum-product; a coarsened source always
@@ -31,8 +32,8 @@ takes the sum-product.  ``MeasureSource.entropy_sum`` adds up a linear
 combination of domain entropies; the Markov override merges the integer
 edge counts of all closed-form terms before the single dot product with e,
 so coefficients that cancel do so exactly; ``_plogp`` is the one
--sum p log p, which the closed form, the sum-product entropy and
-``entropy`` share.  Samples are
+-sum p log p, shared by the closed form, the table entropies and
+``entropy``, and adds its block sums with ``math.fsum``.  Samples are
 drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
 count)`` fills a vertex-major table, each vertex's column from its
 parent's, with one uniform per sample compared against the cumulative
@@ -62,11 +63,15 @@ SAMPLE_LIMIT = 2 ** 25      # most cells (samples times ball vertices) of a samp
 
 _NORM_TOL = 1e-9
 _PLACE_FIRST = 2 ** 14     # root rows times digits past which its pieces are placed first
+_PLOGP_BLOCK = 2 ** 15     # entries per block of a -sum p log p
 
 
 def _plogp(values: np.ndarray) -> float:
-    v = values[values > 0]
-    return float(-(v * np.log(v)).sum())
+    """-sum p log p over the positive entries, in C order, a block of
+    ``_PLOGP_BLOCK`` at a time: each block's sum as a float, added exactly."""
+    flat = np.ravel(values)
+    blocks = (flat[i:i + _PLOGP_BLOCK] for i in range(0, flat.size or 1, _PLOGP_BLOCK))
+    return -math.fsum(float((v * np.log(v)).sum()) for v in (b[b > 0] for b in blocks))
 
 
 def _check_masses(masses: np.ndarray) -> float:
@@ -204,7 +209,7 @@ class BallMarginal:
         return float(self.masses.sum())
 
     def entropy(self) -> float:
-        return float(-(self.masses * np.log(self.masses)).sum())
+        return _plogp(self.masses)
 
     def marginalize(self, subdomain: Iterable[Word]) -> "BallMarginal":
         pos = {w: a for a, w in enumerate(self.domain)}
@@ -352,11 +357,13 @@ class MarkovSource(MeasureSource):
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
         return _plogp(self.ts.pi), _edge_entropies(self.ts)
 
-    def _grid(self, dom: Domain) -> tuple[np.ndarray, np.ndarray]:
+    def _grid(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """Codes and masses of the patterns on the domain, via the hull grid.
 
         Each hull vertex adds an axis: the grid so far times the matrix
-        entry from its parent's state to its own.
+        entry from its parent's state to its own; axes off the domain are
+        summed out.  Without ``coded`` the codes are None and the masses
+        are the whole flat table, zeros kept.
         """
         k = len(self.states)
         table = self.ts.pi
@@ -367,6 +374,8 @@ class MarkovSource(MeasureSource):
         if dom.keep is not None:
             table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(dom.keep))))
         flat = table.ravel()
+        if not coded:
+            return None, flat
         codes = np.flatnonzero(flat)
         return codes, flat[codes]
 
@@ -457,31 +466,36 @@ class MarkovSource(MeasureSource):
         order = np.argsort(codes, kind="stable")
         return codes[order], masses[order]
 
-    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        dom, k = Domain.of(domain, self.spec), len(self.states)
-        if _grid_fits(k, dom.hull_size):
-            return BallMarginal(dom.words, self.states, *self._grid(dom))
-        return BallMarginal(dom.words, self.states, *self._sum_product(dom, range(k)))
+    def _table(self, dom: Domain, emit: Sequence[int] | None = None, coded: bool = True
+               ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Codes and masses of the states, or of ``emit[x]`` if given, on the
+        domain: the hull grid if that fits and nothing is emitted, else the sum-product."""
+        k = len(self.states)
+        if emit is None and _grid_fits(k, dom.hull_size):
+            return self._grid(dom, coded)
+        return self._sum_product(dom, range(k) if emit is None else emit, coded)
 
-    def _table_entropy(self, dom: Domain, emit: Sequence[int]) -> float:
-        """H of the observed states ``emit[x]`` on the domain, from the
-        uncoded root masses of the shared-class sum-product, which pass the
-        checks of a marginal's masses."""
-        masses = self._sum_product(dom, emit, coded=False)[1]
+    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
+        dom = Domain.of(domain, self.spec)
+        return BallMarginal(dom.words, self.states, *self._table(dom))
+
+    def _table_entropy(self, dom: Domain, emit: Sequence[int] | None = None) -> float:
+        """H of ``_table``'s uncoded masses, which pass the checks of a
+        marginal's masses; no codes and no ``BallMarginal`` are built."""
+        masses = self._table(dom, emit, coded=False)[1]
         _check_masses(masses)
         return _plogp(masses)
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
 
-        Grid if K >= 2 and K^|hull| fits the guard, closed form if the
-        domain is its own hull, sum-product otherwise.
+        ``_table_entropy`` (grid, else sum-product) if K >= 2 and K^|hull|
+        fits the grid, or if the domain is not its own hull; else the
+        closed form.
         """
-        domain = Domain.of(domain, self.spec)  # ball_marginal reuses it
-        if _grid_fits(len(self.states), domain.hull_size):
-            return self.ball_marginal(domain).entropy(), None
-        if domain.keep is not None:
-            return self._table_entropy(domain, range(len(self.states))), None
+        domain = Domain.of(domain, self.spec)
+        if domain.keep is not None or _grid_fits(len(self.states), domain.hull_size):
+            return self._table_entropy(domain), None
         h_root, edge = self._root_and_edge_entropies
         return h_root + float(domain.label_counts @ edge), domain.label_counts
 

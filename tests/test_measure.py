@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +14,7 @@ from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
                                 EmpiricalSource, MarkovSource, PairStats, Pattern,
-                                _grid_fits, check_markov_property,
+                                _PLOGP_BLOCK, _grid_fits, _plogp, check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, d1, empirical_source,
                                 pair_stats, sample, sample_indices, tree_entropy)
@@ -767,6 +769,85 @@ class TestDomainEntropy:
                          if dom.parent[c] == v)
             cls[v] = classes.index((True if v in kept else None, kids))
         assert cls[0] == root and set(cls.values()) == set(range(len(classes)))
+
+
+class TestGridEntropy:
+    """The uncoded grid entropy against the marginal's, the closed form and the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           rank=st.integers(min_value=1, max_value=3),
+           k=st.integers(min_value=2, max_value=5),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3))
+    def test_matches_marginal_closed_form_and_oracle(self, kind, rank, k, seed, n_perms):
+        spec = GroupSpec(rank, kind)
+        ts = masked_sinkhorn_system(spec, k, np.random.default_rng(seed), n_perms)
+        src = MarkovSource(ts)
+        pi, mats = as_lists(ts)
+        domains = []  # every ball and pair domain whose grid fits
+        for n in itertools.count():
+            if not _grid_fits(k, len(ball_domain(spec, n))):
+                break
+            domains += [ball_domain(spec, n)] + [
+                d for d in (ball_domain(spec, n, s) for s in spec.generators())
+                if _grid_fits(k, len(d))]
+        # not their own hulls: a gap, two crossed words, the sphere of radius 1
+        words = ["aa"] + (["ab", "ba"] if rank > 1 else [])
+        domains += [[IDENTITY] + [parse_word(x, spec) for x in words],
+                    ball(spec, 1)[1:]]
+        for dom in domains:
+            tree = Domain.of(dom, spec)
+            assert _grid_fits(k, tree.hull_size)
+            h = src.domain_entropy(dom)
+            assert abs(h - src.ball_marginal(dom).entropy()) <= 1e-12
+            if tree.keep is None:
+                assert abs(h - tree_entropy(ts, dom)) <= 1e-12
+            else:
+                exact = oracle_entropy(oracle_marginal(pi, mats, [x.letters for x in dom]))
+                assert abs(h - exact) <= 1e-12
+
+    def test_peak_memory_near_the_table(self):
+        # the 5^8-cell grid of a pair domain, full support: no codes, no gathered masses
+        src = MarkovSource(bernoulli_system(G2, [0.1, 0.15, 0.2, 0.25, 0.3]))
+        dom = ball_domain(G2, 1, 1)
+        src.domain_entropy(dom)  # the pair tree and cached entropies are built once
+        tracemalloc.start()
+        try:
+            src.domain_entropy(dom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 5 ** 8 * 8
+
+
+class TestPlogp:
+    """The blocked -sum p log p: one block as a single numpy sum, more as an exact sum."""
+
+    @staticmethod
+    def _one_sum(values):
+        v = values[values > 0]
+        return float(-(v * np.log(v)).sum())
+
+    @pytest.mark.parametrize("size", [0, 1, _PLOGP_BLOCK - 1, _PLOGP_BLOCK,
+                                      _PLOGP_BLOCK + 1, 3 * _PLOGP_BLOCK + 7])
+    def test_blocks(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.uniform(size=size) * (rng.uniform(size=size) < 0.8)  # a fifth zeros
+        values /= max(values.sum(), 1.0)
+        h = _plogp(values)
+        if size <= _PLOGP_BLOCK:
+            assert h.hex() == self._one_sum(values).hex()
+        else:
+            v = values[values > 0]
+            exact = -math.fsum((v * np.log(v)).tolist())
+            assert abs(h - exact) <= 1e-15 * abs(exact)
+
+    def test_two_dimensional(self, wsf2):
+        # f_markov passes the joint pi_i P[s]_ij as a matrix; C order, as raveled
+        joint = wsf2.pi[:, None] * wsf2.matrices[1]
+        for table in (joint, joint.T, np.ones((1, 1))):
+            assert _plogp(table).hex() == self._one_sum(table).hex()
 
 
 def _oracle_codes(dist, states, k, n):
