@@ -7,8 +7,7 @@ F sequence (general shift-invariant sources).
 """
 
 from .approx import (SuperstateSystem, approximation_sequence, base_level_stats,
-                     markov_approximation, markov_fixed_point_gap,
-                     superstate_pair_stats)
+                     markov_approximation, markov_fixed_point_gap)
 from .entropy import (EntropyReport, big_F, big_F_star, binary_entropy,
                       conditional_entropy, f_markov, f_sequence, shannon)
 from .errors import (CapabilityError, FormatError, InconsistentMarginalsError,

@@ -6,6 +6,9 @@ system over *superstates* (positive-mass patterns on the ball) matching
 them.  The f-invariant of the depth-m approximation equals F of the source
 at depth m, which turns the F sequence into a sequence of honest Markov
 systems converging to the source in distribution on every finite window.
+A Markov source is its own approximation: ``markov_fixed_point_gap`` takes
+the entropy of the source on B(e, m+1) against that of the approximation
+on B(e, 1), whose superstates read the same base pattern.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .entropy import f_markov
 from .errors import CapabilityError
-from .measure import MarkovSource, MeasureSource, PairStats, d1, pair_stats
+from .measure import MarkovSource, MeasureSource, PairStats
 from .transition import TransitionSystem
 from .words import GroupSpec, Word, ball_domain
 
@@ -42,27 +45,6 @@ class SuperstateSystem:
     base_states: tuple
     patterns: tuple[tuple[int, ...], ...]
     inner: TransitionSystem
-
-    def overlap_violations(self) -> list[tuple]:
-        """Positive transitions whose patterns disagree on the shared window.
-
-        A transition z -> z' along s constrains the two patterns on the
-        overlap of the ball with its s-translate; shift-invariant sources
-        satisfy this automatically, so any entry here is diagnostic of a
-        bad source.  Returns (s, z_index, z'_index) triples.
-        """
-        out = []
-        pos = {w: a for a, w in enumerate(self.domain)}
-        for s in self.base.generators():
-            step = Word((s,))
-            shared = [(pos[f * step], pos[f]) for f in self.domain
-                      if f * step in pos]
-            matrix = self.inner.matrices[s]
-            for zi, zj in zip(*np.nonzero(matrix > 0)):
-                z, zp = self.patterns[zi], self.patterns[zj]
-                if any(z[a] != zp[b] for a, b in shared):
-                    out.append((s, int(zi), int(zj)))
-        return out
 
 
 def _superstate_statistics(src: MeasureSource, m: int):
@@ -97,12 +79,6 @@ def _superstate_statistics(src: MeasureSource, m: int):
     patterns = tuple(marg.patterns())
     labels = tuple(pattern_label(tuple(src.states[i] for i in pat)) for pat in patterns)
     return dom, patterns, labels, marg.masses, joints
-
-
-def superstate_pair_stats(src: MeasureSource, m: int) -> PairStats:
-    """Pair statistics of the source read at the depth-m pattern alphabet."""
-    dom, patterns, labels, masses, joints = _superstate_statistics(src, m)
-    return PairStats(src.spec, labels, masses, joints)
 
 
 def markov_approximation(src: MeasureSource, m: int) -> SuperstateSystem:
@@ -151,11 +127,15 @@ def base_level_stats(system: SuperstateSystem) -> PairStats:
     return PairStats(system.base, system.base_states, pi, joints)
 
 
-def markov_fixed_point_gap(ts: TransitionSystem, m: int) -> float:
-    """d1 between a Markov source's depth-m statistics and its approximation's.
+def markov_fixed_point_gap(source, m: int) -> float:
+    """|H of the source on B(e, m+1) - H of its depth-m approximation on B(e, 1)|.
 
-    Zero (to rounding) always: Markov measures are their own approximations.
+    Takes a measure source or a transition system.  The approximation's
+    superstates on B(e, 1) read the base pattern on B(e, m+1), so the gap
+    is zero (to rounding) exactly when the source has no memory past depth
+    m there: always for a Markov source, not for a hidden-Markov one.
     """
-    src = MarkovSource(ts)
-    approx = markov_approximation(src, m)
-    return d1(superstate_pair_stats(src, m), pair_stats(approx.inner))
+    src = MarkovSource(source) if isinstance(source, TransitionSystem) else source
+    approx = MarkovSource(markov_approximation(src, m).inner)
+    return abs(src.domain_entropy(ball_domain(src.spec, m + 1))
+               - approx.domain_entropy(ball_domain(src.spec, 1)))

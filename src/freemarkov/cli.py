@@ -126,7 +126,7 @@ def _cmd_finv(args) -> int:
               "run `validate` for the report")
         return EXIT_FAILURE
     scale = _scale(args)
-    f_val = entropy_mod.f_markov(ts, validate_tol=args.tol)
+    f_val = entropy_mod.f_markov(ts, validate_tol=None)  # validated above
     src = measure_mod.MarkovSource(ts)
     lines = [f"f = {_fmt(f_val, scale)}"]
     worst = 0.0

@@ -182,10 +182,14 @@ class BallMarginal:
 
     @property
     def dense(self) -> np.ndarray | None:
-        """A fresh table of shape (K,)*|domain|, or None past ``DENSE_LIMIT``."""
-        if self.is_dense:
-            return self._flat().reshape((self.n_states,) * len(self.domain))
-        return None
+        """A fresh table of shape (K,)*|domain|, or None past ``DENSE_LIMIT``;
+        refuses more axes than numpy's 64, which only K = 1 fits in that limit."""
+        if not self.is_dense:
+            return None
+        if len(self.domain) > 64:
+            raise CapabilityError(f"a table on {len(self.domain)} vertices has more axes "
+                                  "than numpy's 64", needed=len(self.domain), limit=64)
+        return self._flat().reshape((self.n_states,) * len(self.domain))
 
     def patterns(self) -> list[tuple[int, ...]]:
         """The positive patterns as tuples of state indices, in code order."""

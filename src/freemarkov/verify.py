@@ -5,8 +5,9 @@ Each check returns a CheckResult whose ``passed`` flag is exactly
 deliberately broken input and invert the outcome, so a fully passing run
 also certifies that the detectors are sensitive.  Tolerances: 1e-9 for
 entropy identities, 1e-10 for the monotonicity of F, 1e-12 for algebraic
-and measure identities, 4-sigma bands for Monte Carlo.  Each check names
-its result after itself; ``run_all`` renames it after its key.
+and measure identities and for the entropy gap of a Markov chain to its
+own approximation, 4-sigma bands for Monte Carlo.  Each check names its
+result after itself; ``run_all`` renames it after its key.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .approx import markov_approximation, markov_fixed_point_gap
 from .entropy import big_F, f_markov, f_sequence
-from .measure import (CoarsenedSource, EmpiricalSource, MarkovSource, MeasureSource,
-                      check_shift_invariance, sample_indices)
+from .measure import (CoarsenedSource, MarkovSource, MeasureSource, check_shift_invariance,
+                      empirical_source, sample_indices)
 from .transition import (TransitionSystem, bernoulli_system, flip_system,
                          matching_system, permutation_system, product_system,
                          wsf_system)
@@ -240,10 +241,11 @@ def check_shift_invariance_suite() -> CheckResult:
     return _result("shift_invariance", worst, EXACT_TOL, "all built-ins, all generators")
 
 
-def check_markov_fixed_point(ts: TransitionSystem, m: int) -> CheckResult:
-    gap = markov_fixed_point_gap(ts, m)
+def check_markov_fixed_point(source, m: int) -> CheckResult:
+    """H of the source on B(e, m+1) against its depth-m approximation on B(e, 1)."""
+    gap = markov_fixed_point_gap(source, m)
     return _result("markov_fixed_point", gap, EXACT_TOL,
-                   f"d1 of matched statistics at depth {m}")
+                   f"entropy gap on B(e,{m + 1}) at depth {m}")
 
 
 def check_approx_cross_validation(src: MeasureSource, m_max: int) -> CheckResult:
@@ -268,8 +270,8 @@ def check_monotonicity(src: MeasureSource, n_max: int) -> CheckResult:
 def check_sampling_frequencies(ts: TransitionSystem, radius: int, seed: int,
                                count: int) -> CheckResult:
     """Empirical cylinder frequencies within SIGMA bands of exact values."""
-    dom, rows = sample_indices(ts, radius, seed, count)
-    freq = EmpiricalSource(dom, ts.states, rows, ts.spec).ball_marginal(dom).dense
+    dom = ball_domain(ts.spec, radius)
+    freq = empirical_source(ts, radius, seed, count).ball_marginal(dom).dense
     exact = MarkovSource(ts).ball_marginal(dom).dense
     band = SIGMA * np.sqrt(exact * (1.0 - exact) / count)
     worst = float((np.abs(freq - exact) - band).max())
@@ -338,6 +340,10 @@ def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> list[CheckResu
          lambda: negative_control("negative_control", replace(
              check_structural_samples(flip_system(2, 0.5), "matching", 1, seeds[3], 2_000),
              name="structural/iid_flip"))),
+        ("negative_control/coarsened_fixed_point",
+         lambda: negative_control("negative_control", replace(
+             check_markov_fixed_point(cycle_coarsening(), 0),
+             name="markov_fixed_point/coarsened_cycle_m0"))),
     ]
     return [replace(build(), name=key.removesuffix("/builtins"))
             for key, build in builders if only is None or only in key]

@@ -249,6 +249,21 @@ class TestOneState:
         assert f_markov(ts) == 0.0
         assert [big_F(src, n).big_f for n in range(5)] == [0.0] * 5
 
+    def test_densify_past_numpy_axes_refuses(self):
+        # K = 1 fits DENSE_LIMIT on any ball, but no ndarray has 161 axes
+        ts = bernoulli_system(G2, [1.0])
+        marg = MarkovSource(ts).ball_marginal(ball_domain(G2, 4))
+        assert marg.is_dense
+        assert marg.to_json_dict() == {"domain": [str(w) for w in ball(G2, 4)],
+                                       "states": [0], "encoding": "dense",
+                                       "probs": [1.0]}
+        for refuse in (lambda: marg.dense, lambda: marg.permuted_table(range(161)),
+                       lambda: check_shift_invariance(ts, ball(G2, 4), 1)):
+            with pytest.raises(CapabilityError) as info:
+                refuse()
+            assert (info.value.needed, info.value.limit) == (161, 64)
+        assert MarkovSource(ts).ball_marginal(ball(G2, 2)).dense.shape == (1,) * 17
+
 
 class TestTreeEntropyOracle:
     @pytest.mark.parametrize("builder,n", [

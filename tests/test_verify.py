@@ -152,12 +152,15 @@ class TestRunAll:
             "approx_cross_validation/coarsened_cycle", "monotonicity/coarsened_cycle",
             "monotonicity/flip(0.3)", "sampling/flip(0.3)_4sigma", "structural/wsf2",
             "structural/matching2", "negative_control/perturbed_pi_f_equals_F",
-            "negative_control/perturbed_pi_shift", "negative_control/matching_checker"]
+            "negative_control/perturbed_pi_shift", "negative_control/matching_checker",
+            "negative_control/coarsened_fixed_point"]
         details = {r.name: r.details for r in results}
         assert details["negative_control/perturbed_pi_f_equals_F"].startswith(
             "wrapped f_equals_F/perturbed_pi_wsf: ")
         assert details["negative_control/matching_checker"].startswith(
             "wrapped structural/iid_flip: ")
+        assert details["negative_control/coarsened_fixed_point"].startswith(
+            "wrapped markov_fixed_point/coarsened_cycle_m0: ")
 
     def test_negative_controls_present(self):
         names = [r.name for r in run_all(seed=1, only="negative_control")]
