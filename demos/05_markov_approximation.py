@@ -9,10 +9,10 @@ approximation matches the source's statistics on the radius-m ball exactly,
 and its f equals F(source, m) -- two pipelines, one number.
 """
 
-from freemarkov import (GroupSpec, IDENTITY, approximation_sequence,
-                        base_level_stats, big_F, check_markov_property,
-                        coarsen, d1, f_markov, f_sequence, flip_system,
-                        markov_approximation, pair_stats, permutation_system)
+from freemarkov import (GroupSpec, IDENTITY, approximation_sequence, big_F,
+                        check_markov_property, coarsen, f_markov, f_sequence,
+                        flip_system, markov_approximation, markov_fixed_point_gap,
+                        permutation_system)
 from freemarkov.measure import MarkovSource
 
 group = GroupSpec(2, "group")
@@ -37,10 +37,11 @@ for m in (0, 1):
     print(f"  f(approximation) = {f_markov(approx.inner):.10f}")
     print(f"  F(source, {m})     = {big_F(hidden, m).big_f:.10f}")
 
-# Its statistics match the source exactly, down to the base alphabet.
-approx1 = markov_approximation(hidden, 1)
-print("\nd1(base stats of approximation, source stats):",
-      d1(base_level_stats(approx1), pair_stats(hidden)))
+# A hidden process is no fixed point of approximation: over B(e, 1) its
+# depth-0 approximation holds log 4 more entropy than the source, whose
+# hidden root state fixes the whole pattern.
+print("\nfixed-point entropy gap of the hidden process at depth 0:",
+      markov_fixed_point_gap(hidden, 0))
 
 # Markov sources are their own approximations at every depth.
 flip_src = MarkovSource(flip_system(2, 0.3))

@@ -6,8 +6,8 @@ f-invariant from its closed form (Markov systems) or from the nonincreasing
 F sequence (general shift-invariant sources).
 """
 
-from .approx import (SuperstateSystem, approximation_sequence, base_level_stats,
-                     markov_approximation, markov_fixed_point_gap)
+from .approx import (SuperstateSystem, approximation_sequence, markov_approximation,
+                     markov_fixed_point_gap)
 from .entropy import (EntropyReport, big_F, big_F_star, binary_entropy,
                       conditional_entropy, f_markov, f_sequence, shannon)
 from .errors import (CapabilityError, FormatError, InconsistentMarginalsError,
@@ -15,7 +15,7 @@ from .errors import (CapabilityError, FormatError, InconsistentMarginalsError,
 from .measure import (BallMarginal, CoarsenedSource, EmpiricalSource,
                       MarkovSource, MeasureSource, PairStats, Pattern,
                       check_markov_property,
-                      check_shift_invariance, coarsen, cylinder_prob, d1,
+                      check_shift_invariance, coarsen, cylinder_prob,
                       empirical_source, pair_stats, sample, sample_indices,
                       tree_entropy)
 from .transition import (TransitionSystem, Violation, bernoulli_system,

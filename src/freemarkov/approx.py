@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import f_markov
 from .errors import CapabilityError
-from .measure import MarkovSource, MeasureSource, PairStats
+from .measure import MarkovSource, MeasureSource
 from .transition import TransitionSystem
 from .words import GroupSpec, Word, ball_domain
 
@@ -105,26 +105,6 @@ def approximation_sequence(src: MeasureSource, m_max: int) -> list[tuple[int, fl
     """
     return [(m, f_markov(markov_approximation(src, m).inner))
             for m in range(m_max + 1)]
-
-
-def base_level_stats(system: SuperstateSystem) -> PairStats:
-    """Push superstate pair statistics down to the base alphabet.
-
-    The root coordinate of a pattern at a vertex is the base state there,
-    so summing joints over root values recovers base-level statistics; for
-    an approximation of any source these equal the source's own pair stats.
-    The root is the identity, which comes first in shortlex order.
-    """
-    k = len(system.base_states)
-    roots = np.array([pat[0] for pat in system.patterns])
-    pi = np.zeros(k)
-    np.add.at(pi, roots, system.inner.pi)
-    joints = {}
-    for s, matrix in system.inner.matrices.items():
-        j = np.zeros((k, k))
-        np.add.at(j, (roots[:, None], roots[None, :]), system.inner.pi[:, None] * matrix)
-        joints[s] = j
-    return PairStats(system.base, system.base_states, pi, joints)
 
 
 def markov_fixed_point_gap(source, m: int) -> float:

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 
 from . import approx as approx_mod
@@ -144,11 +145,8 @@ def _cmd_fseq(args) -> int:
     scale = _scale(args)
     reports = entropy_mod.f_sequence(src, args.nmax)
     if args.star:
-        reports = [entropy_mod.EntropyReport(
-            n=r.n, h_ball=r.h_ball, pair_entropies=r.pair_entropies,
-            big_f=r.big_f,
-            big_f_star=entropy_mod.big_F_star(src, r.n, args.star_m))
-            for r in reports]
+        reports = [replace(r, big_f_star=entropy_mod.big_F_star(src, r.n, args.star_m))
+                   for r in reports]
     lines = [entropy_mod.EntropyReport.csv_header(src.spec.rank)]
     lines += [r.to_csv_row(scale) for r in reports]
     _write_text(args.output, "\n".join(lines))

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MeasureSource, _plogp
+from .measure import MeasureSource, _closed_form, _plogp
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
 from .words import Word, ball_domain, check_radius
 
@@ -43,7 +43,7 @@ def shannon(dist: Sequence[float]) -> float:
     if p.min() < -1e-12:
         raise ValueError(f"negative probability {p.min():.3g}")
     if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+        raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
     return _plogp(p)
 
 
@@ -108,13 +108,15 @@ def f_markov(ts: TransitionSystem, validate_tol: float | None = DEFAULT_TOL) -> 
 
     Equals big_F of the induced source at every depth.  Refuses systems
     that fail validation unless ``validate_tol`` is None (deliberately
-    broken systems are useful as negative controls).
+    broken systems are useful as negative controls), and at any tolerance
+    what ``measure._closed_form``, the one source of its terms, refuses.
     """
     if validate_tol is not None:
         require_valid(ts, validate_tol)
-    total = ts.spec.coefficient * _plogp(ts.pi)
+    h_pi, h_pair = _closed_form(ts)
+    total = ts.spec.coefficient * h_pi
     for s in ts.spec.positive_generators():
-        total += _plogp(ts.pi[:, None] * ts.matrices[s])
+        total += h_pair[s]
     return total
 
 

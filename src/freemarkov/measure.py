@@ -12,7 +12,8 @@ closed form, sample, cylinder) reads the parent and letter arrays of one
 A marginal stores its positive patterns as exact mixed-radix codes in
 shortlex domain order, ascending, with their masses, and is built from
 them: ``BallMarginal(domain, states, codes, masses)``; ``patterns()`` is the
-one decode of the codes into state-index tuples.  A Markov source with
+one decode of the codes into state-index tuples, and ``dense`` the one full
+table, refused past ``DENSE_LIMIT`` cells.  A Markov source with
 K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
 hull vertex at a time; every other table is one leaves-to-root sum-product
 over the hull's subtree classes (``Domain.subtree_classes``), with a
@@ -28,10 +29,12 @@ pass (``_check_masses``).  Per domain a Markov source takes the grid when it
 fits, else the closed form H(pi) + sum_s c_s e_s when the domain is its own
 hull (c_s counts the induced tree edges labelled s, e_s is the conditional
 entropy of one s-step), else the sum-product; a coarsened source always
-takes the sum-product.  ``MeasureSource.entropy_sum`` adds up a linear
-combination of domain entropies; the Markov override merges the integer
-edge counts of all closed-form terms before the single dot product with e,
-so coefficients that cancel do so exactly; ``_plogp`` is the one
+takes the sum-product.  ``_closed_form``, the one owner of the closed form's
+terms, checks pi and each joint as a table's masses are checked, so no
+route answers where another refuses.  ``MeasureSource.entropy_sum`` adds up
+a linear combination of domain entropies; the Markov override merges the
+integer edge counts of all closed-form terms before the single dot product
+with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, shared by the closed form, the table entropies and
 ``entropy``, and adds its block sums with ``math.fsum``.  Samples are
 drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
@@ -84,7 +87,7 @@ def _check_masses(masses: np.ndarray) -> float:
     if low < -1e-12:
         raise ValueError(f"negative pattern probability {low:.3g}")
     if abs(total - 1.0) > _NORM_TOL:
-        raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
+        raise ValueError(f"pattern probabilities sum to {float(total)!r}, not 1")
     return low
 
 
@@ -150,16 +153,21 @@ class BallMarginal:
     Stored as ``codes``, the positive patterns as ascending mixed-radix
     indices over the shortlex-sorted domain (see ``_encode``), and
     ``masses``, their probabilities.  ``BallMarginal(domain, states, codes,
-    masses)`` takes the sorted domain's words and ascending codes, drops the
-    zero masses, and keeps the two arrays, read-only.  ``dense`` and
-    ``sparse`` return fresh tables of shape (K,)*|domain| in that C order
-    and dicts from the ``patterns()`` tuples to probabilities.
+    masses)`` takes the sorted domain's words and a mass per code, the codes
+    strictly ascending in [0, K^|domain|), drops the zero masses, and keeps
+    the two arrays, read-only.  ``dense`` and ``sparse`` return fresh tables
+    of shape (K,)*|domain| in that C order and dicts from the ``patterns()``
+    tuples to probabilities.
     """
 
     def __init__(self, domain: Sequence[Word], states: Sequence, codes: np.ndarray,
                  masses: np.ndarray):
         codes, masses = np.asarray(codes), np.asarray(masses, dtype=float)
-        if _check_masses(masses) <= 0:
+        low = _check_masses(masses)  # a mass, so a codes[0] once the shapes agree
+        if (codes.shape != masses.shape or codes[0] < 0 or (codes[1:] <= codes[:-1]).any()
+                or int(codes[-1]) >= len(states) ** len(domain)):
+            raise ValueError("codes must be one per mass, strictly ascending in [0, K^|domain|)")
+        if low <= 0:
             codes, masses = codes[masses > 0], masses[masses > 0]
         self.domain, self.states = tuple(domain), tuple(states)
         self.codes, self.masses = codes, masses
@@ -181,15 +189,17 @@ class BallMarginal:
         return flat
 
     @property
-    def dense(self) -> np.ndarray | None:
-        """A fresh table of shape (K,)*|domain|, or None past ``DENSE_LIMIT``;
-        refuses more axes than numpy's 64, which only K = 1 fits in that limit."""
+    def dense(self) -> np.ndarray:
+        """A fresh table of shape (K,)*|domain|; refuses past ``DENSE_LIMIT``
+        cells, and more axes than numpy's 64, which only K = 1 fits in that limit."""
+        k, n = self.n_states, len(self.domain)
         if not self.is_dense:
-            return None
-        if len(self.domain) > 64:
-            raise CapabilityError(f"a table on {len(self.domain)} vertices has more axes "
-                                  "than numpy's 64", needed=len(self.domain), limit=64)
-        return self._flat().reshape((self.n_states,) * len(self.domain))
+            raise CapabilityError("sparse marginal too large to densify",
+                                  needed=k ** n, limit=DENSE_LIMIT)
+        if n > 64:
+            raise CapabilityError(f"a table on {n} vertices has more axes "
+                                  "than numpy's 64", needed=n, limit=64)
+        return self._flat().reshape((k,) * n)
 
     def patterns(self) -> list[tuple[int, ...]]:
         """The positive patterns as tuples of state indices, in code order."""
@@ -229,14 +239,6 @@ class BallMarginal:
         """Positive-probability patterns with their masses, index order."""
         rows = [tuple(self.states[i] for i in key) for key in self.patterns()]
         return list(zip(Pattern._on(self.domain, rows), self.masses.tolist()))
-
-    def permuted_table(self, positions: Sequence[int]) -> np.ndarray:
-        """Dense table reindexed so axis k reads coordinate positions[k]."""
-        k, n = self.n_states, len(self.domain)
-        if k ** n > DENSE_LIMIT:
-            raise CapabilityError("sparse marginal too large to densify",
-                                  needed=k ** n, limit=DENSE_LIMIT)
-        return np.transpose(self.dense, axes=tuple(positions))
 
     def to_json_dict(self) -> dict:
         doc = {"domain": [str(w) for w in self.domain], "states": list(self.states)}
@@ -287,11 +289,13 @@ def _grid_fits(k: int, size: int) -> bool:
     return k >= 2 and size < DENSE_LIMIT.bit_length() and k ** size <= DENSE_LIMIT
 
 
-def _edge_entropies(ts: TransitionSystem) -> np.ndarray:
-    """e_s = H(x_e, x_s) - H(x_e) per generator, in ``spec.generators()`` order."""
-    h_pi = _plogp(ts.pi)
-    return np.array([_plogp((ts.pi[:, None] * ts.matrices[s]).ravel()) - h_pi
-                     for s in ts.spec.generators()])
+def _closed_form(ts: TransitionSystem) -> tuple[float, dict[int, float]]:
+    """H(pi) and, per generator s, H(x_e, x_s) of the joint pi (x) P_s: the
+    terms of the closed form, once pi and each joint pass ``_check_masses``."""
+    joints = {s: ts.pi[:, None] * m for s, m in ts.matrices.items()}
+    for masses in (ts.pi, *joints.values()):
+        _check_masses(masses)
+    return _plogp(ts.pi), {s: _plogp(j) for s, j in joints.items()}
 
 
 def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
@@ -300,13 +304,15 @@ def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
     Valid for left-connected domains containing the identity, where the
     cylinder product formula applies directly: the entropy is H(pi) plus
     c_s e_s per generator s, where c_s counts the induced tree edges
-    labelled s and e_s is the conditional entropy of one s-step.  Serves as
-    the exact counterpart of the brute-force ``BallMarginal.entropy``.
+    labelled s and e_s is the conditional entropy of one s-step, from
+    ``_closed_form``.  Serves as the exact counterpart of the brute-force
+    ``BallMarginal.entropy``.
     """
     domain = Domain.of(domain, ts.spec)
     if domain.keep is not None:
         raise ValueError("tree_entropy needs a left-connected domain containing e")
-    return _plogp(ts.pi) + float(domain.label_counts @ _edge_entropies(ts))
+    h_root, edge = MarkovSource(ts)._root_and_edge_entropies
+    return h_root + float(domain.label_counts @ edge)
 
 
 def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
@@ -359,7 +365,9 @@ class MarkovSource(MeasureSource):
 
     @functools.cached_property
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
-        return _plogp(self.ts.pi), _edge_entropies(self.ts)
+        """H(pi) and e_s = H(x_e, x_s) - H(pi) in ``spec.generators()`` order."""
+        h_root, h_pair = _closed_form(self.ts)
+        return h_root, np.array([h_pair[s] - h_root for s in self.spec.generators()])
 
     def _grid(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """Codes and masses of the patterns on the domain, via the hull grid.
@@ -634,8 +642,7 @@ def check_shift_invariance(ts: TransitionSystem, domain: Iterable[Word],
     translated = [w * step for w in m1.domain]
     m2 = src.ball_marginal(translated)
     pos = {w: a for a, w in enumerate(m2.domain)}
-    return float(np.abs(m1.permuted_table(range(len(translated)))
-                        - m2.permuted_table([pos[w] for w in translated])).max())
+    return float(np.abs(m1.dense - m2.dense.transpose([pos[w] for w in translated])).max())
 
 
 def check_markov_property(src: MeasureSource, g: Word, s: int, depth: int) -> float:
@@ -714,7 +721,7 @@ def empirical_source(ts: TransitionSystem, radius: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Pair statistics and the d1 discrepancy
+# Pair statistics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -735,32 +742,7 @@ def pair_stats(source) -> PairStats:
                           for s, m in source.matrices.items()})
     src: MeasureSource = source
     pi = src.ball_marginal([IDENTITY]).dense
-    joints = {}
-    for s in src.spec.generators():
-        step = Word((s,))
-        marg = src.ball_marginal([IDENTITY, step])
-        joints[s] = marg.permuted_table([marg.domain.index(IDENTITY),
-                                         marg.domain.index(step)])
+    joints = {s: src.ball_marginal([IDENTITY, Word((s,))]).dense  # e comes first
+              for s in src.spec.generators()}
     return PairStats(src.spec, src.states, pi, joints)
 
-
-def d1(a: PairStats, b: PairStats) -> float:
-    """L1 discrepancy of pair statistics between two ordered processes.
-
-    States are matched by position; the shorter list is padded with
-    zero-mass states.  Symmetric, satisfies the triangle inequality, and
-    vanishes exactly when the matched statistics coincide.
-    """
-    if a.spec != b.spec:
-        raise ValueError(f"cannot compare processes over {a.spec} and {b.spec}")
-    k = max(len(a.states), len(b.states))
-
-    def padded(j: np.ndarray) -> np.ndarray:
-        out = np.zeros((k, k))
-        out[:j.shape[0], :j.shape[1]] = j
-        return out
-
-    total = 0.0
-    for s in a.spec.generators():
-        total += float(np.abs(padded(a.joints[s]) - padded(b.joints[s])).sum())
-    return total

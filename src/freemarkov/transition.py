@@ -269,17 +269,26 @@ def product_system(ts1: TransitionSystem, ts2: TransitionSystem) -> TransitionSy
     return TransitionSystem(ts1.spec, states, pi, mats)
 
 
+def _refuse_non_finite(a: np.ndarray, name: str) -> None:
+    # NaN fails every comparison, so the mass checks below cannot see it
+    at = np.argwhere(~np.isfinite(a))
+    if at.size:
+        raise InconsistentMarginalsError(
+            f"{name} has non-finite entry {a[tuple(at[0])]} at {tuple(at[0].tolist())}")
+
+
 def from_pair_marginals(spec: GroupSpec, pi: Sequence[float],
                         joints: Mapping[int, np.ndarray],
                         states=None, tol: float = DEFAULT_TOL) -> TransitionSystem:
     """Recover a transition system from single-site and pair statistics.
 
     ``joints[s][i, j]`` is the measure of seeing state i at a vertex and
-    state j one s-step further; rows must sum to pi.  States of zero mass
-    are dropped (their conditional rows are 0/0 and the measure never
-    visits them).
+    state j one s-step further; every entry must be finite, and rows must
+    sum to pi.  States of zero mass are dropped (their conditional rows are
+    0/0 and the measure never visits them).
     """
     pi = np.array(pi, dtype=float)
+    _refuse_non_finite(pi, "pi")
     k = pi.size
     if states is None:
         states = tuple(range(k))
@@ -295,6 +304,7 @@ def from_pair_marginals(spec: GroupSpec, pi: Sequence[float],
         j = np.array(joints[s], dtype=float)
         if j.shape != (k, k):
             raise StructuralError(f"joint for generator {s} has shape {j.shape}")
+        _refuse_non_finite(j, f"joint for generator {s}")
         if j.min() < -tol:
             raise InconsistentMarginalsError(
                 f"joint for generator {s} has negative entry {j.min():.3g}")

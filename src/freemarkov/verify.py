@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approx import markov_approximation, markov_fixed_point_gap
+from .approx import approximation_sequence, markov_fixed_point_gap
 from .entropy import big_F, f_markov, f_sequence
 from .measure import (CoarsenedSource, MarkovSource, MeasureSource, check_shift_invariance,
                       empirical_source, sample_indices)
@@ -250,14 +250,10 @@ def check_markov_fixed_point(source, m: int) -> CheckResult:
 
 def check_approx_cross_validation(src: MeasureSource, m_max: int) -> CheckResult:
     """f of the depth-m approximation against big_F(src, m) for m <= m_max."""
-    worst = 0.0
-    vals = []
-    for m in range(m_max + 1):
-        fm = f_markov(markov_approximation(src, m).inner)
-        bf = big_F(src, m).big_f
-        vals.append(f"m={m}: {fm:.7f}")
-        worst = max(worst, abs(fm - bf))
-    return _result("approx_cross_validation", worst, ENTROPY_TOL, "; ".join(vals))
+    seq = approximation_sequence(src, m_max)
+    worst = max(abs(fm - big_F(src, m).big_f) for m, fm in seq)
+    return _result("approx_cross_validation", worst, ENTROPY_TOL,
+                   "; ".join(f"m={m}: {fm:.7f}" for m, fm in seq))
 
 
 def check_monotonicity(src: MeasureSource, n_max: int) -> CheckResult:

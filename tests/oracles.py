@@ -139,6 +139,19 @@ def as_lists(ts):
     return pi, mats
 
 
+def oracle_pushdown(roots, k, pi, mats):
+    """Single-site vector and pair joints over k base states of a system on
+    superstates whose root states are ``roots``: its masses summed by root."""
+    base_pi = [0.0] * k
+    joints = {s: [[0.0] * k for _ in range(k)] for s in mats}
+    for a, ra in enumerate(roots):
+        base_pi[ra] += pi[a]
+        for s, m in mats.items():
+            for b, rb in enumerate(roots):
+                joints[s][ra][rb] += pi[a] * m[a][b]
+    return base_pi, joints
+
+
 def oracle_sample_rows(pi, mats, rank, radius, seed, count, group=True):
     """Seeded sample rows on the oracle ball, drawn row-major.
 

@@ -7,13 +7,13 @@ from freemarkov.entropy import (EntropyReport, big_F, big_F_star,
                                 binary_entropy, conditional_entropy, f_markov,
                                 f_sequence, shannon)
 from freemarkov.errors import CapabilityError
-from freemarkov.measure import CoarsenedSource, MarkovSource
+from freemarkov.measure import CoarsenedSource, MarkovSource, tree_entropy
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
                                    permutation_system, product_system,
                                    wsf_system)
 from freemarkov.verify import semigroup_example
-from freemarkov.words import GroupSpec
+from freemarkov.words import GroupSpec, ball
 
 from oracles import as_lists, oracle_big_F
 
@@ -209,6 +209,44 @@ class TestFMarkov:
         with pytest.raises(ValueError, match="validation"):
             f_markov(bad)
         f_markov(bad, validate_tol=None)  # explicit opt-out works
+
+
+def _flip_with(pi=(0.5, 0.5), entry=None):
+    """flip(0.3) with the given pi, and ``entry`` put at P[1][0, 0]."""
+    good = flip_system(2, 0.3)
+    mats = dict(good.matrices)
+    if entry is not None:
+        mats[1] = mats[1].copy()
+        mats[1][0, 0] = entry
+    return TransitionSystem(good.spec, good.states, np.array(pi), mats)
+
+
+class TestRouteIndependence:
+    """The grid (shallow balls) and the closed form (deep balls) refuse alike."""
+
+    @pytest.mark.parametrize("ts,message", [
+        (_flip_with(pi=(math.nan, 1.0)), "non-finite pattern probability"),
+        (_flip_with(entry=math.nan), "non-finite pattern probability"),
+        (_flip_with(pi=(0.5 + 1e-7, 0.5 + 1e-7)), r"pattern probabilities sum to 1\.00000\d+, not 1"),
+    ], ids=["nan_pi", "nan_entry", "heavy_pi"])
+    def test_every_route_refuses(self, ts, message):
+        src = MarkovSource(ts)
+        refusals = []
+        for n in range(6):
+            with pytest.raises(ValueError, match=message) as info:
+                big_F(src, n)
+            refusals.append(str(info.value))
+        for refuse in (lambda: tree_entropy(ts, ball(G2, 2)),
+                       lambda: f_markov(ts, validate_tol=None)):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+        if "non-finite" in message:  # the one message at every depth
+            assert set(refusals) == {message}
+
+    def test_closed_form_gate_outlasts_a_loose_validation(self):
+        ts = _flip_with(pi=(0.5 + 1e-7, 0.5 + 1e-7))
+        with pytest.raises(ValueError, match="pattern probabilities sum to"):
+            f_markov(ts, validate_tol=1e-6)
 
 
 class TestFSequence:

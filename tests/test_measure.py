@@ -13,10 +13,10 @@ from freemarkov.approx import ENTRY_LIMIT, markov_approximation
 from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
-                                EmpiricalSource, MarkovSource, PairStats, Pattern,
+                                EmpiricalSource, MarkovSource, Pattern,
                                 _PLOGP_BLOCK, _grid_fits, _plogp, check_markov_property,
                                 check_shift_invariance,
-                                coarsen, cylinder_prob, d1, empirical_source,
+                                coarsen, cylinder_prob, empirical_source,
                                 pair_stats, sample, sample_indices, tree_entropy)
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
@@ -151,7 +151,7 @@ class TestBallMarginal:
 
     @pytest.mark.parametrize("refuse,needed,limit", [
         (lambda: MarkovSource(flip_system(2, 0.0)).ball_marginal(
-            ball(G2, 3)).permuted_table(range(53)), 2 ** 53, DENSE_LIMIT),
+            ball(G2, 3)).dense, 2 ** 53, DENSE_LIMIT),
         (lambda: big_F_star(MarkovSource(wsf_system(3)), 1, 4), 6 ** 12,
          FSTAR_CONFIG_LIMIT),
         # 2^17 superstates on B(e,2), four generators
@@ -215,6 +215,22 @@ class TestBallMarginal:
         with pytest.raises(ValueError, match="non-finite"):
             BallMarginal([IDENTITY], (0, 1), np.array(codes), np.array(masses))
 
+    @pytest.mark.parametrize("codes,masses", [([2], [1.0]), ([5], [1.0]), ([-1], [1.0]),
+                                              ([0, 0], [0.5, 0.5]), ([1, 0], [0.5, 0.5]),
+                                              ([0], [0.5, 0.5])],
+                             ids=["past_top", "far_past_top", "negative", "repeated",
+                                  "descending", "length_mismatch"])
+    def test_malformed_codes_rejected(self, codes, masses):
+        # one vertex, K = 2: codes 0 and 1, each once, ascending, one mass each
+        with pytest.raises(ValueError, match="codes"):
+            BallMarginal([IDENTITY], (0, 1), np.array(codes), np.array(masses))
+
+    def test_mass_total_reported_as_float(self):
+        with pytest.raises(ValueError) as info:
+            BallMarginal([IDENTITY], (0, 1), np.array([0, 1]), np.array([0.5, 0.5 + 2e-7]))
+        assert "sum to 1.0000002" in str(info.value)
+        assert "np.float64" not in str(info.value)
+
     def test_mixed_radix_flat_order(self, flip03):
         m = MarkovSource(flip03).ball_marginal(ball(G2, 1))
         flat = m.dense.ravel()
@@ -257,8 +273,7 @@ class TestOneState:
         assert marg.to_json_dict() == {"domain": [str(w) for w in ball(G2, 4)],
                                        "states": [0], "encoding": "dense",
                                        "probs": [1.0]}
-        for refuse in (lambda: marg.dense, lambda: marg.permuted_table(range(161)),
-                       lambda: check_shift_invariance(ts, ball(G2, 4), 1)):
+        for refuse in (lambda: marg.dense, lambda: check_shift_invariance(ts, ball(G2, 4), 1)):
             with pytest.raises(CapabilityError) as info:
                 refuse()
             assert (info.value.needed, info.value.limit) == (161, 64)
@@ -523,40 +538,14 @@ class TestMarkovProperty:
 
 
 class TestD1:
-    def test_identical_systems_zero(self, wsf2):
-        assert d1(pair_stats(wsf2), pair_stats(wsf2)) == 0.0
-
-    def test_frozen_flip_extremes(self):
-        a = pair_stats(flip_system(2, 0.0))
-        b = pair_stats(flip_system(2, 1.0))
-        assert abs(d1(a, b) - 8.0) < 1e-12
+    """Pair statistics of a source against those of its system."""
 
     def test_source_stats_match_system_stats(self, wsf2):
         sa = pair_stats(wsf2)
         sb = pair_stats(MarkovSource(wsf2))
-        assert d1(sa, sb) < 1e-12
-
-    def test_pads_states(self):
-        a = pair_stats(bernoulli_system(G2, [0.5, 0.5]))
-        b = pair_stats(bernoulli_system(G2, [0.5, 0.25, 0.25]))
-        assert d1(a, b) > 0.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    def test_pseudometric_on_random_stats(self, seed):
-        rng = np.random.default_rng(seed)
-
-        def random_stats():
-            joints = {}
-            for s in G2.generators():
-                j = rng.random((2, 2))
-                joints[s] = j / j.sum()
-            return PairStats(G2, (0, 1), joints[1].sum(axis=1), joints)
-
-        x, y, z = random_stats(), random_stats(), random_stats()
-        assert abs(d1(x, y) - d1(y, x)) < 1e-12
-        assert d1(x, z) <= d1(x, y) + d1(y, z) + 1e-12
-        assert d1(x, x) == 0.0
+        np.testing.assert_allclose(sb.pi, sa.pi, rtol=0, atol=1e-14)
+        assert sb.joints.keys() == sa.joints.keys()
+        assert sum(np.abs(sb.joints[s] - sa.joints[s]).sum() for s in sa.joints) < 1e-12
 
 
 def masked_sinkhorn_system(spec, k, rng, n_perms):

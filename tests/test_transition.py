@@ -238,6 +238,23 @@ class TestFromPairMarginals:
         with pytest.raises(InconsistentMarginalsError, match="miss pi"):
             from_pair_marginals(G2, pi, joints)
 
+    def test_non_finite_pi_rejected(self):
+        # NaN > 0 is False: without the check state 0 would be dropped silently
+        pi = np.array([math.nan, 1.0])
+        joints = {s: np.diag([0.0, 1.0]) for s in G2.generators()}
+        with pytest.raises(InconsistentMarginalsError, match=r"pi has non-finite entry nan at \(0,\)"):
+            from_pair_marginals(G2, pi, joints)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_joint_rejected(self, value):
+        pi = np.array([0.5, 0.5])
+        joints = {s: np.full((2, 2), 0.25) for s in G2.generators()}
+        joints[-1] = joints[-1].copy()
+        joints[-1][1, 0] = value
+        with pytest.raises(InconsistentMarginalsError,
+                           match=rf"joint for generator -1 has non-finite entry {value} at \(1, 0\)"):
+            from_pair_marginals(G2, pi, joints)
+
     def test_empirical_wsf_within_tolerance(self, wsf2):
         src = empirical_source(wsf2, 1, seed=20260810, count=100_000)
         stats = pair_stats(src)
