@@ -9,9 +9,9 @@ to any ball around the identity is a tree.  Everything downstream -- cylinder
 probabilities, marginals, entropies -- lives on this tree.
 """
 
-from freemarkov import (GroupSpec, ball, ball_size, induced_left_edges,
-                        is_left_connected, parse_word, past, reduce_word,
-                        tree_hull)
+from freemarkov import (GroupSpec, ball, ball_size, induced_left_edges, parse_word,
+                        past, reduce_word, tree_hull)
+from freemarkov.words import Domain
 
 group = GroupSpec(rank=2, kind="group")
 semigroup = GroupSpec(rank=2, kind="semigroup")
@@ -31,12 +31,15 @@ for n in range(4):
 # The induced left-subgraph of a ball is a spanning tree rooted at e.
 b1 = ball(group, 1)
 print("\nedges of B(e,1):")
-for edge in induced_left_edges(b1, group):
-    print(f"  {edge.tail} -> {edge.head}   (letter {edge.label})")
+for tail, head, label in induced_left_edges(b1, group):
+    print(f"  {tail} -> {head}   (letter {label})")
 
-# A non-connected set is completed by its tree hull (geodesics to e).
+# A non-connected set is completed by its tree hull (geodesics to e).  Its
+# Domain holds that hull, and ``keep`` lists the set's positions in it; keep
+# is None exactly when the set is left-connected and contains e.
 pts = [parse_word("e", group), parse_word("ab", group)]
-print("\n{e, ab} left-connected?", is_left_connected(pts, group))
+dom = Domain.of(pts, group)
+print("\n{e, ab}: hull of", dom.hull_size, "vertices, keep =", dom.keep.tolist())
 print("tree hull:", sorted(str(w) for w in tree_hull(pts)))
 
 # The past of a vertex in a generator direction is everything whose tree

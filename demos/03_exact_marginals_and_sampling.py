@@ -10,10 +10,9 @@ exactly on the tree hull and then summed down; nothing is approximated.
 
 import numpy as np
 
-from freemarkov import (GroupSpec, IDENTITY, MarkovSource, Pattern, ball,
+from freemarkov import (GroupSpec, IDENTITY, MarkovSource, ball,
                         check_markov_property, check_shift_invariance,
-                        cylinder_prob, flip_system, parse_word, sample,
-                        sample_indices)
+                        cylinder_prob, flip_system, parse_word, sample_indices)
 
 group = GroupSpec(2, "group")
 flip = flip_system(2, 0.3)
@@ -21,17 +20,17 @@ src = MarkovSource(flip)
 
 # Cylinder probabilities by hand: root 1/2, then (1-eps) per disagreeing edge.
 a, b = parse_word("a", group), parse_word("b", group)
-print("P(x_e=0)              =", cylinder_prob(flip, Pattern((IDENTITY,), (0,))))
-print("P(x_e=0, x_a=1)       =",
-      cylinder_prob(flip, Pattern(tuple(sorted([IDENTITY, a])), (0, 1))))
-print("P(x_e=0, x_a=1, x_b=1) =",
-      cylinder_prob(flip, Pattern(tuple(sorted([IDENTITY, a, b])), (0, 1, 1))))
+# A cylinder maps each word to the state label it fixes there.
+print("P(x_e=0)              =", cylinder_prob(flip, {IDENTITY: 0}))
+print("P(x_e=0, x_a=1)       =", cylinder_prob(flip, {IDENTITY: 0, a: 1}))
+print("P(x_e=0, x_a=1, x_b=1) =", cylinder_prob(flip, {IDENTITY: 0, a: 1, b: 1}))
 
 # At eps=0 the chain is a proper 2-coloring of the tree: only two patterns
-# on any ball survive.
+# on any ball survive.  A pattern is a tuple of state indices, one per word
+# of the domain in shortlex order.
 frozen = MarkovSource(flip_system(2, 0.0)).ball_marginal(ball(group, 1))
-print("\nfrozen flip support on B(e,1):")
-for pattern, p in frozen.support():
+print("\nfrozen flip support on", " ".join(str(w) for w in frozen.domain) + ":")
+for pattern, p in frozen.sparse.items():
     print("  ", pattern, "->", p)
 
 # Marginals are projective: summing B(e,2) down to B(e,1) reproduces the
@@ -58,4 +57,7 @@ np.add.at(counts, tuple(rows.T), 1.0)
 exact = src.ball_marginal(dom).dense
 print("\nmax |frequency - exact| over 100k samples:",
       np.abs(counts / rows.shape[0] - exact).max())
-print("three sampled patterns:", *sample(flip, 1, seed=7, count=3), sep="\n  ")
+dom, rows = sample_indices(flip, 1, seed=7, count=3)
+print("three sampled patterns on", " ".join(str(w) for w in dom) + ":")
+for row in rows.tolist():
+    print("  ", tuple(row))

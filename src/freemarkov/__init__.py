@@ -13,18 +13,15 @@ from .entropy import (EntropyReport, big_F, big_F_star, binary_entropy,
 from .errors import (CapabilityError, FormatError, InconsistentMarginalsError,
                      StructuralError)
 from .measure import (BallMarginal, CoarsenedSource, EmpiricalSource,
-                      MarkovSource, MeasureSource, PairStats, Pattern,
-                      check_markov_property,
+                      MarkovSource, MeasureSource, PairStats, check_markov_property,
                       check_shift_invariance, coarsen, cylinder_prob,
-                      empirical_source, pair_stats, sample, sample_indices,
-                      tree_entropy)
+                      empirical_source, pair_stats, sample_indices, tree_entropy)
 from .transition import (TransitionSystem, Violation, bernoulli_system,
                          flip_system, from_json_dict, from_pair_marginals,
                          matching_system, permutation_system, product_system,
                          to_json_dict, validate, wsf_system)
 from .verify import CheckResult, run_all
-from .words import (CayleyEdge, GroupSpec, IDENTITY, Word, ball, ball_size,
-                    induced_left_edges, is_left_connected, parse_word, past,
-                    reduce_word, tree_hull)
+from .words import (GroupSpec, IDENTITY, Word, ball, ball_size, induced_left_edges,
+                    parse_word, past, reduce_word, tree_hull)
 
 __version__ = "0.1.0"

@@ -70,8 +70,7 @@ def _superstate_statistics(src: MeasureSource, m: int):
     for s in gens:
         mu = src.ball_marginal(ball_domain(src.spec, m, s))
         pos = {w: a for a, w in enumerate(mu.domain)}
-        lead = mu.codes // mu.n_states ** (len(mu.domain) - len(dom))  # the ball comes first
-        za = superstates(lead.astype(codes.dtype))
+        za = superstates(mu.sub_codes(range(len(dom))))  # the ball comes first
         zb = superstates(mu.sub_codes([pos[w * Word((s,))] for w in dom]))
         j = np.zeros((n_super, n_super))
         np.add.at(j, (za, zb), mu.masses)
@@ -103,6 +102,8 @@ def approximation_sequence(src: MeasureSource, m_max: int) -> list[tuple[int, fl
     Computes each value through the superstate pipeline; entry-for-entry it
     equals the F sequence of the source, so the two are mutual oracles.
     """
+    if m_max < 0:
+        raise ValueError(f"depth must be nonnegative, got {m_max}")
     return [(m, f_markov(markov_approximation(src, m).inner))
             for m in range(m_max + 1)]
 

@@ -9,7 +9,10 @@ marginalized down, never approximated.  Every walk over that tree (table,
 closed form, sample, cylinder) reads the parent and letter arrays of one
 ``words.Domain``.
 
-A marginal stores its positive patterns as exact mixed-radix codes in
+A pattern is a tuple of state indices in shortlex domain order: marginals
+decode to them and samples are rows of them; ``cylinder_prob``, the product
+formula kept as an oracle, reads a mapping from words to labels.  A
+marginal stores its positive patterns as exact mixed-radix codes in
 shortlex domain order, ascending, with their masses, and is built from
 them: ``BallMarginal(domain, states, codes, masses)``; ``patterns()`` is the
 one decode of the codes into state-index tuples, and ``dense`` the one full
@@ -52,7 +55,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -115,36 +118,6 @@ def _place(table: tuple, k: int, weights: np.ndarray) -> tuple:
         x[1:] -= k * x[:-1]  # row a: digit a
         placed.append(weights @ x.astype(weights.dtype))
     return rows, np.concatenate(placed), 0
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """An assignment of state labels to a shortlex-ordered finite vertex set."""
-
-    domain: tuple[Word, ...]
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.values):
-            raise ValueError(
-                f"{len(self.values)} values for {len(self.domain)} vertices")
-        if list(self.domain) != sorted(set(self.domain), key=Word.shortlex_key):
-            raise ValueError("pattern domain must be shortlex-sorted and duplicate-free")
-
-    @classmethod
-    def _on(cls, domain: tuple[Word, ...], rows: Iterable[tuple]) -> list["Pattern"]:
-        """A pattern per row of |domain| values; the domain is checked once,
-        not re-sorted for each row."""
-        cls(domain, (None,) * len(domain))
-        out = []
-        for values in rows:
-            pattern = object.__new__(cls)
-            pattern.__dict__.update(domain=domain, values=values)
-            out.append(pattern)
-        return out
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{w}:{v}" for w, v in zip(self.domain, self.values)) + "}"
 
 
 class BallMarginal:
@@ -216,8 +189,13 @@ class BallMarginal:
         return [(q := self.codes // k ** (n - 1 - a)) - q // k * k for a in positions]
 
     def sub_codes(self, positions: Sequence[int]) -> np.ndarray:
-        """Codes of the patterns read at ``positions``, in that order."""
-        return _encode(self._digits(positions), self.n_states, len(positions))
+        """Codes of the patterns read at ``positions``, in that order, in
+        ``_encode``'s dtype; the leading positions 0 .. p-1 by one division."""
+        k, n, p = self.n_states, len(self.domain), len(positions)
+        if list(positions) == list(range(p)):
+            dtype = np.int64 if k ** p < 2 ** 63 else object
+            return (self.codes // k ** (n - p)).astype(dtype, copy=False)
+        return _encode(self._digits(positions), k, p)
 
     def total(self) -> float:
         return float(self.masses.sum())
@@ -234,11 +212,6 @@ class BallMarginal:
         codes, inverse = np.unique(self.sub_codes(keep), return_inverse=True)
         return BallMarginal([self.domain[a] for a in keep], self.states, codes,
                             np.bincount(inverse, weights=self.masses))
-
-    def support(self) -> list[tuple[Pattern, float]]:
-        """Positive-probability patterns with their masses, index order."""
-        rows = [tuple(self.states[i] for i in key) for key in self.patterns()]
-        return list(zip(Pattern._on(self.domain, rows), self.masses.tolist()))
 
     def to_json_dict(self) -> dict:
         doc = {"domain": [str(w) for w in self.domain], "states": list(self.states)}
@@ -609,18 +582,20 @@ def coarsen(ts: TransitionSystem, state_map) -> CoarsenedSource:
 # Cylinder probabilities and invariance checks
 # ---------------------------------------------------------------------------
 
-def cylinder_prob(ts: TransitionSystem, pattern: Pattern) -> float:
-    """Probability of a cylinder on a left-connected domain containing e.
+def cylinder_prob(ts: TransitionSystem, cylinder: Mapping[Word, object]) -> float:
+    """Probability of the cylinder that fixes the state label ``cylinder[w]``
+    at each word w, on a left-connected domain containing e.
 
-    Root mass times one matrix entry per induced tree edge.  For any other
-    domain, take ``MarkovSource(ts).ball_marginal`` over the tree hull and
-    marginalize instead.
+    Root mass times one matrix entry per induced tree edge, the labels read
+    in the shortlex order of ``Domain.of(cylinder)``, whatever the mapping's
+    own order.  For any other domain, take ``MarkovSource(ts).ball_marginal``
+    over the tree hull and marginalize instead.
     """
-    dom = Domain.of(pattern.domain, ts.spec)
+    dom = Domain.of(cylinder, ts.spec)
     if dom.keep is not None:
         raise ValueError("cylinder domain must be left-connected and contain the "
                          "identity; use ball_marginal on the tree hull and marginalize")
-    x = [ts.state_index(v) for v in pattern.values]
+    x = [ts.state_index(cylinder[w]) for w in dom.words]
     mats = [ts.matrices[s] for s in ts.spec.generators()]
     p = float(ts.pi[x[0]])
     for v, (u, a) in enumerate(dom.tree_edges(), start=1):
@@ -707,11 +682,6 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
         if len(cums[a]) == k:
             np.minimum(x, k - 1, out=x)
     return dom.words, cols.T
-
-
-def sample(ts: TransitionSystem, radius: int, seed: int, count: int) -> list[Pattern]:
-    dom, rows = sample_indices(ts, radius, seed, count)
-    return Pattern._on(dom, [tuple(ts.states[i] for i in row) for row in rows.tolist()])
 
 
 def empirical_source(ts: TransitionSystem, radius: int, seed: int,

@@ -342,7 +342,10 @@ def to_json_dict(ts: TransitionSystem) -> dict:
 def from_json_dict(doc: Mapping) -> TransitionSystem:
     try:
         g = doc["group"]
-        spec = GroupSpec(int(g["rank"]), str(g.get("kind", GROUP)))
+        rank = g["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ValueError(f"group rank must be a JSON integer, got {rank!r}")
+        spec = GroupSpec(rank, str(g.get("kind", GROUP)))
         states = doc["states"]
         pi = doc["pi"]
         raw = doc["P"]

@@ -23,9 +23,10 @@ any other word set, and returns the cached ball for the words of a whole
 ball; ``ball`` lists the ball's words, built once from its arrays.
 ``Domain.subtree_classes`` groups hull vertices whose subtrees are alike,
 and ``Domain.preorder`` gives the digit order of their class-local codes,
-once per domain, for the measure layer's table passes.  ``tree_hull``,
-``induced_left_edges`` and ``is_left_connected`` read the domain of their
-word set.  ``Word`` products and ``reduce_word`` share one free reduction.
+once per domain, for the measure layer's table passes.  ``tree_hull`` and
+``induced_left_edges`` (edges as plain (tail, head, label) tuples) read the
+domain of their word set.  ``Word`` products and ``reduce_word`` share one
+free reduction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,26 +150,9 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         return self.shortlex_key() < other.shortlex_key()
 
-    def __le__(self, other: "Word") -> bool:
-        return self.shortlex_key() <= other.shortlex_key()
-
-    def parent(self) -> "Word":
-        """Tree neighbor one step closer to the identity (drop first letter)."""
-        if self.is_identity:
-            raise ValueError("the identity has no parent")
-        return Word(self.letters[1:])
-
-    def first_letter(self) -> int:
-        if self.is_identity:
-            raise ValueError("the identity has no letters")
-        return self.letters[0]
-
     def __mul__(self, other: "Word") -> "Word":
         """Concatenate and freely reduce."""
         return Word(_free_reduce(self.letters + other.letters))
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)))
 
     def __str__(self) -> str:
         if self.is_identity:
@@ -211,17 +195,6 @@ def reduce_word(letters: Sequence[int], spec: GroupSpec) -> Word:
     for l in letters:
         spec.check_letter(l)
     return Word(_free_reduce(letters))
-
-
-class CayleyEdge(NamedTuple):
-    """Directed edge of the left-Cayley tree, oriented away from the identity.
-
-    ``head = label * tail`` and ``len(head) = len(tail) + 1``.
-    """
-
-    tail: Word
-    head: Word
-    label: int
 
 
 class Domain:
@@ -455,8 +428,9 @@ def ball_size(spec: GroupSpec, n: int) -> int:
     return 1 + 2 * r * ((2 * r - 1) ** n - 1) // (2 * r - 2)
 
 
-def induced_left_edges(F: Iterable[Word], spec: GroupSpec) -> list[CayleyEdge]:
-    """Edges of the left-Cayley graph with both endpoints in F.
+def induced_left_edges(F: Iterable[Word], spec: GroupSpec) -> list[tuple[Word, Word, int]]:
+    """Edges of the left-Cayley graph with both endpoints in F, as
+    (tail, head, label) with ``head = label * tail``.
 
     Each adjacent pair appears once, oriented from the endpoint closer to
     the identity, in shortlex order of the farther one; for left-connected F
@@ -468,18 +442,7 @@ def induced_left_edges(F: Iterable[Word], spec: GroupSpec) -> list[CayleyEdge]:
     dom = Domain.of(words, spec)
     hull, gens, kept = dom.hull_words(), spec.generators(), dom.kept()
     parent, letter, members = dom.parent.tolist(), dom.letter.tolist(), set(kept)
-    return [CayleyEdge(tail=hull[parent[v]], head=hull[v], label=gens[letter[v]])
-            for v in kept if parent[v] in members]
-
-
-def is_left_connected(F: Iterable[Word], spec: GroupSpec) -> bool:
-    """Whether the induced left-subgraph of F is connected."""
-    dom = Domain.of(F, spec)
-    # F is one subtree exactly when all its words but the top one have
-    # their parent in F
-    kept, parent = dom.kept(), dom.parent.tolist()
-    members = set(kept)
-    return sum(parent[v] not in members for v in kept) == 1
+    return [(hull[parent[v]], hull[v], gens[letter[v]]) for v in kept if parent[v] in members]
 
 
 def tree_hull(F: Iterable[Word]) -> set[Word]:

@@ -73,6 +73,13 @@ def oracle_edges(vertices):
             if w and w[1:] in members]
 
 
+def oracle_left_connected(domain):
+    """Whether the word set contains the identity and every word's suffix
+    without its first letter: the left-connected sets that contain e."""
+    members = set(domain)
+    return () in members and all(w[1:] in members for w in members if w)
+
+
 def oracle_marginal(pi, mats, domain, coarsen_map=None):
     """Exact marginal over ``domain`` as a dict pattern-tuple -> probability.
 

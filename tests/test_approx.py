@@ -124,6 +124,15 @@ class TestCrossValidation:
         seq = approximation_sequence(coarsened_cycle, 0)
         assert len(seq) == 1 and seq[0][0] == 0
 
+    def test_negative_depth_refused_as_f_sequence_refuses(self, coarsened_cycle):
+        from freemarkov.verify import check_approx_cross_validation
+        with pytest.raises(ValueError, match="depth must be nonnegative, got -1") as want:
+            f_sequence(coarsened_cycle, -1)
+        for call in (approximation_sequence, check_approx_cross_validation):
+            with pytest.raises(ValueError) as got:
+                call(coarsened_cycle, -1)
+            assert str(got.value) == str(want.value)
+
 
 class TestStructure:
     def test_superstates_positive_mass_only(self):

@@ -282,6 +282,15 @@ class TestErrorPaths:
         assert "NaN" in bad.read_text()
         assert main(cmd.split() + [str(bad)]) == 4
 
+    @pytest.mark.parametrize("rank", [2.5, 2.0, "2", True])
+    def test_non_integer_rank_exit_4(self, tmp_path, wsf_file, capsys, rank):
+        doc = json.loads(open(wsf_file).read())
+        doc["group"]["rank"] = rank
+        bad = tmp_path / "rank.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 4
+        assert f"group rank must be a JSON integer, got {rank!r}" in capsys.readouterr().err
+
     def test_wrong_schema_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"states": [0, 1]}))

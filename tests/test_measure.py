@@ -13,11 +13,11 @@ from freemarkov.approx import ENTRY_LIMIT, markov_approximation
 from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
-                                EmpiricalSource, MarkovSource, Pattern,
-                                _PLOGP_BLOCK, _grid_fits, _plogp, check_markov_property,
+                                EmpiricalSource, MarkovSource,
+                                _PLOGP_BLOCK, _encode, _grid_fits, _plogp, check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, empirical_source,
-                                pair_stats, sample, sample_indices, tree_entropy)
+                                pair_stats, sample_indices, tree_entropy)
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, matching_system,
                                    permutation_system, product_system, validate,
@@ -39,25 +39,38 @@ def w(text):
 
 class TestCylinderProb:
     def test_root_only(self, flip03):
-        assert cylinder_prob(flip03, Pattern((IDENTITY,), (0,))) == 0.5
+        assert cylinder_prob(flip03, {IDENTITY: 0}) == 0.5
 
     def test_one_edge(self, flip03):
-        p = cylinder_prob(flip03, Pattern(tuple(sorted([IDENTITY, w("a")])), (0, 1)))
+        p = cylinder_prob(flip03, {IDENTITY: 0, w("a"): 1})
         assert abs(p - 0.5 * 0.7) < 1e-15
 
     def test_two_edges(self, flip03):
-        dom = tuple(sorted([IDENTITY, w("a"), w("b")]))
-        pat = Pattern(dom, (0, 1, 1))
-        assert abs(cylinder_prob(flip03, pat) - 0.5 * 0.7 ** 2) < 1e-15
+        p = cylinder_prob(flip03, {IDENTITY: 0, w("a"): 1, w("b"): 1})
+        assert abs(p - 0.5 * 0.7 ** 2) < 1e-15
+
+    def test_mapping_order_is_irrelevant(self, wsf2):
+        # the labels are read in shortlex order, whatever the mapping's order
+        cylinder = {IDENTITY: "a", w("a"): "a", w("b"): "A", w("ba"): "B"}
+        p = cylinder_prob(wsf2, cylinder)
+        marg = MarkovSource(wsf2).ball_marginal(cylinder)
+        key = tuple(wsf2.state_index(cylinder[x]) for x in marg.domain)
+        assert p > 0 and abs(marg.sparse[key] - p) < 1e-15
+        assert cylinder_prob(wsf2, dict(reversed(cylinder.items()))) == p
+        assert cylinder_prob(wsf2, {w("b"): "A", IDENTITY: "a", w("ba"): "B",
+                                    w("a"): "a"}) == p
 
     def test_needs_identity(self, flip03):
         with pytest.raises(ValueError, match="marginalize"):
-            cylinder_prob(flip03, Pattern((w("a"),), (0,)))
+            cylinder_prob(flip03, {w("a"): 0})
 
     def test_needs_connected_domain(self, flip03):
-        dom = tuple(sorted([IDENTITY, w("ab")]))
         with pytest.raises(ValueError, match="left-connected"):
-            cylinder_prob(flip03, Pattern(dom, (0, 0)))
+            cylinder_prob(flip03, {IDENTITY: 0, w("ab"): 0})
+
+    def test_unknown_label(self, flip03):
+        with pytest.raises(ValueError, match="unknown state label 2"):
+            cylinder_prob(flip03, {IDENTITY: 0, w("a"): 2})
 
     def test_matches_oracle_on_ball(self, wsf2):
         pi, mats = as_lists(wsf2)
@@ -65,10 +78,10 @@ class TestCylinderProb:
         dist = oracle_marginal(pi, mats, [x.letters for x in dom])
         src = MarkovSource(wsf2)
         marg = src.ball_marginal(dom)
-        for pat, p in marg.support():
-            key = tuple(wsf2.state_index(v) for v in pat.values)
+        for key, p in marg.sparse.items():
             assert abs(dist[key] - p) < 1e-14
-            assert abs(cylinder_prob(wsf2, pat) - p) < 1e-14
+            cylinder = {x: wsf2.states[i] for x, i in zip(marg.domain, key)}
+            assert abs(cylinder_prob(wsf2, cylinder) - p) < 1e-14
 
 
 class TestBallMarginal:
@@ -79,12 +92,12 @@ class TestBallMarginal:
     def test_frozen_flip_two_colorings(self):
         src = MarkovSource(flip_system(2, 0.0))
         m = src.ball_marginal(ball(G2, 1))
-        supp = m.support()
+        supp = m.sparse
         assert len(supp) == 2
-        for pat, p in supp:
+        for pat, p in supp.items():
             assert p == 0.5
-            root = pat.values[0]  # the identity comes first in shortlex order
-            assert all(v == 1 - root for x, v in zip(pat.domain, pat.values)
+            root = m.states[pat[0]]  # the identity comes first in shortlex order
+            assert all(m.states[i] == 1 - root for x, i in zip(m.domain, pat)
                        if x != IDENTITY)
 
     @pytest.mark.parametrize("builder,n", [
@@ -190,21 +203,16 @@ class TestBallMarginal:
         for marg in margs:
             assert marg.sparse
             assert all(type(d) is int for key in marg.sparse for d in key)
-            assert all(type(v) is int for pat, _ in marg.support() for v in pat.values)
+            assert all(type(d) is int for key in marg.patterns() for d in key)
 
     def test_support_is_one_pattern_per_row(self, coarsened_cycle):
         marg = coarsened_cycle.ball_marginal(ball(G2, 3))
         assert not marg.is_dense
-        expected = [(Pattern(marg.domain, tuple(marg.states[i] for i in key)), p)
-                    for key, p in zip(marg.patterns(), marg.masses.tolist())]
-        assert marg.support() == expected
-        assert [hash(pat) for pat, _ in marg.support()] == [hash(pat) for pat, _ in expected]
-
-    @pytest.mark.parametrize("domain", [(w("a"), IDENTITY), (IDENTITY, w("a"), w("a"))],
-                             ids=["unsorted", "duplicate"])
-    def test_pattern_domain_checked(self, domain):
-        with pytest.raises(ValueError, match="shortlex-sorted and duplicate-free"):
-            Pattern(domain, (0,) * len(domain))
+        k, n = marg.n_states, len(marg.domain)
+        pats = marg.patterns()
+        assert [sum(d * k ** (n - 1 - a) for a, d in enumerate(key)) for key in pats] \
+            == marg.codes.tolist()
+        assert list(marg.sparse.items()) == list(zip(pats, marg.masses.tolist()))
 
     @pytest.mark.parametrize("table", [([0, 1], [math.nan, 1.0]),
                                        ([0, 1], [math.inf, 1.0]),
@@ -235,8 +243,7 @@ class TestBallMarginal:
         m = MarkovSource(flip03).ball_marginal(ball(G2, 1))
         flat = m.dense.ravel()
         # pattern index sum_k digit_k * K^{n-1-k} in shortlex domain order
-        for pat, p in m.support():
-            digits = [flip03.state_index(v) for v in pat.values]
+        for digits, p in m.sparse.items():
             idx = sum(d * 2 ** (len(digits) - 1 - k) for k, d in enumerate(digits))
             assert flat[idx] == p
 
@@ -381,7 +388,8 @@ class TestShiftInvariance:
 
 class TestSampling:
     def test_count_zero(self, flip03):
-        assert sample(flip03, 1, seed=1, count=0) == []
+        dom, rows = sample_indices(flip03, 1, seed=1, count=0)
+        assert dom == tuple(ball(G2, 1)) and rows.shape == (0, 5)
 
     def test_deterministic_given_seed(self, flip03):
         a = sample_indices(flip03, 2, seed=7, count=50)[1]
@@ -396,20 +404,20 @@ class TestSampling:
         s_idx = {s: matching2.state_index(str(Word((s,))))
                  for s in G2.generators()}
         from freemarkov.words import induced_left_edges
-        for e in induced_left_edges(dom, G2):
-            tails, heads = rows[:, pos[e.tail]], rows[:, pos[e.head]]
-            fire = tails == s_idx[e.label]
-            assert (heads[fire] == s_idx[-e.label]).all()
+        for tail, head, label in induced_left_edges(dom, G2):
+            tails, heads = rows[:, pos[tail]], rows[:, pos[head]]
+            fire = tails == s_idx[label]
+            assert (heads[fire] == s_idx[-label]).all()
 
     def test_wsf_constraint_almost_sure(self, wsf2):
         dom, rows = sample_indices(wsf2, 2, seed=3, count=2000)
         pos = {word: i for i, word in enumerate(dom)}
         s_idx = {s: wsf2.state_index(str(Word((s,)))) for s in G2.generators()}
         from freemarkov.words import induced_left_edges
-        for e in induced_left_edges(dom, G2):
-            tails, heads = rows[:, pos[e.tail]], rows[:, pos[e.head]]
-            fire = tails == s_idx[e.label]
-            assert not (heads[fire] == s_idx[-e.label]).any()
+        for tail, head, label in induced_left_edges(dom, G2):
+            tails, heads = rows[:, pos[tail]], rows[:, pos[head]]
+            fire = tails == s_idx[label]
+            assert not (heads[fire] == s_idx[-label]).any()
 
     def test_frequencies_converge(self, flip03):
         dom, rows = sample_indices(flip03, 1, seed=11, count=100_000)
@@ -422,7 +430,7 @@ class TestSampling:
 
     def test_negative_radius_rejected(self, flip03):
         with pytest.raises(ValueError, match="radius"):
-            sample(flip03, -1, seed=1, count=1)
+            sample_indices(flip03, -1, seed=1, count=1)
 
     def test_bad_radius_and_count_named(self, flip03, wsf2):
         with pytest.raises(TypeError, match="radius must be an integer"):
@@ -440,9 +448,9 @@ class TestSampling:
         assert exc.value.limit == SAMPLE_LIMIT
 
     def test_patterns_carry_labels(self, wsf2):
-        pats = sample(wsf2, 0, seed=5, count=3)
-        assert all(p.domain == (IDENTITY,) for p in pats)
-        assert all(p.values[0] in wsf2.states for p in pats)
+        dom, rows = sample_indices(wsf2, 0, seed=5, count=3)
+        assert dom == (IDENTITY,) and rows.shape == (3, 1)
+        assert ((0 <= rows) & (rows < wsf2.n_states)).all()
 
     def test_invalid_system_refused(self):
         # a non-stationary pi summing to 1, and a pi summing to 2
@@ -937,6 +945,11 @@ class TestClassCodes:
         assert sub.dtype == np.int64
         assert sub.tolist() == [sum(((c >> (484 - a)) & 1) << (len(positions) - 1 - b)
                                     for b, a in enumerate(positions)) for c in expected]
+        # a leading prefix, read at once, in int64 up to 62 digits and exact ints past that
+        for p, dtype in ((1, np.int64), (62, np.int64), (63, object), (485, object)):
+            lead = marg.sub_codes(range(p))
+            assert lead.dtype == dtype and lead.tolist() == [c >> (485 - p) for c in expected]
+            assert lead.tolist() == _encode(marg._digits(range(p)), 2, p).tolist()
 
     def test_empirical_codes_from_sample_columns(self, wsf2):
         dom, rows = sample_indices(wsf2, 3, seed=6, count=300)
@@ -1022,3 +1035,54 @@ class TestSamplerOracle:
                                                         ts.spec.is_group)
         assert rows.shape == expected.shape and rows.dtype == expected.dtype
         np.testing.assert_array_equal(rows, expected)
+
+
+class TestInputRefusals:
+    """Each malformed input is refused with its own exception and message."""
+
+    def test_zero_mass_dropped(self):
+        marg = BallMarginal([IDENTITY], (0, 1), np.array([0, 1]), np.array([0.0, 1.0]))
+        assert marg.codes.tolist() == [1] and marg.masses.tolist() == [1.0]
+
+    def test_marginalize_refusals(self, flip03):
+        marg = MarkovSource(flip03).ball_marginal(ball(G2, 1))
+        with pytest.raises(ValueError, match="subdomain is not contained in the domain"):
+            marg.marginalize([IDENTITY, w("ab")])
+        with pytest.raises(ValueError, match="domain must be nonempty"):
+            marg.marginalize([])
+
+    def test_blocked_join_refused_past_the_limit(self, monkeypatch):
+        from freemarkov import measure
+        monkeypatch.setattr(measure, "SPARSE_LIMIT", 4)
+        table = (np.ones((3, 2)), np.arange(3), 1)
+        # 9 pairs, formed one row of the first table at a time: 3, then 6 > 4
+        with pytest.raises(CapabilityError,
+                           match="support exceeds 4 patterns on a 7-vertex hull") as exc:
+            measure._join(table, table, 3, 7)
+        assert (exc.value.needed, exc.value.limit) == (6, 4)
+
+    def test_short_state_map_refused(self, flip03):
+        with pytest.raises(ValueError, match="state_map has 1 entries for 2 states"):
+            coarsen(flip03, [0])
+
+    def test_empirical_rows_refused(self):
+        b1 = ball(G2, 1)
+        with pytest.raises(ValueError, match=r"index rows have shape \(2, 4\), "
+                                             r"expected \(N, 5\)"):
+            EmpiricalSource(b1, (0, 1), np.zeros((2, 4)), G2)
+        with pytest.raises(ValueError, match="state index out of range in sample rows"):
+            EmpiricalSource(b1, (0, 1), np.full((1, 5), 2), G2)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            EmpiricalSource(b1, (0, 1), np.zeros((0, 5)), G2)
+
+    def test_approximation_of_a_non_invariant_sample_refused(self):
+        # x_a = 1 in the one sample, a state x_e never takes: the pair pattern
+        # (x_e, x_a) restricts at a to no superstate of B(e,0)
+        src = EmpiricalSource(ball(G2, 1), (0, 1), np.array([[0, 1, 0, 0, 0]]), G2)
+        with pytest.raises(ValueError, match="restricts to no superstate; "
+                                             "the source is not shift-invariant"):
+            markov_approximation(src, 0)
+
+    def test_negative_depth_refused(self, flip03):
+        with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+            big_F(MarkovSource(flip03), -1)

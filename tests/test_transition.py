@@ -308,3 +308,66 @@ class TestJson:
             from_json_dict({"group": {"rank": 2, "kind": "group"},
                             "states": [0, 1], "pi": [0.5, 0.5],
                             "P": {"s1": [[1.0, 0.0]]}})
+
+
+class TestInputRefusals:
+    """Each malformed input is refused with its own exception and message."""
+
+    def test_transition_system_structure(self, flip03):
+        mats = dict(flip03.matrices)
+        with pytest.raises(StructuralError, match="state space must be nonempty"):
+            TransitionSystem(G2, (), np.array([]), mats)
+        with pytest.raises(StructuralError, match="state labels must be distinct"):
+            TransitionSystem(G2, (0, 0), flip03.pi, mats)
+        with pytest.raises(StructuralError,
+                           match=r"matrix for generator 1 has shape \(2, 3\), expected \(2, 2\)"):
+            TransitionSystem(G2, (0, 1), flip03.pi, {**mats, 1: np.full((2, 3), 0.5)})
+        with pytest.raises(ValueError, match="unknown state label 'x'"):
+            flip03.state_index("x")
+
+    def test_pi_entry_range_reported(self, flip03):
+        ts = TransitionSystem(G2, (0, 1), np.array([1.5, -0.5]), dict(flip03.matrices))
+        ranges = [v for v in validate(ts) if v.condition == "pi_entry_range"]
+        assert ranges == [("pi_entry_range", (0,), 0.5), ("pi_entry_range", (1,), 0.5)]
+
+    @pytest.mark.parametrize("p", [[[0.5, 0.5]], []], ids=["two_dim", "empty"])
+    def test_bernoulli_p_shape_refused(self, p):
+        with pytest.raises(StructuralError, match="p must be a nonempty probability vector"):
+            bernoulli_system(G2, p)
+
+    def test_permutation_arguments_refused(self):
+        with pytest.raises(ValueError, match="need at least one point, got 0"):
+            permutation_system(G2, 0)
+        with pytest.raises(ValueError, match="unexpected generator 3 in assignments"):
+            permutation_system(G2, 2, {3: (1, 0)})
+        with pytest.raises(ValueError, match="unexpected generator -1 in assignments"):
+            permutation_system(S2, 2, {-1: (1, 0)})
+
+    def test_pair_marginals_refused(self):
+        pi = np.array([0.5, 0.5])
+        joints = {s: np.full((2, 2), 0.25) for s in G2.generators()}
+        with pytest.raises(StructuralError, match="3 state labels for a length-2 vector"):
+            from_pair_marginals(G2, pi, joints, states=("x", "y", "z"))
+        with pytest.raises(StructuralError, match=r"joints keyed by \[1, 2\] but generators"):
+            from_pair_marginals(G2, pi, {1: joints[1], 2: joints[2]})
+        with pytest.raises(StructuralError, match=r"joint for generator 1 has shape \(2, 3\)"):
+            from_pair_marginals(G2, pi, {**joints, 1: np.full((2, 3), 1 / 6)})
+        negative = np.array([[0.75, -0.25], [-0.25, 0.75]])
+        with pytest.raises(InconsistentMarginalsError,
+                           match="joint for generator -1 has negative entry -0.25"):
+            from_pair_marginals(G2, pi, {**joints, -1: negative})
+
+
+class TestJsonRank:
+    @pytest.mark.parametrize("rank", [2.5, 2.0, "2", True],
+                             ids=["fraction", "float", "string", "bool"])
+    def test_rank_must_be_a_json_integer(self, flip03, rank):
+        doc = to_json_dict(flip03)
+        doc["group"]["rank"] = rank
+        with pytest.raises(FormatError, match=f"group rank must be a JSON integer, got {rank!r}"):
+            from_json_dict(doc)
+        with pytest.raises(FormatError, match="must be a JSON integer"):
+            from_json_dict(json.loads(json.dumps(doc)))
+
+    def test_integer_rank_loads(self, flip03):
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(flip03)))).spec == G2

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemarkov.errors import CapabilityError
-from freemarkov.words import (BALL_LIMIT, CayleyEdge, Domain, GroupSpec, IDENTITY,
-                              Word, _ball_domain, ball, ball_domain, ball_size,
-                              check_radius, induced_left_edges, is_left_connected,
-                              parse_word, past, reduce_word, tree_hull)
+from freemarkov.words import (BALL_LIMIT, Domain, GroupSpec, IDENTITY, Word,
+                              _ball_domain, ball, ball_domain, ball_size, check_radius,
+                              induced_left_edges, parse_word, past, reduce_word, tree_hull)
 
-from oracles import oracle_ball, oracle_edges, oracle_hull
+from oracles import oracle_ball, oracle_edges, oracle_hull, oracle_left_connected
 
 G2 = GroupSpec(2, "group")
 S2 = GroupSpec(2, "semigroup")
@@ -53,7 +52,7 @@ class TestReduce:
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
     def test_word_times_inverse_is_identity(self, letters):
         word = reduce_word(letters, G2)
-        assert word * word.inverse() == IDENTITY
+        assert word * Word(tuple(-l for l in reversed(word.letters))) == IDENTITY
 
 
 class TestBall:
@@ -147,8 +146,9 @@ class TestGeometry:
                 words = sorted(union, key=Word.shortlex_key)
                 index = {x: i for i, x in enumerate(words)}
                 dom = ball_domain(spec, n, s)
-                assert dom.parent.tolist() == [-1] + [index[x.parent()] for x in words[1:]]
-                assert dom.letter.tolist() == [-1] + [gens.index(x.first_letter())
+                assert dom.parent.tolist() == [-1] + [index[Word(x.letters[1:])]
+                                                      for x in words[1:]]
+                assert dom.letter.tolist() == [-1] + [gens.index(x.letters[0])
                                                       for x in words[1:]]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -176,14 +176,12 @@ class TestGeometry:
         gens = spec.generators()
         assert dom.words == tuple(sorted(set(subset), key=Word.shortlex_key))
         assert dom.hull_size == len(hull)
-        assert dom.parent.tolist() == [-1] + [index[x.parent()] for x in hull[1:]]
-        assert dom.letter.tolist() == [-1] + [gens.index(x.first_letter())
-                                              for x in hull[1:]]
+        assert dom.parent.tolist() == [-1] + [index[Word(x.letters[1:])] for x in hull[1:]]
+        assert dom.letter.tolist() == [-1] + [gens.index(x.letters[0]) for x in hull[1:]]
         keep = [index[x] for x in dom.words]
         assert (dom.keep is None) == (keep == list(range(len(hull))))
         assert dom.keep is None or dom.keep.tolist() == keep
-        connected = is_left_connected(subset, spec) and IDENTITY in subset
-        assert connected == (dom.keep is None)
+        assert oracle_left_connected([x.letters for x in subset]) == (dom.keep is None)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_of_a_ball_is_the_cached_ball(self, spec):
@@ -261,18 +259,17 @@ class TestEdges:
     def test_star(self):
         edges = induced_left_edges(ball(G2, 1), G2)
         assert len(edges) == 4
-        assert all(e.tail == IDENTITY for e in edges)
-        assert sorted(e.label for e in edges) == [-2, -1, 1, 2]
+        assert all(tail == IDENTITY for tail, _, _ in edges)
+        assert sorted(label for _, _, label in edges) == [-2, -1, 1, 2]
 
     def test_path(self):
         edges = induced_left_edges([IDENTITY, w("a"), w("ba")], G2)
-        assert edges == [CayleyEdge(IDENTITY, w("a"), 1),
-                         CayleyEdge(w("a"), w("ba"), 2)]
+        assert edges == [(IDENTITY, w("a"), 1), (w("a"), w("ba"), 2)]
 
     def test_head_longer_than_tail(self):
-        for e in induced_left_edges(ball(G2, 3), G2):
-            assert len(e.head) == len(e.tail) + 1
-            assert Word((e.label,)) * e.tail == e.head
+        for tail, head, label in induced_left_edges(ball(G2, 3), G2):
+            assert len(head) == len(tail) + 1
+            assert Word((label,)) * tail == head
 
     @pytest.mark.parametrize("spec,n", [(G2, 2), (S2, 3), (GroupSpec(3), 2)])
     def test_spanning_tree_count(self, spec, n):
@@ -281,11 +278,13 @@ class TestEdges:
 
 
 class TestConnectivityAndHull:
+    # a word set is left-connected with e exactly when it is its own hull
     def test_connected_pair(self):
-        assert is_left_connected([IDENTITY, w("a")], G2)
+        assert Domain.of([IDENTITY, w("a")], G2).keep is None
 
     def test_disconnected_pair(self):
-        assert not is_left_connected([IDENTITY, w("ab")], G2)
+        dom = Domain.of([IDENTITY, w("ab")], G2)
+        assert dom.hull_size == 3 and dom.keep.tolist() == [0, 2]
 
     def test_hull_of_gap(self):
         assert tree_hull([IDENTITY, w("ab")]) == {IDENTITY, w("b"), w("ab")}
@@ -298,7 +297,8 @@ class TestConnectivityAndHull:
     def test_hull_always_connected_and_contains_input(self):
         pts = [w("abA"), w("Ba")]
         hull = tree_hull(pts)
-        assert is_left_connected(hull, G2)
+        assert oracle_left_connected([x.letters for x in hull])
+        assert Domain.of(hull, G2).keep is None
         assert set(pts) <= hull and IDENTITY in hull
 
     @settings(max_examples=60)
@@ -314,8 +314,11 @@ class TestConnectivityAndHull:
                 assert word in pts or word == IDENTITY
 
     def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError):
-            is_left_connected([], G2)
+        # no domain is empty, but the views answer for the empty word set
+        with pytest.raises(ValueError, match="nonempty"):
+            Domain.of([], G2)
+        assert tree_hull([]) == {IDENTITY}
+        assert induced_left_edges([], G2) == []
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.sampled_from([G2, S2]),
@@ -327,11 +330,13 @@ class TestConnectivityAndHull:
         letters = [x.letters for x in subset]
         edges = oracle_edges(letters)
         assert tree_hull(subset) == {Word(x) for x in oracle_hull(letters)}
-        assert [(e.tail.letters, e.head.letters, e.label)
-                for e in induced_left_edges(subset, spec)] == edges
+        assert [(tail.letters, head.letters, label)
+                for tail, head, label in induced_left_edges(subset, spec)] == edges
         if subset:
+            connected = oracle_left_connected(letters)
+            assert connected == (Domain.of(subset, spec).keep is None)
             # an induced subgraph of a tree is connected when it has |F| - 1 edges
-            assert is_left_connected(subset, spec) == (len(edges) == len(subset) - 1)
+            assert connected == (() in letters and len(edges) == len(subset) - 1)
 
 
 def _is_leaf(word, vertices):
@@ -390,6 +395,13 @@ class TestSerialization:
         assert str(Word((5,))) == "f"
         assert parse_word("f", spec5) == Word((5,))
 
+    def test_no_name_past_the_alphabet(self):
+        # 25 printable letters: generator 25 is 'z', generator 26 has no name
+        assert str(Word((25, 1, -25))) == "zaZ"
+        with pytest.raises(ValueError, match="no printable name for generator 26; "
+                                             "serialization covers ranks up to 25"):
+            str(Word((26,)))
+
 
 class TestGroupSpec:
     def test_generator_counts(self):
@@ -403,6 +415,11 @@ class TestGroupSpec:
     def test_generator_names_round_trip(self):
         for s in G2.generators():
             assert G2.letter_from_name(G2.generator_name(s)) == s
+
+    @pytest.mark.parametrize("name", ["x1", "s", "s1x", "_inv"])
+    def test_bad_generator_name(self, name):
+        with pytest.raises(ValueError, match=f"bad generator name {name!r}"):
+            G2.letter_from_name(name)
 
     def test_bad_rank_and_kind(self):
         with pytest.raises(ValueError):
