@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MeasureSource, _closed_form, _plogp
+from .measure import MeasureSource, _check_masses, _closed_form, _plogp
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
 from .words import Word, ball_domain, check_radius
 
@@ -35,15 +35,10 @@ FSTAR_CONFIG_LIMIT = 2 ** 24
 
 
 def shannon(dist: Sequence[float]) -> float:
-    """Entropy -sum p log p in nats, with 0 log 0 = 0, of a probability vector."""
+    """Entropy -sum p log p in nats, with 0 log 0 = 0, of a probability
+    vector that passes the mass checks of a marginal (``_check_masses``)."""
     p = np.asarray(dist, dtype=float)
-    total = p.sum()
-    if not np.isfinite(total):
-        raise ValueError("non-finite probability")
-    if p.min() < -1e-12:
-        raise ValueError(f"negative probability {p.min():.3g}")
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
+    _check_masses(p)
     return _plogp(p)
 
 

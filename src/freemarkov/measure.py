@@ -16,7 +16,13 @@ marginal stores its positive patterns as exact mixed-radix codes in
 shortlex domain order, ascending, with their masses, and is built from
 them: ``BallMarginal(domain, states, codes, masses)``; ``patterns()`` is the
 one decode of the codes into state-index tuples, and ``dense`` the one full
-table, refused past ``DENSE_LIMIT`` cells.  A Markov source with
+table, refused past ``DENSE_LIMIT`` cells.  Every source supplies one
+hook, ``_table(dom, coded=True)``: the codes and masses of its positive
+patterns on a ``Domain``; without ``coded`` the codes are None and the
+masses may keep zeros.  ``MeasureSource`` builds every marginal from the
+coded table and every table entropy from the uncoded masses, once they
+pass the checks a marginal's masses pass (``_check_masses``), so an
+entropy forms no codes.  A Markov source with
 K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
 hull vertex at a time; every other table is one leaves-to-root sum-product
 over the hull's subtree classes (``Domain.subtree_classes``), with a
@@ -25,14 +31,12 @@ holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
 over the same classes.  Isomorphic subtrees share one table and one
 message per class and letter.  A marginal's tables carry class-local
 codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
-at their shortlex positions (``Domain.preorder``).  An entropy forms no
-codes on either engine: it takes -sum p log p of the flat grid or of the
-sum-product's root masses once they pass the checks a marginal's masses
-pass (``_check_masses``).  Per domain a Markov source takes the grid when it
-fits, else the closed form H(pi) + sum_s c_s e_s when the domain is its own
-hull (c_s counts the induced tree edges labelled s, e_s is the conditional
-entropy of one s-step), else the sum-product; a coarsened source always
-takes the sum-product.  ``_closed_form``, the one owner of the closed form's
+at their shortlex positions (``Domain.preorder``).  Per domain a Markov
+source's entropy takes the grid when it fits, else the closed form
+H(pi) + sum_s c_s e_s when the domain is its own hull (c_s counts the
+induced tree edges labelled s, e_s is the conditional entropy of one
+s-step), else the sum-product; a coarsened source always takes the
+sum-product.  ``_closed_form``, the one owner of the closed form's
 terms, checks pi and each joint as a table's masses are checked, so no
 route answers where another refuses.  ``MeasureSource.entropy_sum`` adds up
 a linear combination of domain entropies; the Markov override merges the
@@ -45,8 +49,8 @@ count)`` fills a vertex-major table, each vertex's column from its
 parent's, with one uniform per sample compared against the cumulative
 sums of the parent state's row and the count clamped to K-1, and returns
 its transposed (count, |ball|) view; it refuses a table past
-``SAMPLE_LIMIT`` cells.  An empirical marginal encodes that table's
-vertex columns in place.
+``SAMPLE_LIMIT`` cells.  An empirical source's table encodes that
+table's vertex columns in place.
 """
 
 from __future__ import annotations
@@ -230,21 +234,28 @@ class BallMarginal:
 # ---------------------------------------------------------------------------
 
 class MeasureSource:
-    """Anything that can produce exact (or empirical) ball marginals."""
+    """Anything that can produce exact (or empirical) ball marginals.
+
+    A source supplies one hook, ``_table(dom, coded=True)``: the ascending
+    codes of its positive patterns on a ``Domain`` (None without ``coded``)
+    and their masses.  ``ball_marginal`` and ``domain_entropy`` read it.
+    """
 
     spec: GroupSpec
     states: tuple
 
-    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
+    def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         raise NotImplementedError
 
-    def domain_entropy(self, domain: Iterable[Word]) -> float:
-        """Shannon entropy of the marginal on ``domain``.
+    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
+        dom = Domain.of(domain, self.spec)
+        return BallMarginal(dom.words, self.states, *self._table(dom))
 
-        Default route is the marginal's own entropy; subclasses may add
-        exact shortcuts.
-        """
-        return self.ball_marginal(domain).entropy()
+    def domain_entropy(self, domain: Iterable[Word]) -> float:
+        """H of the uncoded table's masses, which pass a marginal's checks."""
+        masses = self._table(Domain.of(domain, self.spec), coded=False)[1]
+        _check_masses(masses)
+        return _plogp(masses)
 
     def entropy_sum(self, terms: Sequence[tuple[float, Iterable[Word]]]
                     ) -> tuple[float, list[float]]:
@@ -451,36 +462,23 @@ class MarkovSource(MeasureSource):
         order = np.argsort(codes, kind="stable")
         return codes[order], masses[order]
 
-    def _table(self, dom: Domain, emit: Sequence[int] | None = None, coded: bool = True
-               ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Codes and masses of the states, or of ``emit[x]`` if given, on the
-        domain: the hull grid if that fits and nothing is emitted, else the sum-product."""
+    def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+        """The hull grid if it fits, else the sum-product."""
         k = len(self.states)
-        if emit is None and _grid_fits(k, dom.hull_size):
+        if _grid_fits(k, dom.hull_size):
             return self._grid(dom, coded)
-        return self._sum_product(dom, range(k) if emit is None else emit, coded)
-
-    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        dom = Domain.of(domain, self.spec)
-        return BallMarginal(dom.words, self.states, *self._table(dom))
-
-    def _table_entropy(self, dom: Domain, emit: Sequence[int] | None = None) -> float:
-        """H of ``_table``'s uncoded masses, which pass the checks of a
-        marginal's masses; no codes and no ``BallMarginal`` are built."""
-        masses = self._table(dom, emit, coded=False)[1]
-        _check_masses(masses)
-        return _plogp(masses)
+        return self._sum_product(dom, range(k), coded)
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
 
-        ``_table_entropy`` (grid, else sum-product) if K >= 2 and K^|hull|
+        The table entropy (grid, else sum-product) if K >= 2 and K^|hull|
         fits the grid, or if the domain is not its own hull; else the
         closed form.
         """
         domain = Domain.of(domain, self.spec)
         if domain.keep is not None or _grid_fits(len(self.states), domain.hull_size):
-            return self._table_entropy(domain), None
+            return super().domain_entropy(domain), None
         h_root, edge = self._root_and_edge_entropies
         return h_root + float(domain.label_counts @ edge), domain.label_counts
 
@@ -529,13 +527,8 @@ class CoarsenedSource(MeasureSource):
         self.states = tuple(dict.fromkeys(images))
         self.index_map = tuple(self.states.index(im) for im in images)
 
-    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        dom = Domain.of(domain, self.spec)
-        return BallMarginal(dom.words, self.states,
-                            *self.base._sum_product(dom, self.index_map))
-
-    def domain_entropy(self, domain: Iterable[Word]) -> float:
-        return self.base._table_entropy(Domain.of(domain, self.spec), self.index_map)
+    def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+        return self.base._sum_product(dom, self.index_map, coded)
 
 
 class EmpiricalSource(MeasureSource):
@@ -551,26 +544,30 @@ class EmpiricalSource(MeasureSource):
         self.states = tuple(states)
         self.domain = Domain.of(domain, spec)
         self.column = {w: a for a, w in enumerate(self.domain.words)}
-        rows = np.asarray(index_rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != len(self.domain):
-            raise ValueError(f"index rows have shape {rows.shape}, "
+        raw = np.asarray(index_rows)
+        if raw.ndim != 2 or raw.shape[1] != len(self.domain):
+            raise ValueError(f"index rows have shape {raw.shape}, "
                              f"expected (N, {len(self.domain)})")
-        if rows.size and (rows.min() < 0 or rows.max() >= len(self.states)):
-            raise ValueError("state index out of range in sample rows")
-        if rows.shape[0] == 0:
+        if raw.shape[0] == 0:
             raise ValueError("need at least one sample")
+        kind = raw.dtype.kind
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to values they differ from
+            rows = raw.astype(np.int64, copy=False) if kind in "biuf" else None
+        if rows is None or (kind == "f" and not (rows == raw).all()):
+            raise ValueError("sample rows must hold integer state indices")
+        if rows.min() < 0 or rows.max() >= len(self.states):
+            raise ValueError("state index out of range in sample rows")
         self.rows = rows
 
-    def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
-        words = Domain.of(domain, self.spec).words
-        missing = [w for w in words if w not in self.column]
+    def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+        missing = [w for w in dom.words if w not in self.column]
         if missing:
             raise CapabilityError(
                 f"empirical source sampled on radius-{len(self.domain.words[-1])} "
                 f"ball cannot see {missing[0]}")
-        codes, counts = np.unique(_encode((self.rows[:, self.column[w]] for w in words),
-                                          len(self.states), len(words)), return_counts=True)
-        return BallMarginal(words, self.states, codes, counts / self.rows.shape[0])
+        codes, counts = np.unique(_encode((self.rows[:, self.column[w]] for w in dom.words),
+                                          len(self.states), len(dom)), return_counts=True)
+        return codes if coded else None, counts / self.rows.shape[0]
 
 
 def coarsen(ts: TransitionSystem, state_map) -> CoarsenedSource:

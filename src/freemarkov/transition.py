@@ -80,6 +80,11 @@ class Violation(NamedTuple):
     residual: float
 
 
+def _check_tol(tol: float) -> None:
+    if not np.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def validate(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check all invariance conditions; an empty report means valid within tol.
 
@@ -88,8 +93,7 @@ def validate(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> list[Violation]:
     other conditions cannot see it.  A tolerance that is not finite and
     nonnegative is refused: NaN would pass every residual.
     """
-    if not np.isfinite(tol) or tol < 0:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    _check_tol(tol)
     out: list[Violation] = []
     pi, k = ts.pi, ts.n_states
 
@@ -284,9 +288,11 @@ def from_pair_marginals(spec: GroupSpec, pi: Sequence[float],
 
     ``joints[s][i, j]`` is the measure of seeing state i at a vertex and
     state j one s-step further; every entry must be finite, and rows must
-    sum to pi.  States of zero mass are dropped (their conditional rows are
-    0/0 and the measure never visits them).
+    sum to pi within ``tol``, which must be finite and nonnegative.  States
+    of zero mass are dropped (their conditional rows are 0/0 and the
+    measure never visits them).
     """
+    _check_tol(tol)
     pi = np.array(pi, dtype=float)
     _refuse_non_finite(pi, "pi")
     k = pi.size
@@ -340,23 +346,22 @@ def to_json_dict(ts: TransitionSystem) -> dict:
 
 
 def from_json_dict(doc: Mapping) -> TransitionSystem:
+    """The system a wire-format document describes; ``FormatError`` on any
+    malformed document, a non-finite number included."""
     try:
         g = doc["group"]
         rank = g["rank"]
         if isinstance(rank, bool) or not isinstance(rank, int):
             raise ValueError(f"group rank must be a JSON integer, got {rank!r}")
         spec = GroupSpec(rank, str(g.get("kind", GROUP)))
-        states = doc["states"]
-        pi = doc["pi"]
-        raw = doc["P"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed transition-system document: {exc}") from exc
-    try:
+        states, pi, raw = doc["states"], doc["pi"], doc["P"]
+        if not isinstance(states, list):
+            raise ValueError(f"states must be a JSON array, got {states!r}")
         mats = {spec.letter_from_name(name): np.array(m, dtype=float)
                 for name, m in raw.items()}
         hashable = tuple(tuple(s) if isinstance(s, list) else s for s in states)
         ts = TransitionSystem(spec, hashable, np.array(pi, dtype=float), mats)
-    except (StructuralError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed transition-system document: {exc}") from exc
     if not all(np.isfinite(a).all() for a in (ts.pi, *ts.matrices.values())):
         raise FormatError("transition-system document holds a non-finite number")

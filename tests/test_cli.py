@@ -291,6 +291,19 @@ class TestErrorPaths:
         assert main(["validate", str(bad)]) == 4
         assert f"group rank must be a JSON integer, got {rank!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("states", 4), ("states", [{"x": 1}, "y", "z", "w"]),
+        ("states", [[0, [1]], "y", "z", "w"]), ("states", "abcd"),
+        ("P", [[0.5, 0.5], [0.5, 0.5]]),
+    ], ids=["states_number", "states_object", "states_nested", "states_string", "P_list"])
+    def test_wrong_field_type_exit_4(self, tmp_path, wsf_file, capsys, key, value):
+        doc = json.loads(open(wsf_file).read())
+        doc[key] = value
+        bad = tmp_path / "field.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 4
+        assert "malformed transition-system document" in capsys.readouterr().err
+
     def test_wrong_schema_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"states": [0, 1]}))

@@ -59,8 +59,10 @@ class TestShannon:
             shannon([1.1, -0.1])
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            shannon([0.25, 0.25])
+        # the mass gate of a marginal's masses: a total off 1 by more than 1e-9
+        for dist in ([0.25, 0.25], [0.5, 0.5 + 5e-7], []):
+            with pytest.raises(ValueError, match="sum"):
+                shannon(dist)
 
     @pytest.mark.parametrize("dist", [[math.nan, 1.0], [math.inf, 0.0], [-math.inf, 1.0]])
     def test_non_finite_rejected(self, dist):

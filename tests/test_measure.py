@@ -723,6 +723,37 @@ class TestDomainEntropy:
                         pi, mats, [x.letters for x in dom], coarsen_map=coarsen_map))
                     assert abs(h - exact) <= 1e-12
 
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["group", "semigroup"]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           n_perms=st.integers(min_value=0, max_value=3),
+           picks=st.sets(st.integers(min_value=0, max_value=16), min_size=1,
+                         max_size=4))
+    def test_empirical_matches_marginal(self, kind, k, seed, n_perms, picks):
+        # the one table hook: the same masses, so the same bits and refusals
+        spec = GroupSpec(2, kind)
+        rng = np.random.default_rng(seed)
+        src = empirical_source(masked_sinkhorn_system(spec, k, rng, n_perms), 2,
+                               seed=seed, count=200)
+        b2 = ball(spec, 2)
+        domains = [ball_domain(spec, n) for n in range(4)]
+        domains += [ball_domain(spec, n, s) for n in (1, 2) for s in spec.generators()]
+        domains += [[b2[i % len(b2)] for i in picks], b2[1:], ball(spec, 3)[1:]]
+        seen = refused = 0
+        for dom in domains:
+            try:
+                h = src.ball_marginal(dom).entropy()
+            except CapabilityError as refusal:
+                with pytest.raises(CapabilityError, match="cannot see") as info:
+                    src.domain_entropy(dom)
+                assert str(info.value) == str(refusal)
+                refused += 1
+                continue
+            assert src.domain_entropy(dom) == h
+            seen += 1
+        assert seen >= 7 and refused >= 3
+
     @pytest.mark.parametrize("src,dom", [
         # 4^17 hidden patterns on B(e,2)
         (coarsen(product_system(flip_system(2, 0.3), flip_system(2, 0.1)), [0, 1, 1, 0]),
@@ -1074,6 +1105,13 @@ class TestInputRefusals:
             EmpiricalSource(b1, (0, 1), np.full((1, 5), 2), G2)
         with pytest.raises(ValueError, match="need at least one sample"):
             EmpiricalSource(b1, (0, 1), np.zeros((0, 5)), G2)
+        # a cast to int64 would read 0.7 as state 0
+        for rows in ([[0.7]], [[math.nan]], [["1"]]):
+            with pytest.raises(ValueError, match="sample rows must hold integer state indices"):
+                EmpiricalSource([IDENTITY], (0, 1), rows, G2)
+        with pytest.raises(ValueError, match="sample rows must hold integer state indices"):
+            EmpiricalSource(b1, (0, 1), [[0, 1, 0, 0.5, 1]], G2)
+        assert EmpiricalSource(b1, (0, 1), np.ones((1, 5)), G2).rows.dtype == np.int64
 
     def test_approximation_of_a_non_invariant_sample_refused(self):
         # x_a = 1 in the one sample, a state x_e never takes: the pair pattern

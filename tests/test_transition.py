@@ -255,6 +255,15 @@ class TestFromPairMarginals:
                            match=rf"joint for generator -1 has non-finite entry {value} at \(1, 0\)"):
             from_pair_marginals(G2, pi, joints)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_refused(self, tol):
+        # nan and inf would pass any joint; -1 would blame an entry of 0
+        pi = np.array([0.5, 0.5])
+        joints = {s: np.full((2, 2), 0.25) for s in G2.generators()}
+        with pytest.raises(ValueError, match=f"tolerance must be finite and nonnegative, "
+                                             f"got {tol!r}"):
+            from_pair_marginals(G2, pi, joints, tol=tol)
+
     def test_empirical_wsf_within_tolerance(self, wsf2):
         src = empirical_source(wsf2, 1, seed=20260810, count=100_000)
         stats = pair_stats(src)
