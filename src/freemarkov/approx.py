@@ -6,6 +6,10 @@ system over *superstates* (positive-mass patterns on the ball) matching
 them.  The f-invariant of the depth-m approximation equals F of the source
 at depth m, which turns the F sequence into a sequence of honest Markov
 systems converging to the source in distribution on every finite window.
+The statistics are read by integer positions: a pattern on the pair domain
+B(e, m) ∪ B(e, m)·s restricts to its superstate at the ball's leading
+positions and to its s-translate's at the pair domain's ``translates``,
+and each joint is one ``np.bincount`` of the pair marginal's masses.
 A Markov source is its own approximation: ``markov_fixed_point_gap`` takes
 the entropy of the source on B(e, m+1) against that of the approximation
 on B(e, 1), whose superstates read the same base pattern.
@@ -48,7 +52,14 @@ class SuperstateSystem:
 
 
 def _superstate_statistics(src: MeasureSource, m: int):
-    """Positive patterns on B(e, m), their labels and masses, and pair joints."""
+    """Positive patterns on B(e, m), their labels and masses, and pair joints.
+
+    A pattern on the pair domain B(e, m) ∪ B(e, m)·s is read at the ball,
+    its leading positions, for its superstate, and at ``translates``, the
+    positions of the w·s, for its s-translate's.  Joint entry (a, b) adds
+    the masses of the patterns with those two superstates in code order,
+    as one ``np.bincount`` over a * |superstates| + b.
+    """
     marg = src.ball_marginal(ball_domain(src.spec, m))
     dom, codes = marg.domain, marg.codes
     n_super = codes.size
@@ -68,13 +79,12 @@ def _superstate_statistics(src: MeasureSource, m: int):
 
     joints = {}
     for s in gens:
-        mu = src.ball_marginal(ball_domain(src.spec, m, s))
-        pos = {w: a for a, w in enumerate(mu.domain)}
+        pair = ball_domain(src.spec, m, s)
+        mu = src.ball_marginal(pair)
         za = superstates(mu.sub_codes(range(len(dom))))  # the ball comes first
-        zb = superstates(mu.sub_codes([pos[w * Word((s,))] for w in dom]))
-        j = np.zeros((n_super, n_super))
-        np.add.at(j, (za, zb), mu.masses)
-        joints[s] = j
+        zb = superstates(mu.sub_codes(pair.translates))
+        joints[s] = np.bincount(za * n_super + zb, weights=mu.masses,
+                                minlength=n_super ** 2).reshape(n_super, n_super)
     patterns = tuple(marg.patterns())
     labels = tuple(pattern_label(tuple(src.states[i] for i in pat)) for pat in patterns)
     return dom, patterns, labels, marg.masses, joints

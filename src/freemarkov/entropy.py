@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import MeasureSource, _check_masses, _closed_form, _plogp
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
-from .words import Word, ball_domain, check_radius
+from .words import Word, _integer, ball_domain, check_radius
 
 FSTAR_CONFIG_LIMIT = 2 ** 24
 
@@ -140,6 +140,7 @@ def big_F_star(src: MeasureSource, n: int = 0, m: int = 3) -> float:
     Nonincreasing in m; for Markov sources at n = 0 it equals big_F at
     every m >= 1.
     """
+    m = _integer(m, "truncation m")
     if m < 1:
         raise ValueError(f"truncation must be at least 1, got {m}")
     b = ball_domain(src.spec, n)

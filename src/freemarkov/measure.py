@@ -44,19 +44,25 @@ integer edge counts of all closed-form terms before the single dot product
 with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, shared by the closed form, the table entropies and
 ``entropy``, and adds its block sums with ``math.fsum``.  Samples are
-drawn on a ball given by its radius: ``sample_indices(ts, radius, seed,
-count)`` fills a vertex-major table, each vertex's column from its
-parent's, with one uniform per sample compared against the cumulative
-sums of the parent state's row and the count clamped to K-1, and returns
-its transposed (count, |ball|) view; it refuses a table past
-``SAMPLE_LIMIT`` cells.  An empirical source's table encodes that
-table's vertex columns in place.
+drawn on a ball given by its radius and an integer count:
+``sample_indices(ts, radius, seed, count)`` fills a vertex-major table,
+each vertex's column from its parent's, with one uniform per sample
+compared against the cumulative sums of the parent state's row.  The
+passed compares are counted in one reused buffer of the narrowest
+unsigned int that holds K, clamped to K-1 and cast once into the
+vertex's int64 column; the table is returned as its transposed
+(count, |ball|) view, and refused past ``SAMPLE_LIMIT`` cells.  An
+empirical source's table encodes that table's vertex columns in place
+and counts the codes with one ``np.bincount`` when the K^|domain| cells
+are no more than the samples, else by a sort.  Exact-int codes are
+decoded a run of up to 32 digits at a time (``BallMarginal._digits``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -65,7 +71,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .transition import TransitionSystem, require_valid
-from .words import Domain, GroupSpec, IDENTITY, Word, ball_domain, past
+from .words import Domain, GroupSpec, IDENTITY, Word, _integer, ball_domain, past
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
 SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hull
@@ -189,14 +195,30 @@ class BallMarginal:
         return dict(zip(self.patterns(), self.masses.tolist()))
 
     def _digits(self, positions: Iterable[int]) -> list[np.ndarray]:
-        k, n = self.n_states, len(self.domain)  # a division by k is faster than a remainder
-        return [(q := self.codes // k ** (n - 1 - a)) - q // k * k for a in positions]
+        """The int64 digit columns at ``positions``.  Exact-int codes are cut
+        into int64 runs of up to 32 digits, one division a run, and each
+        run's digits come from one ``np.unravel_index``."""
+        k, n, codes = self.n_states, len(self.domain), self.codes
+        if codes.dtype != object:  # a division by k is faster than a remainder
+            return [(q := codes // k ** (n - 1 - a)) - q // k * k for a in positions]
+        width = min(32, 62 // (k - 1).bit_length())  # K^width < 2^63, and numpy 1's 32 axes
+        runs, out = {}, []
+        for a in positions:
+            lo = a - a % width
+            if lo not in runs:
+                hi = min(n, lo + width)
+                run = (codes // k ** (n - hi) % k ** (hi - lo)).astype(np.int64)
+                runs[lo] = np.unravel_index(run, (k,) * (hi - lo))
+            out.append(runs[lo][a - lo])
+        return out
 
     def sub_codes(self, positions: Sequence[int]) -> np.ndarray:
         """Codes of the patterns read at ``positions``, in that order, in
-        ``_encode``'s dtype; the leading positions 0 .. p-1 by one division."""
+        ``_encode``'s dtype; the leading positions 0 .. p-1 by one division.
+        Positions may be Python or numpy ints."""
+        positions = list(map(operator.index, positions))  # exact powers of K
         k, n, p = self.n_states, len(self.domain), len(positions)
-        if list(positions) == list(range(p)):
+        if positions == list(range(p)):
             dtype = np.int64 if k ** p < 2 ** 63 else object
             return (self.codes // k ** (n - p)).astype(dtype, copy=False)
         return _encode(self._digits(positions), k, p)
@@ -555,7 +577,7 @@ class EmpiricalSource(MeasureSource):
             rows = raw.astype(np.int64, copy=False) if kind in "biuf" else None
         if rows is None or (kind == "f" and not (rows == raw).all()):
             raise ValueError("sample rows must hold integer state indices")
-        if rows.min() < 0 or rows.max() >= len(self.states):
+        if rows.view(np.uint64).max() >= len(self.states):  # a negative index reads >= 2^63
             raise ValueError("state index out of range in sample rows")
         self.rows = rows
 
@@ -565,9 +587,15 @@ class EmpiricalSource(MeasureSource):
             raise CapabilityError(
                 f"empirical source sampled on radius-{len(self.domain.words[-1])} "
                 f"ball cannot see {missing[0]}")
-        codes, counts = np.unique(_encode((self.rows[:, self.column[w]] for w in dom.words),
-                                          len(self.states), len(dom)), return_counts=True)
-        return codes if coded else None, counts / self.rows.shape[0]
+        k, n, count = len(self.states), len(dom), self.rows.shape[0]
+        codes = _encode((self.rows[:, self.column[w]] for w in dom.words), k, n)
+        if k ** n <= count:  # a count per cell costs less than the sort
+            counts = np.bincount(codes, minlength=k ** n)
+            codes = np.flatnonzero(counts)
+            counts = counts[codes]
+        else:
+            codes, counts = np.unique(codes, return_counts=True)
+        return codes if coded else None, counts / count
 
 
 def coarsen(ts: TransitionSystem, state_map) -> CoarsenedSource:
@@ -645,16 +673,20 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     where cum holds the row cumulative sums of the matrix of w's leading
     letter, taken once per generator.  The table is vertex-major: each
     vertex's column is filled from its parent's column by contiguous
-    compare-and-add passes, one per column of cum, and the (count, |ball|)
-    rows are returned as its transposed view.  A generator whose last
+    compare passes, one per column of cum, added into one reused buffer
+    of the narrowest unsigned int that holds K (uint8 up to K = 255) and
+    cast once into the vertex's int64 column; the (count, |ball|) rows
+    are returned as the table's transposed view.  A generator whose last
     column of cum is at least 1 everywhere drops that column and the clamp,
     which u < 1 never passes; every other compare stays, so the draws are
     those of the row-wise comparison even where a cumulative sum is not
     monotone.  Deterministic for a fixed seed.
     Refuses systems that fail validation, so pi and the rows sum to 1 up to
     rounding, which is all the normalization of pi and the clamp absorb.
-    Refuses a table of more than ``SAMPLE_LIMIT`` cells before allocating it.
+    Refuses a count that is not an integer, and a table of more than
+    ``SAMPLE_LIMIT`` cells before allocating it.
     """
+    count = _integer(count, "sample count")
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
     require_valid(ts)
@@ -670,14 +702,15 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     cums = [np.cumsum(ts.matrices[s], axis=1).T.copy() for s in ts.spec.generators()]
     cums = [cum[:-1] if (cum[-1] >= 1.0).all() else cum for cum in cums]  # u < 1 passes none
     cols[0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
+    passed = np.empty(count, dtype=np.min_scalar_type(k))  # counts 0 .. K compares
     for v, (p, a) in enumerate(dom.tree_edges(), start=1):
-        u = rng.random(count)
-        parent, x = cols[p], cols[v]
-        x.fill(0)
+        u, parent = rng.random(count), cols[p]
+        passed.fill(0)
         for cum_j in cums[a]:
-            x += u > cum_j.take(parent)
+            passed += u > cum_j.take(parent)
         if len(cums[a]) == k:
-            np.minimum(x, k - 1, out=x)
+            np.minimum(passed, k - 1, out=passed)
+        cols[v] = passed
     return dom.words, cols.T
 
 

@@ -18,7 +18,9 @@ parent index and leading letter in shortlex order, with the edge-label
 counts.  ``ball_domain`` caches the ball B(e,n) and each pair domain
 B(e,n) ∪ B(e,n)·s, whose size and label counts are read without building
 any word, once ``check_radius`` has refused, from the closed-form
-``ball_size``, any ball past ``BALL_LIMIT`` vertices; ``Domain.of`` takes
+``ball_size``, any ball past ``BALL_LIMIT`` vertices.  A pair domain's
+``translates``, built on first read, holds the position of w·s for each
+word w of the ball, those ending in s^-1 included; ``Domain.of`` takes
 any other word set, and returns the cached ball for the words of a whole
 ball; ``ball`` lists the ball's words, built once from its arrays.
 ``Domain.subtree_classes`` groups hull vertices whose subtrees are alike,
@@ -210,18 +212,20 @@ class Domain:
     the hull has ``label_counts.sum() + 1`` vertices.
 
     ``tree`` returns (parent, letter) and is called on first use, which
-    lets ``ball_domain`` build a pair domain's tree only when one is read.
-    Balls and pair domains come from there, cached, so that their words,
+    lets ``ball_domain`` build a pair domain's tree only when one is read;
+    a pair domain's ``translates`` builder is likewise called with the
+    domain on the first read of ``translates``.  Balls and pair domains come from there, cached, so that their words,
     subtree classes (``subtree_classes``: hull vertices grouped by the
     shape, letters and domain vertices of the subtree below them) and
     ``preorder`` are found once; any other word set comes from ``of``.
     """
 
     def __init__(self, spec: GroupSpec, label_counts: np.ndarray, tree,
-                 keep: np.ndarray | None = None, words: tuple[Word, ...] | None = None):
+                 keep: np.ndarray | None = None, words: tuple[Word, ...] | None = None,
+                 translates=None):
         self.spec, self.label_counts, self.keep = spec, label_counts, keep
         self.hull_size = int(label_counts.sum()) + 1
-        self._build = tree
+        self._build, self._translate = tree, translates
         if words is not None:
             self.words = words
 
@@ -283,6 +287,15 @@ class Domain:
         its own hull, built on first use."""
         return self.hull_words()
 
+    @functools.cached_property
+    def translates(self) -> np.ndarray:
+        """In a pair domain B(e, n) ∪ B(e, n)·s, the position of w·s for each
+        word w of the ball, in the ball's order; built on first read.  Other
+        domains have none."""
+        if self._translate is None:
+            raise ValueError("only a pair domain B(e, n) ∪ B(e, n)·s has translates")
+        return self._translate(self)
+
     def kept(self) -> list[int]:
         """The domain's hull positions, ascending."""
         return list(range(self.hull_size)) if self.keep is None else self.keep.tolist()
@@ -333,6 +346,15 @@ def _frozen_ints(values) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, NaN or other non-integer is refused
+    with a message naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_radius(spec: GroupSpec, n: int) -> None:
     """Refuse a negative radius, and a ball B(e, n) past ``BALL_LIMIT``
     vertices, from its closed-form size before anything is built."""
@@ -355,11 +377,7 @@ def ball_domain(spec: GroupSpec, n: int, s: int | None = None) -> Domain:
     read off the ball's outer level at once; its tree is built on first use.
     A cache miss calls ``check_radius`` first, and a refusal is not cached.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise TypeError(f"radius must be an integer, got {n!r}") from None
-    return _ball_domain(spec, n, s)  # one cache key whether or not s is passed
+    return _ball_domain(spec, _integer(n, "radius"), s)  # one cache key whether or not s is passed
 
 
 @functools.lru_cache(maxsize=128)
@@ -392,23 +410,38 @@ def _ball_domain(spec: GroupSpec, n: int, s: int | None) -> Domain:
         outer = outer[ball.letter[first] != inverse[a]]
     lead = ball.letter[outer] if n else np.array([a])
     counts = _frozen_ints(ball.label_counts + np.bincount(lead, minlength=len(gens)))
-    return Domain(spec, counts, lambda: _pair_tree(ball, ends, outer, lead, a))
+    return Domain(spec, counts, lambda: _pair_tree(ball, ends, outer, lead, a),
+                  translates=lambda pair: _frozen_ints(_shifted(*pair._tree, ends, a, len(gens))))
+
+
+def _shifted(parent: np.ndarray, letter: np.ndarray, ends: list[int], a: int,
+             n_gens: int) -> np.ndarray:
+    """Position of w·s, s = gens[a], in the tree (parent, letter) for each
+    word w below position ``ends[-1]``, where ``ends`` holds the ball sizes
+    by radius and every w·s is in the tree.  For v = gens[b]·w, v·s is
+    gens[b]·(w·s): the child of w·s by letter b, or, where gens[b] cancels
+    the leading letter of w·s (only for v = s^-1), the parent of w·s."""
+    child = np.full((parent.size, n_gens), -1)  # child[i, b]: gens[b] * word i
+    child[parent[1:], letter[1:]] = np.arange(1, parent.size)
+    shift = np.empty(ends[-1], dtype=np.int64)
+    shift[0] = child[0, a]
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        up = shift[parent[lo:hi]]
+        step = child[up, letter[lo:hi]]
+        shift[lo:hi] = np.where(step >= 0, step, parent[up])
+    return shift
 
 
 def _pair_tree(ball: Domain, ends: list[int], outer: np.ndarray, lead: np.ndarray,
                a: int) -> tuple[np.ndarray, np.ndarray]:
     """Parent and letter arrays of the ball followed by the words w·s, s =
     gens[a], for the w at ``outer``, whose leading letters are ``lead``;
-    ``ends`` holds the ball sizes by radius."""
+    ``ends`` holds the ball sizes by radius.  The parent of w·s is
+    parent(w)·s, which is in the ball."""
     parent, letter = ball.parent, ball.letter
-    child = np.full((parent.size, ball.label_counts.size), -1)  # child[i, b]: gens[b] * word i
-    child[parent[1:], letter[1:]] = np.arange(1, parent.size)
-    shift = np.full(parent.size, -1)  # word i · s, for |word i| < n where it reduces
-    shift[0] = child[0, a]
-    for lo, hi in zip(ends[:-1], ends[1:-1]):
-        up = shift[parent[lo:hi]]
-        shift[lo:hi] = np.where(up >= 0, child[up, letter[lo:hi]], -1)
-    up = shift[parent[outer]] if len(ends) > 1 else [0]
+    up = [0]  # n = 0: s hangs off the identity
+    if len(ends) > 1:
+        up = _shifted(parent, letter, ends[:-1], a, ball.label_counts.size)[parent[outer]]
     return (_frozen_ints(np.concatenate([parent, up])),
             _frozen_ints(np.concatenate([letter, lead])))
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from freemarkov.measure import MarkovSource, coarsen, pair_stats
 from freemarkov.transition import (bernoulli_system, flip_system,
                                    matching_system, product_system, validate,
                                    wsf_system)
-from freemarkov.verify import EXACT_TOL, STRICT_DROP, cycle_system
+from freemarkov.verify import (EXACT_TOL, STRICT_DROP, cycle_coarsening,
+                               cycle_system)
 from freemarkov.words import GroupSpec, ball, ball_size
 
 from oracles import as_lists, oracle_pushdown
@@ -175,3 +178,37 @@ class TestStructure:
         back = from_json_dict(to_json_dict(approx.inner))
         assert back.states == approx.inner.states
         np.testing.assert_allclose(back.pi, approx.inner.pi)
+
+
+class TestPinnedSystems:
+    """Superstate systems pinned bit for bit: pi, each matrix in generator
+    order and the state labels, hashed as written by the parent of the
+    integer superstate statistics."""
+
+    @staticmethod
+    def _digest(inner) -> str:
+        h = hashlib.sha256(np.ascontiguousarray(inner.pi).tobytes())
+        for s in inner.spec.generators():
+            h.update(np.ascontiguousarray(inner.matrices[s]).tobytes())
+        h.update("\n".join(inner.states).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("make,m,digest", [
+        (cycle_coarsening, 0, "11639d396e28c7331394ba5e65dcbf5d8b9c44295069c7f1741abd1066fe1933"),
+        (cycle_coarsening, 1, "0e1ab1c61cad3f274bf670350b5592fd7f79469fecd76f68d796d9076d027573"),
+        (cycle_coarsening, 2, "0b84107fe858293391c9037bf2d6aa5aef1800ba1b131ac9105e4c045af9f836"),
+        (cycle_coarsening, 3, "c0636629f59a5b7ee36ddd1d69781eaaa807c527ad24357940220a5391b31591"),
+        (lambda: coarsen(sinkhorn_system(3, 17, GroupSpec(3)), [0, 1, 1]), 0,
+         "29aa62771fd50054a117d5c843c8bcabd58c9b73dcbf8a8d5acf21ec8c256763"),
+        (lambda: coarsen(sinkhorn_system(3, 17, GroupSpec(3)), [0, 1, 1]), 1,
+         "48b12b8fbd61d23c5436d765bf8a0f1e4a4a909f4ff4549ce2f7e8333cf21d74"),
+        (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 0,
+         "ba744571a3fad33103130113f623c718be00e3bef285db48007f13b63fce5d0a"),
+        (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 1,
+         "635eeabd09b42d5dc994f2b1a222abc98bce724f8c3228716d288e467c2a9d53"),
+        (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 2,
+         "17dcf8097f5d0aaaf811c6ceda585662ab2979155413d48ce2c9c88d53a02277"),
+    ], ids=["cycle-0", "cycle-1", "cycle-2", "cycle-3", "rank3-0", "rank3-1",
+            "semigroup-0", "semigroup-1", "semigroup-2"])
+    def test_superstate_system_pinned(self, make, m, digest):
+        assert self._digest(markov_approximation(make(), m).inner) == digest

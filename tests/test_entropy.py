@@ -325,6 +325,12 @@ class TestBigFStar:
         with pytest.raises(ValueError):
             big_F_star(MarkovSource(flip03), 0, 0)
 
+    def test_m_must_be_an_integer(self, flip03):
+        # NaN passes m < 1 and 2.5 would reach range(): both are refused first
+        for m in (math.nan, 2.5):
+            with pytest.raises(TypeError, match="truncation m must be an integer, got "):
+                big_F_star(MarkovSource(flip03), 0, m)
+
 
 class TestDepthCapability:
     def test_empirical_source_within_depth(self, flip03):

@@ -437,6 +437,10 @@ class TestSampling:
             sample_indices(flip03, [IDENTITY], seed=1, count=1)
         with pytest.raises(ValueError, match="count must be nonnegative"):
             sample_indices(flip03, 1, seed=1, count=-1)
+        for count in (2.5, math.nan, "3"):
+            for call in (sample_indices, empirical_source):
+                with pytest.raises(TypeError, match="sample count must be an integer, got "):
+                    call(flip03, 1, seed=1, count=count)
         with pytest.raises(CapabilityError, match="more than"):
             sample_indices(wsf2, 19, seed=1, count=1)
 
@@ -976,6 +980,8 @@ class TestClassCodes:
         assert sub.dtype == np.int64
         assert sub.tolist() == [sum(((c >> (484 - a)) & 1) << (len(positions) - 1 - b)
                                     for b, a in enumerate(positions)) for c in expected]
+        # numpy positions too: their powers of K are exact ints, not wrapped int64
+        assert marg.sub_codes(np.array(positions)).tolist() == sub.tolist()
         # a leading prefix, read at once, in int64 up to 62 digits and exact ints past that
         for p, dtype in ((1, np.int64), (62, np.int64), (63, object), (485, object)):
             lead = marg.sub_codes(range(p))
@@ -1034,6 +1040,14 @@ class TestSamplerOracle:
         # every built-in's last cumulative column is 1: the draws of all K compares
         _, rows = sample_indices(ts, 3, 20261018, 500)
         assert hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("k", [256, 300])
+    def test_states_past_uint8_match_the_oracle(self, k):
+        # the compare counts reach K - 1 >= 255, and 256 before a clamp: their
+        # accumulator must be wider than uint8
+        ts = bernoulli_system(G2, np.full(k, 1.0 / k))
+        self._check(ts, 2, 20261019, 400)
+        assert sample_indices(ts, 2, 20261019, 400)[1].max() == k - 1
 
     def test_last_column_below_one_is_kept(self, monkeypatch):
         # row 0 sums to 1 - 1e-15 and its cumulative sums are not monotone:

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,20 @@ class TestGeometry:
                                                       for x in words[1:]]
                 assert dom.letter.tolist() == [-1] + [gens.index(x.letters[0])
                                                       for x in words[1:]]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_pair_translates_match_word_products(self, spec):
+        # words ending in s^-1 translate back into the ball, the rest outward
+        for n in range(5):
+            b = ball(spec, n)
+            for s in spec.generators():
+                pair = ball_domain(spec, n, s)
+                pos = {x: a for a, x in enumerate(pair)}
+                assert pair.translates.tolist() == [pos[x * Word((s,))] for x in b]
+                assert pair.translates.dtype == np.int64
+                assert not pair.translates.flags.writeable
+        with pytest.raises(ValueError, match="only a pair domain"):
+            ball_domain(spec, 1).translates
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_of_matches_ball_domains(self, spec):
