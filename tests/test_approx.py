@@ -182,8 +182,8 @@ class TestStructure:
 
 class TestPinnedSystems:
     """Superstate systems pinned bit for bit: pi, each matrix in generator
-    order and the state labels, hashed as written by the parent of the
-    integer superstate statistics."""
+    order and the state labels, hashed as the Word-product superstate
+    reads and ``np.add.at`` joints wrote them."""
 
     @staticmethod
     def _digest(inner) -> str:
