@@ -46,11 +46,13 @@ with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
 ``entropy``, and adds its block sums with ``math.fsum``.  Samples are
 drawn on a ball given by its radius and an integer count:
 ``sample_indices(ts, radius, seed, count)`` fills a vertex-major table,
-each vertex's column from its parent's, with one uniform per sample
-compared against the cumulative sums of the parent state's row.  The
-passed compares are counted in one reused buffer of the narrowest
-unsigned int that holds K, clamped to K-1 and cast once into the
-vertex's int64 column; the table is returned as its transposed
+the root's column by comparing one uniform per sample against the
+normalized cumulative sums of pi (the draws of numpy's ``choice``), and
+each other vertex's column from its parent's, with one uniform per
+sample compared against the cumulative sums of the parent state's row.
+The passed compares are counted in one reused buffer of the narrowest
+unsigned int that holds K, clamped to K-1 at the vertices and cast once
+into the vertex's int64 column; the table is returned as its transposed
 (count, |ball|) view, and refused past ``SAMPLE_LIMIT`` cells.  An
 empirical source's table encodes that table's vertex columns in place
 and counts the codes with one ``np.bincount`` when the K^|domain| cells
@@ -668,8 +670,13 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     """Draw configurations on the ball B(e, radius): its words in shortlex
     order, and rows of state indices in that order.
 
-    Root from pi, then outward breadth-first, one ``rng.random(count)`` per
-    vertex: the state at w is min(#{j : u > cum[x(parent(w)), j]}, K-1),
+    One ``rng.random(count)`` for the root and then one per vertex,
+    outward breadth-first.  The root state is #{j < K-1 : u >= cdf_j},
+    where cdf is the cumulative sum of pi / sum(pi) divided by its last
+    entry: the arithmetic of numpy's ``Generator.choice`` with ``p``, whose
+    draws these are, but defined also where an entry of pi in [-tol, 0)
+    makes cdf not monotone.  The state at w is
+    min(#{j : u > cum[x(parent(w)), j]}, K-1),
     where cum holds the row cumulative sums of the matrix of w's leading
     letter, taken once per generator.  The table is vertex-major: each
     vertex's column is filled from its parent's column by contiguous
@@ -701,8 +708,11 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     cols = np.empty((len(dom), count), dtype=np.int64)
     cums = [np.cumsum(ts.matrices[s], axis=1).T.copy() for s in ts.spec.generators()]
     cums = [cum[:-1] if (cum[-1] >= 1.0).all() else cum for cum in cums]  # u < 1 passes none
-    cols[0] = rng.choice(k, size=count, p=ts.pi / ts.pi.sum())
-    passed = np.empty(count, dtype=np.min_scalar_type(k))  # counts 0 .. K compares
+    passed = np.zeros(count, dtype=np.min_scalar_type(k))  # counts 0 .. K compares
+    u, cdf = rng.random(count), np.cumsum(ts.pi / ts.pi.sum())
+    for cdf_j in cdf[:-1] / cdf[-1]:  # numpy's choice: searchsorted(cdf, u, 'right')
+        passed += u >= cdf_j
+    cols[0] = passed
     for v, (p, a) in enumerate(dom.tree_edges(), start=1):
         u, parent = rng.random(count), cols[p]
         passed.fill(0)

@@ -9,13 +9,13 @@ from freemarkov.approx import (approximation_sequence, markov_approximation,
                                markov_fixed_point_gap, pattern_label)
 from freemarkov.entropy import big_F, f_markov, f_sequence
 from freemarkov.errors import CapabilityError
-from freemarkov.measure import MarkovSource, coarsen, pair_stats
-from freemarkov.transition import (bernoulli_system, flip_system,
-                                   matching_system, product_system, validate,
-                                   wsf_system)
+from freemarkov.measure import CoarsenedSource, MarkovSource, coarsen, pair_stats
+from freemarkov.transition import (TransitionSystem, bernoulli_system,
+                                   flip_system, matching_system, product_system,
+                                   validate, wsf_system)
 from freemarkov.verify import (EXACT_TOL, STRICT_DROP, cycle_coarsening,
                                cycle_system)
-from freemarkov.words import GroupSpec, ball, ball_size
+from freemarkov.words import GroupSpec, ball, ball_domain, ball_size
 
 from oracles import as_lists, oracle_pushdown
 from test_entropy import sinkhorn_system
@@ -180,10 +180,60 @@ class TestStructure:
         np.testing.assert_allclose(back.pi, approx.inner.pi)
 
 
+def rebuilt_inverse_matrix(src, m, s):
+    """P[s^-1] of the depth-m approximation from the pair marginal on
+    B(e, m) ∪ B(e, m)·s^-1, its superstates read at the ball and at the
+    translates and its joint one ``np.bincount``."""
+    marg = src.ball_marginal(ball_domain(src.spec, m))
+    n = marg.codes.size
+    pair = ball_domain(src.spec, m, -s)
+    mu = src.ball_marginal(pair)
+    za = np.searchsorted(marg.codes, mu.sub_codes(range(len(marg.domain))))
+    zb = np.searchsorted(marg.codes, mu.sub_codes(pair.translates))
+    joint = np.bincount(za * n + zb, weights=mu.masses, minlength=n * n).reshape(n, n)
+    return joint / marg.masses[:, None]
+
+
+class TestInverseJoints:
+    """On a group P[s^-1] conditions the transpose of the joint of s."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rank=st.integers(min_value=1, max_value=3),
+           k=st.integers(min_value=2, max_value=3),  # 3^12 hidden pair patterns
+           seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+    def test_matches_the_inverse_pair_marginal(self, rank, k, seed):
+        spec = GroupSpec(rank)
+        cmap = np.random.default_rng(seed).integers(0, k, size=k).tolist()
+        src = coarsen(sinkhorn_system(k, seed, spec), cmap)
+        n_obs = len(set(cmap))
+        # depth 1 only where its superstates, patterns on B(e, 1), stay few
+        for m in [0, 1] if n_obs ** ball_size(spec, 1) <= 2 ** 8 else [0]:
+            inner = markov_approximation(src, m).inner
+            mats = dict(inner.matrices)
+            for s in spec.positive_generators():
+                mats[-s] = rebuilt_inverse_matrix(src, m, s)
+                assert np.abs(inner.matrices[-s] - mats[-s]).max() <= 1e-15
+            rebuilt = TransitionSystem(spec, inner.states, inner.pi, mats)
+            assert f_markov(inner) == f_markov(rebuilt)
+            assert validate(inner) == []
+
+    @pytest.mark.parametrize("spec", [GroupSpec(1), GroupSpec(3),
+                                      GroupSpec(2, "semigroup")])
+    def test_one_plus_r_marginals(self, spec, monkeypatch):
+        src = coarsen(sinkhorn_system(3, 17, spec), [0, 1, 1])
+        calls = []
+        read = CoarsenedSource.ball_marginal
+        monkeypatch.setattr(CoarsenedSource, "ball_marginal",
+                            lambda self, dom: calls.append(dom) or read(self, dom))
+        markov_approximation(src, 1)
+        assert len(calls) == 1 + spec.rank
+
+
 class TestPinnedSystems:
     """Superstate systems pinned bit for bit: pi, each matrix in generator
     order and the state labels, hashed as the Word-product superstate
-    reads and ``np.add.at`` joints wrote them."""
+    reads and ``np.add.at`` joints wrote them; the rank-3 group systems
+    since with each inverse joint the transpose of its generator's."""
 
     @staticmethod
     def _digest(inner) -> str:
@@ -199,9 +249,9 @@ class TestPinnedSystems:
         (cycle_coarsening, 2, "0b84107fe858293391c9037bf2d6aa5aef1800ba1b131ac9105e4c045af9f836"),
         (cycle_coarsening, 3, "c0636629f59a5b7ee36ddd1d69781eaaa807c527ad24357940220a5391b31591"),
         (lambda: coarsen(sinkhorn_system(3, 17, GroupSpec(3)), [0, 1, 1]), 0,
-         "29aa62771fd50054a117d5c843c8bcabd58c9b73dcbf8a8d5acf21ec8c256763"),
+         "074706365a2da68c9f7ad0adacb841e037d6db872af57a37f04d2e845b3eca13"),
         (lambda: coarsen(sinkhorn_system(3, 17, GroupSpec(3)), [0, 1, 1]), 1,
-         "48b12b8fbd61d23c5436d765bf8a0f1e4a4a909f4ff4549ce2f7e8333cf21d74"),
+         "a8cf6c4bedcbb178a87ed3583343a55bafeb36b811c4810ef27367ce5126621b"),
         (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 0,
          "ba744571a3fad33103130113f623c718be00e3bef285db48007f13b63fce5d0a"),
         (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 1,

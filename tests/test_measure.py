@@ -1058,17 +1058,40 @@ class TestSamplerOracle:
                               {1: np.array([row, [0.6, 0.4, 0.0], [0.6, 0.4, 0.0]])})
         assert validate(ts) == [] and np.cumsum(row)[-1] < 1.0
 
-        class Uniforms:  # root state 0, then u = 1 - 2^-53 everywhere
+        class Uniforms:  # numpy's choice; u = 0 first (root state 0), then 1 - 2^-53
+            drawn = False
+
             def choice(self, k, size, p):
-                return np.zeros(size, dtype=np.int64)
+                cdf = np.cumsum(p)
+                cdf /= cdf[-1]
+                return cdf.searchsorted(self.random(size), side="right")
 
             def random(self, count):
-                return np.full(count, 1.0 - 2.0 ** -53)
+                u = np.full(count, 1.0 - 2.0 ** -53 if self.drawn else 0.0)
+                self.drawn = True
+                return u
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Uniforms())
         _, rows = sample_indices(ts, 2, seed=0, count=4)
         pi, mats = as_lists(ts)
         np.testing.assert_array_equal(rows, oracle_sample_rows(pi, mats, 1, 2, 0, 4, False))
         assert rows.tolist() == [[0, 2, 1]] * 4  # the kept compare makes state 2
+
+    def test_negative_pi_entry_within_tol_is_drawn(self, monkeypatch):
+        # pi's last entry is -1e-12, within the validation tolerance: its
+        # cumulative sums (0.5, 1 + 1e-12, 1) are not monotone, so the root
+        # is u >= 0.5 and the last state is never drawn
+        spec = GroupSpec(1, "semigroup")
+        row = [0.5, 0.5, 0.0]
+        ts = TransitionSystem(spec, (0, 1, 2), np.array([0.5, 0.5 + 1e-12, -1e-12]),
+                              {1: np.array([row, row, row])})
+        assert validate(ts) == []
+
+        class Uniforms:
+            def random(self, count):
+                return np.array([0.0, 0.25, 0.5 - 2.0 ** -54, 0.5, 0.75, 1.0 - 2.0 ** -53])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Uniforms())
+        _, rows = sample_indices(ts, 0, seed=0, count=6)
+        assert rows.tolist() == [[0], [0], [0], [1], [1], [1]]
 
     @staticmethod
     def _check(ts, radius, seed, count):
