@@ -10,10 +10,8 @@ The statistics are read by integer positions: a pattern on the pair domain
 B(e, m) ∪ B(e, m)·s restricts to its superstate at the ball's leading
 positions and to its s-translate's at the pair domain's ``translates``,
 and each joint is one ``np.bincount`` of the pair marginal's masses.
-Pair marginals are formed for the positive generators only: on a group
-the joint of s^-1 is the transpose of the joint of s, which holds for a
-shift-invariant measure (the definition of the approximation assumes
-invariance), so a rank-r group approximation reads 1 + r marginals.
+Only the positive generators' pair marginals are formed: on a group the
+joint of s^-1 is the transpose of that of s, as for any invariant measure.
 A Markov source is its own approximation: ``markov_fixed_point_gap`` takes
 the entropy of the source on B(e, m+1) against that of the approximation
 on B(e, 1), whose superstates read the same base pattern.
@@ -62,19 +60,18 @@ def _superstate_statistics(src: MeasureSource, m: int):
     its leading positions, for its superstate, and at ``translates``, the
     positions of the w·s, for its s-translate's.  Joint entry (a, b) adds
     the masses of the patterns with those two superstates in code order,
-    as one ``np.bincount`` over a * |superstates| + b.  On a group the
-    joint of -s is the transpose of the joint of s, in the same dict order
-    as ``spec.generators()``.
+    as one ``np.bincount`` over a * |superstates| + b; on a group the
+    joint of -s is the transpose of that of s.
     """
     marg = src.ball_marginal(ball_domain(src.spec, m))
     dom, codes = marg.domain, marg.codes
     n_super = codes.size
-    entries = n_super ** 2 * len(src.spec.generators())
-    if entries > ENTRY_LIMIT:
+    gens = src.spec.generators()
+    if n_super ** 2 * len(gens) > ENTRY_LIMIT:
         raise CapabilityError(
-            f"{n_super} superstates need {entries} matrix "
+            f"{n_super} superstates need {n_super ** 2 * len(gens)} matrix "
             f"entries, past the guard ({ENTRY_LIMIT})",
-            needed=entries, limit=ENTRY_LIMIT)
+            needed=n_super ** 2 * len(gens), limit=ENTRY_LIMIT)
 
     def superstates(sub_codes: np.ndarray) -> np.ndarray:
         at = np.minimum(np.searchsorted(codes, sub_codes), n_super - 1)
@@ -103,11 +100,10 @@ def markov_approximation(src: MeasureSource, m: int) -> SuperstateSystem:
 
     Superstates are the positive-mass patterns on B(e, m); pi is the ball
     marginal and each P[s] conditions the joint of (pattern, s-translated
-    pattern).  On a group P[s^-1] conditions the transpose of the joint of
-    s, which is its joint when the source is shift-invariant, as the
-    definition assumes; f reads only pi and the positive joints.  For
-    Markov sources this reproduces the source; in general its f equals
-    big_F(src, m).
+    pattern); on a group P[s^-1] conditions the transpose of the joint of
+    s, which is its joint for a shift-invariant source, as the definition
+    assumes.  For Markov sources this reproduces the source; in general
+    its f equals big_F(src, m).
     """
     dom, patterns, labels, masses, joints = _superstate_statistics(src, m)
     mats = {s: j / masses[:, None] for s, j in joints.items()}

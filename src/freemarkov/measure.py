@@ -45,14 +45,13 @@ with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, shared by the closed form, the table entropies and
 ``entropy``, and adds its block sums with ``math.fsum``.  Samples are
 drawn on a ball given by its radius and an integer count:
-``sample_indices(ts, radius, seed, count)`` fills a vertex-major table,
-the root's column by comparing one uniform per sample against the
-normalized cumulative sums of pi (the draws of numpy's ``choice``), and
-each other vertex's column from its parent's, with one uniform per
-sample compared against the cumulative sums of the parent state's row.
-The passed compares are counted in one reused buffer of the narrowest
-unsigned int that holds K, clamped to K-1 at the vertices and cast once
-into the vertex's int64 column; the table is returned as its transposed
+``sample_indices(ts, radius, seed, count)`` fills a vertex-major table
+with one uniform per sample and vertex, compared at the root against the
+normalized cumulative sums of pi (numpy ``choice``'s draws) and elsewhere
+against those of the parent state's row.  The passed compares are
+counted in one reused buffer of the narrowest unsigned int that holds K,
+clamped to K-1 at non-root vertices and cast once into the vertex's
+int64 column; the table is returned as its transposed
 (count, |ball|) view, and refused past ``SAMPLE_LIMIT`` cells.  An
 empirical source's table encodes that table's vertex columns in place
 and counts the codes with one ``np.bincount`` when the K^|domain| cells
@@ -670,15 +669,14 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     """Draw configurations on the ball B(e, radius): its words in shortlex
     order, and rows of state indices in that order.
 
-    One ``rng.random(count)`` for the root and then one per vertex,
-    outward breadth-first.  The root state is #{j < K-1 : u >= cdf_j},
-    where cdf is the cumulative sum of pi / sum(pi) divided by its last
-    entry: the arithmetic of numpy's ``Generator.choice`` with ``p``, whose
-    draws these are, but defined also where an entry of pi in [-tol, 0)
-    makes cdf not monotone.  The state at w is
-    min(#{j : u > cum[x(parent(w)), j]}, K-1),
-    where cum holds the row cumulative sums of the matrix of w's leading
-    letter, taken once per generator.  The table is vertex-major: each
+    One ``rng.random(count)`` per vertex, outward breadth-first.  The root
+    state is #{j < K-1 : u >= cdf_j}, cdf being the cumulative sum of
+    pi / sum(pi) divided by its last entry: numpy ``Generator.choice``'s
+    arithmetic and draws, defined also where a pi entry in [-tol, 0) makes
+    cdf not monotone.  The state at w is
+    min(#{j : u > cum[x(parent(w)), j]}, K-1), where cum holds the row
+    cumulative sums of the matrix of w's leading letter, taken once per
+    generator.  The table is vertex-major: each
     vertex's column is filled from its parent's column by contiguous
     compare passes, one per column of cum, added into one reused buffer
     of the narrowest unsigned int that holds K (uint8 up to K = 255) and
