@@ -199,7 +199,7 @@ class TestInverseJoints:
 
     @settings(max_examples=30, deadline=None)
     @given(rank=st.integers(min_value=1, max_value=3),
-           k=st.integers(min_value=2, max_value=3),  # 3^12 hidden pair patterns
+           k=st.integers(min_value=2, max_value=3),  # 4^12 passes SPARSE_LIMIT
            seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_matches_the_inverse_pair_marginal(self, rank, k, seed):
         spec = GroupSpec(rank)
@@ -232,8 +232,8 @@ class TestInverseJoints:
 class TestPinnedSystems:
     """Superstate systems pinned bit for bit: pi, each matrix in generator
     order and the state labels, hashed as the Word-product superstate
-    reads and ``np.add.at`` joints wrote them; the rank-3 group systems
-    since with each inverse joint the transpose of its generator's."""
+    reads and ``np.add.at`` joints wrote them, except that each rank-3
+    group system's inverse joints are the transposes of its generators'."""
 
     @staticmethod
     def _digest(inner) -> str:
