@@ -27,7 +27,7 @@ from .entropy import f_markov
 from .errors import CapabilityError
 from .measure import MarkovSource, MeasureSource
 from .transition import TransitionSystem
-from .words import GroupSpec, Word, ball_domain
+from .words import GroupSpec, Word, _integer, ball_domain
 
 ENTRY_LIMIT = 2 ** 26
 
@@ -119,6 +119,7 @@ def approximation_sequence(src: MeasureSource, m_max: int) -> list[tuple[int, fl
     Computes each value through the superstate pipeline; entry-for-entry it
     equals the F sequence of the source, so the two are mutual oracles.
     """
+    m_max = _integer(m_max, "depth")
     if m_max < 0:
         raise ValueError(f"depth must be nonnegative, got {m_max}")
     return [(m, f_markov(markov_approximation(src, m).inner))

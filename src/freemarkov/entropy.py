@@ -122,6 +122,7 @@ def f_sequence(src: MeasureSource, n_max: int) -> list[EntropyReport]:
     exact f only when the source is Markov.  The deepest ball is checked
     against the ball guard before any row is computed.
     """
+    n_max = _integer(n_max, "depth")
     if n_max < 0:
         raise ValueError(f"depth must be nonnegative, got {n_max}")
     check_radius(src.spec, n_max)

@@ -22,26 +22,27 @@ patterns on a ``Domain``; without ``coded`` the codes are None and the
 masses may keep zeros.  ``MeasureSource`` builds every marginal from the
 coded table and every table entropy from the uncoded masses, once they
 pass the checks a marginal's masses pass (``_check_masses``), so an
-entropy forms no codes.  A Markov source with
-K >= 2 whose hull grid K^|hull| fits ``DENSE_LIMIT`` fills that grid one
-hull vertex at a time; every other table is one leaves-to-root sum-product
-over the hull's subtree classes (``Domain.subtree_classes``), with a
-coarsening as a 0/1 emission at domain vertices, and refuses when the hull
+entropy forms no codes.  One chain source, ``CoarsenedSource``, sees a
+chain ``ts`` through an emission, the observed index of each hidden state;
+``MarkovSource(ts)`` is its one-to-one coarsening.  A one-to-one emission
+with K >= 2 and a hull grid K^|hull| within ``DENSE_LIMIT`` fills that grid
+one hull vertex at a time; every other table is one leaves-to-root
+sum-product over the hull's subtree classes (``Domain.subtree_classes``),
+the emission a 0/1 table at domain vertices, and refuses when the hull
 holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
 over the same classes.  Isomorphic subtrees share one table and one
 message per class and letter.  A marginal's tables carry class-local
 codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
-at their shortlex positions (``Domain.preorder``).  Per domain a Markov
-source's entropy takes the grid when it fits, else the closed form
-H(pi) + sum_s c_s e_s when the domain is its own hull (c_s counts the
-induced tree edges labelled s, e_s is the conditional entropy of one
-s-step), else the sum-product; a coarsened source always takes the
-sum-product.  ``_closed_form``, the one owner of the closed form's
-terms, checks pi and each joint as a table's masses are checked, so no
-route answers where another refuses.  ``MeasureSource.entropy_sum`` adds up
-a linear combination of domain entropies; the Markov override merges the
-integer edge counts of all closed-form terms before the single dot product
-with e, so coefficients that cancel do so exactly; ``_plogp`` is the one
+at their shortlex positions (``Domain.preorder``).  A one-to-one entropy
+past the grid, on a domain that is its own hull, takes the closed form
+H(pi) + sum_s c_s e_s (c_s counts the induced tree edges labelled s, e_s
+is the conditional entropy of one s-step); every other entropy the table.
+``_closed_form``, the one owner of the closed form's terms, checks pi and
+each joint as a table's masses are checked, so no route answers where
+another refuses.  ``MeasureSource.entropy_sum`` adds up a linear
+combination of domain entropies; the chain source merges the integer edge
+counts of all closed-form terms before the single dot product with e, so
+coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, shared by the closed form, the table entropies and
 ``entropy``, and adds its block sums with ``math.fsum``.  Samples are
 drawn on a ball given by its radius and an integer count:
@@ -361,14 +362,27 @@ def _join(a: tuple, b: tuple, kp: int, hull_size: int) -> tuple:
     return np.concatenate(tables), None if ca is None else np.concatenate(codes), wa + wb
 
 
-class MarkovSource(MeasureSource):
-    """Exact marginals of the chain induced by a transition system."""
+class CoarsenedSource(MeasureSource):
+    """Exact marginals of a chain ``ts`` seen through a state-space quotient.
 
-    def __init__(self, ts: TransitionSystem):
-        self.ts = ts
-        self.spec = ts.spec
-        self.states = ts.states
+    ``index_map`` is the emission, the observed index of each hidden state,
+    the observed states in order of first appearance: a one-to-one emission
+    is the identity, and only it takes the grid and the closed form.
+    Generically not Markov.  ``base`` is the chain as a ``MarkovSource``.
+    """
+
+    def __init__(self, ts: TransitionSystem, state_map):
+        images = list(state_map)
+        if len(images) != len(ts.states):
+            raise ValueError(
+                f"state_map has {len(images)} entries for {len(ts.states)} states")
+        index: dict = {}  # observed label -> its index, by first appearance
+        self.index_map = tuple(index.setdefault(im, len(index)) for im in images)
+        self.ts, self.spec, self.states = ts, ts.spec, tuple(index)
+        self._one_to_one = len(index) == len(images)
         self._mats = np.stack([ts.matrices[s] for s in ts.spec.generators()])
+        if not isinstance(self, MarkovSource):  # a Markov source is its own chain
+            self.base = MarkovSource(ts)
 
     @functools.cached_property
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
@@ -384,7 +398,7 @@ class MarkovSource(MeasureSource):
         summed out.  Without ``coded`` the codes are None and the masses
         are the whole flat table, zeros kept.
         """
-        k = len(self.states)
+        k = self.ts.n_states
         table = self.ts.pi
         for v, (p, a) in enumerate(dom.tree_edges(), start=1):
             shape = [1] * (v + 1)
@@ -416,7 +430,7 @@ class MarkovSource(MeasureSource):
         classes, root = dom.subtree_classes
         counts: list[list[int]] = []
         for _, children in classes:
-            m = [1] * len(self.states)
+            m = [1] * self.ts.n_states
             for c, a in children:
                 child = counts[c].__getitem__
                 for i, row in enumerate(cols[a]):
@@ -424,9 +438,9 @@ class MarkovSource(MeasureSource):
             counts.append(m)
         return sum(m for m, p in zip(counts[root], self.ts.pi.tolist()) if p > 0)
 
-    def _sum_product(self, dom: Domain, emit: Sequence[int], coded: bool = True
+    def _sum_product(self, dom: Domain, *, coded: bool = True
                      ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Codes and masses of the observed states ``emit[x]`` on the domain.
+        """Codes and masses of the observed states ``index_map[x]`` on the domain.
 
         One pass over the hull's subtree classes, children first.  The
         table of a class has a row per observed pattern on the domain
@@ -443,14 +457,13 @@ class MarkovSource(MeasureSource):
         masses unordered.  Refuses past ``SPARSE_LIMIT`` hidden patterns on
         the hull, counted first, or rows in a table.
         """
-        k, h, n = len(self.states), dom.hull_size, len(dom)
-        if k ** h > SPARSE_LIMIT:
+        kp, h, n = len(self.states), dom.hull_size, len(dom)
+        if self.ts.n_states ** h > SPARSE_LIMIT:
             needed = self._support_count(dom)
             if needed > SPARSE_LIMIT:
                 raise _support_refusal(needed, h)
-        kp = max(emit) + 1
-        # emission[y, x] = [emit[x] == y], with code y on one vertex
-        emitted = (np.eye(kp)[list(emit)].T, np.arange(kp) if coded else None, 1)
+        # emission[y, x] = [index_map[x] == y], with code y on one vertex
+        emitted = (np.eye(kp)[list(self.index_map)].T, np.arange(kp) if coded else None, 1)
         classes, root = dom.subtree_classes
         uses = Counter(child for _, children in classes for child in children)
         sends: dict[int, list[int]] = {}
@@ -486,21 +499,21 @@ class MarkovSource(MeasureSource):
         return codes[order], masses[order]
 
     def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-        """The hull grid if it fits, else the sum-product."""
-        k = len(self.states)
-        if _grid_fits(k, dom.hull_size):
+        """The hull grid if one-to-one and it fits, else the sum-product."""
+        if self._one_to_one and _grid_fits(len(self.states), dom.hull_size):
             return self._grid(dom, coded)
-        return self._sum_product(dom, range(k), coded)
+        return self._sum_product(dom, coded=coded)
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
         """H(domain), with its edge-label counts if it takes the closed form.
 
-        The table entropy (grid, else sum-product) if K >= 2 and K^|hull|
-        fits the grid, or if the domain is not its own hull; else the
-        closed form.
+        The closed form if the emission is one-to-one, the domain is its
+        own hull and the grid does not fit (K < 2 or K^|hull| past it);
+        else the table entropy.
         """
         domain = Domain.of(domain, self.spec)
-        if domain.keep is not None or _grid_fits(len(self.states), domain.hull_size):
+        if (not self._one_to_one or domain.keep is not None
+                or _grid_fits(len(self.states), domain.hull_size)):
             return super().domain_entropy(domain), None
         h_root, edge = self._root_and_edge_entropies
         return h_root + float(domain.label_counts @ edge), domain.label_counts
@@ -532,26 +545,11 @@ class MarkovSource(MeasureSource):
         return total, entropies
 
 
-class CoarsenedSource(MeasureSource):
-    """Pushforward of a Markov chain through a state-space quotient.
+class MarkovSource(CoarsenedSource):
+    """The chain induced by a transition system: its one-to-one coarsening."""
 
-    Generically not Markov; this is the stock of test measures with a
-    strict gap between F at depth 0 and depth 1.  The quotient is the
-    emission of the base chain's sum-product.
-    """
-
-    def __init__(self, ts: TransitionSystem, state_map):
-        self.base = MarkovSource(ts)
-        self.spec = ts.spec
-        images = list(state_map)
-        if len(images) != len(ts.states):
-            raise ValueError(
-                f"state_map has {len(images)} entries for {len(ts.states)} states")
-        self.states = tuple(dict.fromkeys(images))
-        self.index_map = tuple(self.states.index(im) for im in images)
-
-    def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-        return self.base._sum_product(dom, self.index_map, coded)
+    def __init__(self, ts: TransitionSystem):
+        super().__init__(ts, ts.states)
 
 
 class EmpiricalSource(MeasureSource):

@@ -135,6 +135,11 @@ class TestCrossValidation:
             with pytest.raises(ValueError) as got:
                 call(coarsened_cycle, -1)
             assert str(got.value) == str(want.value)
+        # a non-integer depth is named, not sized as a ball or passed to range()
+        for depth in (float("nan"), float("inf"), 2.0, 2.5):
+            for call in (f_sequence, approximation_sequence, check_approx_cross_validation):
+                with pytest.raises(TypeError, match=f"^depth must be an integer, got {depth!r}$"):
+                    call(coarsened_cycle, depth)
 
 
 class TestStructure:
