@@ -380,9 +380,13 @@ class CoarsenedSource(MeasureSource):
         self.index_map = tuple(index.setdefault(im, len(index)) for im in images)
         self.ts, self.spec, self.states = ts, ts.spec, tuple(index)
         self._one_to_one = len(index) == len(images)
-        self._mats = np.stack([ts.matrices[s] for s in ts.spec.generators()])
         if not isinstance(self, MarkovSource):  # a Markov source is its own chain
             self.base = MarkovSource(ts)
+
+    @functools.cached_property
+    def _mats(self) -> np.ndarray:
+        """The matrices in generator order, stacked on first read; ``base`` reads none."""
+        return np.stack([self.ts.matrices[s] for s in self.spec.generators()])
 
     @functools.cached_property
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
@@ -505,12 +509,8 @@ class CoarsenedSource(MeasureSource):
         return self._sum_product(dom, coded=coded)
 
     def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
-        """H(domain), with its edge-label counts if it takes the closed form.
-
-        The closed form if the emission is one-to-one, the domain is its
-        own hull and the grid does not fit (K < 2 or K^|hull| past it);
-        else the table entropy.
-        """
+        """H(domain), with its edge-label counts if it takes the closed form:
+        one-to-one, on a domain that is its own hull, past the grid."""
         domain = Domain.of(domain, self.spec)
         if (not self._one_to_one or domain.keep is not None
                 or _grid_fits(len(self.states), domain.hull_size)):
