@@ -110,8 +110,8 @@ def f_markov(ts: TransitionSystem, validate_tol: float | None = DEFAULT_TOL) -> 
         require_valid(ts, validate_tol)
     h_pi, h_pair = _closed_form(ts)
     total = ts.spec.coefficient * h_pi
-    for s in ts.spec.positive_generators():
-        total += h_pair[s]
+    for h in h_pair[np.greater(ts.spec.generators(), 0)].tolist():  # s > 0, in order
+        total += h
     return total
 
 

@@ -7,7 +7,8 @@ tree edge.  Everything here is built from that product: marginals on
 arbitrary finite domains are computed exactly on the tree hull and then
 marginalized down, never approximated.  Every walk over that tree (table,
 closed form, sample, cylinder) reads the parent and letter arrays of one
-``words.Domain``.
+``words.Domain``, and each letter's matrix from the system's one read-only
+stack, ``ts.stacked[a]``, by the domain's letter index a.
 
 A pattern is a tuple of state indices in shortlex domain order: marginals
 decode to them and samples are rows of them; ``cylinder_prob``, the product
@@ -106,11 +107,15 @@ def _check_masses(masses: np.ndarray) -> float:
     return low
 
 
+def _code_dtype(k: int, n: int) -> type:
+    """Codes of n base-k digits are int64 while K^n < 2^63, else exact ints."""
+    return np.int64 if k ** n < 2 ** 63 else object
+
+
 def _encode(digits: Iterable, k: int, n: int) -> np.ndarray:
     """Codes sum_a x_a K^(n-1-a) of the digit columns x_0 .. x_{n-1}, formed
-    in place: int64 while K^n < 2^63, else exact ints in an object array."""
-    dtype = np.int64 if k ** n < 2 ** 63 else object
-    columns = iter(digits)
+    in place, in ``_code_dtype``."""
+    dtype, columns = _code_dtype(k, n), iter(digits)
     codes = np.array(next(columns), dtype=dtype)
     for column in columns:
         codes *= k
@@ -216,13 +221,12 @@ class BallMarginal:
 
     def sub_codes(self, positions: Sequence[int]) -> np.ndarray:
         """Codes of the patterns read at ``positions``, in that order, in
-        ``_encode``'s dtype; the leading positions 0 .. p-1 by one division.
+        ``_code_dtype``; the leading positions 0 .. p-1 by one division.
         Positions may be Python or numpy ints."""
         positions = list(map(operator.index, positions))  # exact powers of K
         k, n, p = self.n_states, len(self.domain), len(positions)
         if positions == list(range(p)):
-            dtype = np.int64 if k ** p < 2 ** 63 else object
-            return (self.codes // k ** (n - p)).astype(dtype, copy=False)
+            return (self.codes // k ** (n - p)).astype(_code_dtype(k, p), copy=False)
         return _encode(self._digits(positions), k, p)
 
     def total(self) -> float:
@@ -297,13 +301,13 @@ def _grid_fits(k: int, size: int) -> bool:
     return k >= 2 and size < DENSE_LIMIT.bit_length() and k ** size <= DENSE_LIMIT
 
 
-def _closed_form(ts: TransitionSystem) -> tuple[float, dict[int, float]]:
-    """H(pi) and, per generator s, H(x_e, x_s) of the joint pi (x) P_s: the
-    terms of the closed form, once pi and each joint pass ``_check_masses``."""
-    joints = {s: ts.pi[:, None] * m for s, m in ts.matrices.items()}
-    for masses in (ts.pi, *joints.values()):
+def _closed_form(ts: TransitionSystem) -> tuple[float, np.ndarray]:
+    """H(pi) and, in ``spec.generators()`` order, H(x_e, x_s) of each joint pi (x) P_s:
+    the terms of the closed form, once pi and each joint pass ``_check_masses``."""
+    joints = ts.pi[:, None] * ts.stacked
+    for masses in (ts.pi, *joints):
         _check_masses(masses)
-    return _plogp(ts.pi), {s: _plogp(j) for s, j in joints.items()}
+    return _plogp(ts.pi), np.array([_plogp(j) for j in joints])
 
 
 def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
@@ -312,15 +316,15 @@ def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
     Valid for left-connected domains containing the identity, where the
     cylinder product formula applies directly: the entropy is H(pi) plus
     c_s e_s per generator s, where c_s counts the induced tree edges
-    labelled s and e_s is the conditional entropy of one s-step, from
-    ``_closed_form``.  Serves as the exact counterpart of the brute-force
-    ``BallMarginal.entropy``.
+    labelled s and e_s = H(x_e, x_s) - H(pi) is the conditional entropy of
+    one s-step, from ``_closed_form``.  Serves as the exact counterpart of
+    the brute-force ``BallMarginal.entropy``.
     """
     domain = Domain.of(domain, ts.spec)
     if domain.keep is not None:
         raise ValueError("tree_entropy needs a left-connected domain containing e")
-    h_root, edge = MarkovSource(ts)._root_and_edge_entropies
-    return h_root + float(domain.label_counts @ edge)
+    h_root, h_pair = _closed_form(ts)
+    return h_root + float(domain.label_counts @ (h_pair - h_root))
 
 
 def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
@@ -332,15 +336,14 @@ def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
 def _join(a: tuple, b: tuple, kp: int, hull_size: int) -> tuple:
     """Every pair of rows of two sum-product tables, zero rows dropped.
 
-    A table is (rows, codes, width): a row per observed pattern on
-    ``width`` domain vertices, with its code in base ``kp`` (None in a
-    table without codes).  A pair's code is code_a * kp**width_b + code_b,
-    int64 while kp**width < 2^63, else exact ints.  Past ``SPARSE_LIMIT``
-    pairs they are formed for a block of ``a`` at a time, no block past
-    that many, and the result is refused when its rows exceed the limit.
+    A table is (rows, codes, width): a row per observed pattern on ``width``
+    domain vertices, with its code in base ``kp`` (None in a table without
+    codes).  A pair's code is code_a * kp**width_b + code_b, in ``_code_dtype``.
+    The pairs are formed a block of ``a`` at a time, no block past
+    ``SPARSE_LIMIT`` pairs, and refused once their rows exceed the limit.
     """
     (ta, ca, wa), (tb, cb, wb) = a, b
-    if ca is not None and kp ** (wa + wb) >= 2 ** 63:
+    if ca is not None and _code_dtype(kp, wa + wb) is object:
         ca, cb = ca.astype(object, copy=False), cb.astype(object, copy=False)
 
     def pairs(block: slice) -> tuple[np.ndarray, np.ndarray | None]:
@@ -349,15 +352,14 @@ def _join(a: tuple, b: tuple, kp: int, hull_size: int) -> tuple:
         codes = None if ca is None else ((ca[block] * kp ** wb)[:, None] + cb).ravel()[rows]
         return table[rows], codes
 
-    if len(ta) * len(tb) <= SPARSE_LIMIT:
-        rows, codes = pairs(slice(None))
-        return rows, codes, wa + wb
-    step, blocks, total = max(1, SPARSE_LIMIT // len(tb)), [], 0
-    for i in range(0, len(ta), step):
+    step, blocks, total = max(1, SPARSE_LIMIT // max(1, len(tb))), [], 0
+    for i in range(0, len(ta) or 1, step):  # an empty table is one empty block
         blocks.append(pairs(slice(i, i + step)))
         total += len(blocks[-1][0])
         if total > SPARSE_LIMIT:
             raise _support_refusal(total, hull_size)
+    if len(blocks) == 1:
+        return (*blocks[0], wa + wb)
     tables, codes = zip(*blocks)
     return np.concatenate(tables), None if ca is None else np.concatenate(codes), wa + wb
 
@@ -384,15 +386,10 @@ class CoarsenedSource(MeasureSource):
             self.base = MarkovSource(ts)
 
     @functools.cached_property
-    def _mats(self) -> np.ndarray:
-        """The matrices in generator order, stacked on first read; ``base`` reads none."""
-        return np.stack([self.ts.matrices[s] for s in self.spec.generators()])
-
-    @functools.cached_property
     def _root_and_edge_entropies(self) -> tuple[float, np.ndarray]:
         """H(pi) and e_s = H(x_e, x_s) - H(pi) in ``spec.generators()`` order."""
         h_root, h_pair = _closed_form(self.ts)
-        return h_root, np.array([h_pair[s] - h_root for s in self.spec.generators()])
+        return h_root, h_pair - h_root
 
     def _grid(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """Codes and masses of the patterns on the domain, via the hull grid.
@@ -402,12 +399,11 @@ class CoarsenedSource(MeasureSource):
         summed out.  Without ``coded`` the codes are None and the masses
         are the whole flat table, zeros kept.
         """
-        k = self.ts.n_states
-        table = self.ts.pi
+        k, table = self.ts.n_states, self.ts.pi
         for v, (p, a) in enumerate(dom.tree_edges(), start=1):
             shape = [1] * (v + 1)
             shape[p] = shape[v] = k
-            table = table[..., None] * self._mats[a].reshape(shape)
+            table = table[..., None] * self.ts.stacked[a].reshape(shape)
         if dom.keep is not None:
             table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(dom.keep))))
         flat = table.ravel()
@@ -420,7 +416,7 @@ class CoarsenedSource(MeasureSource):
     def _positive_columns(self) -> list[list[list[int]]]:
         """Per generator index a and row i, the columns j with P[a][i, j] > 0."""
         return [[[j for j, p in enumerate(row) if p > 0] for row in m.tolist()]
-                for m in self._mats]
+                for m in self.ts.stacked]
 
     def _support_count(self, dom: Domain) -> int:
         """Exact number of positive patterns on the hull of ``dom``.
@@ -475,8 +471,7 @@ class CoarsenedSource(MeasureSource):
             sends.setdefault(c, []).append(a)
         weights = None  # at the root, the weight of each digit's shortlex position
         if coded and dom.preorder is not None:
-            dtype = np.int64 if kp ** n < 2 ** 63 else object
-            weights = kp ** (n - 1 - dom.preorder).astype(dtype)
+            weights = kp ** (n - 1 - dom.preorder).astype(_code_dtype(kp, n))
         messages: dict[tuple[int, int], tuple] = {}
         for c, (own, children) in enumerate(classes):
             # the pieces' rows bound the root's: past _PLACE_FIRST cells, place them first
@@ -493,7 +488,7 @@ class CoarsenedSource(MeasureSource):
                 head = _place(emitted, kp, weights[:1]) if placing else emitted
                 table = head if table is None else _join(head, table, kp, h)
             for a in sends.get(c, ()):
-                messages[c, a] = (table[0] @ self._mats[a].T, table[1], table[2])
+                messages[c, a] = (table[0] @ self.ts.stacked[a].T, table[1], table[2])
         if weights is not None and not placing:
             table = _place(table, kp, weights)
         masses, codes = table[0] @ self.ts.pi, table[1]  # the root's class is the last
@@ -620,10 +615,9 @@ def cylinder_prob(ts: TransitionSystem, cylinder: Mapping[Word, object]) -> floa
         raise ValueError("cylinder domain must be left-connected and contain the "
                          "identity; use ball_marginal on the tree hull and marginalize")
     x = [ts.state_index(cylinder[w]) for w in dom.words]
-    mats = [ts.matrices[s] for s in ts.spec.generators()]
     p = float(ts.pi[x[0]])
     for v, (u, a) in enumerate(dom.tree_edges(), start=1):
-        p *= float(mats[a][x[u], x[v]])
+        p *= float(ts.stacked[a, x[u], x[v]])
     return p
 
 
@@ -673,8 +667,8 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     arithmetic and draws, defined also where a pi entry in [-tol, 0) makes
     cdf not monotone.  The state at w is
     min(#{j : u > cum[x(parent(w)), j]}, K-1), where cum holds the row
-    cumulative sums of the matrix of w's leading letter, taken once per
-    generator.  The table is vertex-major: each
+    cumulative sums of the matrix of w's leading letter, all taken by one
+    ``np.cumsum`` of ``ts.stacked``.  The table is vertex-major: each
     vertex's column is filled from its parent's column by contiguous
     compare passes, one per column of cum, added into one reused buffer
     of the narrowest unsigned int that holds K (uint8 up to K = 255) and
@@ -699,11 +693,10 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
         raise CapabilityError(f"{count} samples on B(e,{radius}) need {cells} table "
                               f"cells, more than {SAMPLE_LIMIT}",
                               needed=cells, limit=SAMPLE_LIMIT)
-    rng = np.random.default_rng(seed)
-    k = ts.n_states
+    rng, k = np.random.default_rng(seed), ts.n_states
     cols = np.empty((len(dom), count), dtype=np.int64)
-    cums = [np.cumsum(ts.matrices[s], axis=1).T.copy() for s in ts.spec.generators()]
-    cums = [cum[:-1] if (cum[-1] >= 1.0).all() else cum for cum in cums]  # u < 1 passes none
+    cums = np.cumsum(ts.stacked, axis=2).transpose(0, 2, 1).copy()  # cums[a, j, i] = sum P_a[i, :j+1]
+    drop = (cums[:, -1] >= 1.0).all(axis=1)  # a last column that u < 1 passes nowhere
     passed = np.zeros(count, dtype=np.min_scalar_type(k))  # counts 0 .. K compares
     u, cdf = rng.random(count), np.cumsum(ts.pi / ts.pi.sum())
     for cdf_j in cdf[:-1] / cdf[-1]:  # numpy's choice: searchsorted(cdf, u, 'right')
@@ -712,9 +705,9 @@ def sample_indices(ts: TransitionSystem, radius: int, seed: int,
     for v, (p, a) in enumerate(dom.tree_edges(), start=1):
         u, parent = rng.random(count), cols[p]
         passed.fill(0)
-        for cum_j in cums[a]:
+        for cum_j in cums[a, :k - 1] if drop[a] else cums[a]:
             passed += u > cum_j.take(parent)
-        if len(cums[a]) == k:
+        if not drop[a]:
             np.minimum(passed, k - 1, out=passed)
         cols[v] = passed
     return dom.words, cols.T

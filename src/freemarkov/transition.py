@@ -12,7 +12,8 @@ rejects structural mismatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -31,10 +32,15 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TransitionSystem:
+    """pi and the matrices, copied once: ``stacked`` is the read-only (|S|, K, K)
+    array of the matrices in ``spec.generators()`` order, and ``matrices`` a read-only
+    mapping from each letter to its row of it, in the constructor's key order."""
+
     spec: GroupSpec
     states: tuple
     pi: np.ndarray
-    matrices: dict[int, np.ndarray]
+    matrices: Mapping[int, np.ndarray]
+    stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -46,20 +52,21 @@ class TransitionSystem:
         pi = _frozen(self.pi)
         if pi.shape != (k,):
             raise StructuralError(f"pi has shape {pi.shape}, expected ({k},)")
-        gens = set(self.spec.generators())
-        mats = {s: _frozen(m) for s, m in self.matrices.items()}
-        if set(mats) != gens:
-            raise StructuralError(
-                f"matrices keyed by {sorted(mats)} but generators are {sorted(gens)}"
-            )
+        gens = self.spec.generators()
+        mats = {s: np.asarray(m, dtype=float) for s, m in self.matrices.items()}
+        if set(mats) != set(gens):
+            raise StructuralError(f"matrices keyed by {sorted(mats)} "
+                                  f"but generators are {sorted(gens)}")
         for s, m in mats.items():
             if m.shape != (k, k):
-                raise StructuralError(
-                    f"matrix for generator {s} has shape {m.shape}, expected ({k}, {k})"
-                )
+                raise StructuralError(f"matrix for generator {s} has shape {m.shape}, "
+                                      f"expected ({k}, {k})")
+        stacked = _frozen([mats[s] for s in gens])
+        matrices = MappingProxyType({s: stacked[gens.index(s)] for s in mats})
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "stacked", stacked)
 
     @property
     def n_states(self) -> int:

@@ -18,7 +18,7 @@ from freemarkov.verify import (EXACT_TOL, STRICT_DROP, cycle_coarsening,
 from freemarkov.words import GroupSpec, ball, ball_domain, ball_size
 
 from oracles import as_lists, oracle_pushdown
-from test_entropy import sinkhorn_system
+from systems import sinkhorn_system
 
 G2 = GroupSpec(2, "group")
 
@@ -64,7 +64,7 @@ class TestMatchedStatistics:
            seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_fixed_point_random_markov(self, kind, rank, k, seed):
         spec = GroupSpec(rank, kind)
-        ts = sinkhorn_system(k, seed, spec)
+        ts = sinkhorn_system(spec, k, seed)
         # depth 1 only where its superstates, patterns on B(e, 1), stay few
         depths = [0, 1] if k ** ball_size(spec, 1) <= 2 ** 8 else [0]
         for m in depths:
@@ -209,7 +209,7 @@ class TestInverseJoints:
     def test_matches_the_inverse_pair_marginal(self, rank, k, seed):
         spec = GroupSpec(rank)
         cmap = np.random.default_rng(seed).integers(0, k, size=k).tolist()
-        src = coarsen(sinkhorn_system(k, seed, spec), cmap)
+        src = coarsen(sinkhorn_system(spec, k, seed), cmap)
         n_obs = len(set(cmap))
         # depth 1 only where its superstates, patterns on B(e, 1), stay few
         for m in [0, 1] if n_obs ** ball_size(spec, 1) <= 2 ** 8 else [0]:
@@ -225,7 +225,7 @@ class TestInverseJoints:
     @pytest.mark.parametrize("spec", [GroupSpec(1), GroupSpec(3),
                                       GroupSpec(2, "semigroup")])
     def test_one_plus_r_marginals(self, spec, monkeypatch):
-        src = coarsen(sinkhorn_system(3, 17, spec), [0, 1, 1])
+        src = coarsen(sinkhorn_system(spec, 3, 17), [0, 1, 1])
         calls = []
         read = CoarsenedSource.ball_marginal
         monkeypatch.setattr(CoarsenedSource, "ball_marginal",
@@ -253,15 +253,15 @@ class TestPinnedSystems:
         (cycle_coarsening, 1, "0e1ab1c61cad3f274bf670350b5592fd7f79469fecd76f68d796d9076d027573"),
         (cycle_coarsening, 2, "0b84107fe858293391c9037bf2d6aa5aef1800ba1b131ac9105e4c045af9f836"),
         (cycle_coarsening, 3, "c0636629f59a5b7ee36ddd1d69781eaaa807c527ad24357940220a5391b31591"),
-        (lambda: coarsen(sinkhorn_system(3, 17, GroupSpec(3)), [0, 1, 1]), 0,
+        (lambda: coarsen(sinkhorn_system(GroupSpec(3), 3, 17), [0, 1, 1]), 0,
          "074706365a2da68c9f7ad0adacb841e037d6db872af57a37f04d2e845b3eca13"),
-        (lambda: coarsen(sinkhorn_system(3, 17, GroupSpec(3)), [0, 1, 1]), 1,
+        (lambda: coarsen(sinkhorn_system(GroupSpec(3), 3, 17), [0, 1, 1]), 1,
          "a8cf6c4bedcbb178a87ed3583343a55bafeb36b811c4810ef27367ce5126621b"),
-        (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 0,
+        (lambda: coarsen(sinkhorn_system(GroupSpec(2, "semigroup"), 3, 23), [0, 1, 1]), 0,
          "ba744571a3fad33103130113f623c718be00e3bef285db48007f13b63fce5d0a"),
-        (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 1,
+        (lambda: coarsen(sinkhorn_system(GroupSpec(2, "semigroup"), 3, 23), [0, 1, 1]), 1,
          "635eeabd09b42d5dc994f2b1a222abc98bce724f8c3228716d288e467c2a9d53"),
-        (lambda: coarsen(sinkhorn_system(3, 23, GroupSpec(2, "semigroup")), [0, 1, 1]), 2,
+        (lambda: coarsen(sinkhorn_system(GroupSpec(2, "semigroup"), 3, 23), [0, 1, 1]), 2,
          "17dcf8097f5d0aaaf811c6ceda585662ab2979155413d48ce2c9c88d53a02277"),
     ], ids=["cycle-0", "cycle-1", "cycle-2", "cycle-3", "rank3-0", "rank3-1",
             "semigroup-0", "semigroup-1", "semigroup-2"])

@@ -16,32 +16,10 @@ from freemarkov.verify import semigroup_example
 from freemarkov.words import GroupSpec, ball
 
 from oracles import as_lists, oracle_big_F
+from systems import sinkhorn_system
 
 G2 = GroupSpec(2, "group")
 LOG2, LOG3 = math.log(2), math.log(3)
-
-
-def sinkhorn_system(k, seed, spec=G2):
-    """Random invariant system: Sinkhorn-scale a positive matrix to margins pi.
-
-    Each positive generator gets a joint J with row and column sums pi;
-    P[s] = J / pi and, for groups, P[s^-1] = J^T / pi.
-    """
-    rng = np.random.default_rng(seed)
-    pi = rng.uniform(0.5, 1.5, size=k)
-    pi /= pi.sum()
-    mats = {}
-    for s in spec.positive_generators():
-        j = rng.uniform(0.1, 1.0, size=(k, k))
-        for _ in range(10_000):
-            j *= (pi / j.sum(axis=1))[:, None]
-            j *= pi / j.sum(axis=0)
-            if np.abs(j.sum(axis=1) - pi).max() < 1e-15:
-                break
-        mats[s] = j / pi[:, None]
-        if spec.is_group:
-            mats[-s] = j.T / pi[:, None]
-    return TransitionSystem(spec, tuple(range(k)), pi, mats)
 
 
 class TestShannon:
@@ -123,7 +101,7 @@ class TestBigF:
         assert len(rep.pair_entropies) == 2
 
     def test_matches_independent_oracle(self, wsf2, coarsened_cycle):
-        for ts, n_max in [(wsf2, 1), (sinkhorn_system(3, 11), 1),
+        for ts, n_max in [(wsf2, 1), (sinkhorn_system(G2, 3, 11), 1),
                           (semigroup_example(), 2)]:
             pi, mats = as_lists(ts)
             for n in range(n_max + 1):
@@ -140,9 +118,9 @@ class TestBigF:
     @pytest.mark.parametrize("builder,n_max", [
         (lambda: wsf_system(2), 10), (lambda: wsf_system(3), 6),
         (semigroup_example, 13),
-        (lambda: sinkhorn_system(3, 11), 7), (lambda: sinkhorn_system(4, 12), 6),
-        (lambda: sinkhorn_system(5, 13), 6),
-        (lambda: sinkhorn_system(4, 14, GroupSpec(2, "semigroup")), 10),
+        (lambda: sinkhorn_system(G2, 3, 11), 7), (lambda: sinkhorn_system(G2, 4, 12), 6),
+        (lambda: sinkhorn_system(G2, 5, 13), 6),
+        (lambda: sinkhorn_system(GroupSpec(2, "semigroup"), 4, 14), 10),
     ])
     def test_deep_markov_matches_closed_form(self, builder, n_max):
         # dense tables at shallow depth, merged edge counts past the guard

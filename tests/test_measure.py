@@ -14,7 +14,8 @@ from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
                                 EmpiricalSource, MarkovSource,
-                                _PLOGP_BLOCK, _encode, _grid_fits, _plogp, check_markov_property,
+                                _PLOGP_BLOCK, _code_dtype, _encode, _grid_fits, _join, _plogp,
+                                check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, empirical_source,
                                 pair_stats, sample_indices, tree_entropy)
@@ -29,6 +30,7 @@ from freemarkov.words import (Domain, GroupSpec, IDENTITY, Word, ball, ball_doma
 
 from oracles import (as_lists, oracle_ball, oracle_entropy, oracle_marginal,
                      oracle_sample_rows, oracle_support_count)
+from systems import sinkhorn_system
 
 G2 = GroupSpec(2, "group")
 
@@ -317,6 +319,21 @@ class TestTreeEntropyOracle:
         with pytest.raises(ValueError):
             tree_entropy(flip03, [IDENTITY, w("ab")])
 
+    @pytest.mark.parametrize("builder", [
+        wsf_system, lambda r: permutation_system(GroupSpec(r), 64, {1: np.roll(range(64), 1)}),
+    ])
+    def test_builds_no_source(self, builder, monkeypatch):
+        # the closed form read directly, bit for bit a kept source's entropy
+        from freemarkov import measure
+        ts, dom = builder(2), ball_domain(G2, 3)
+        kept = MarkovSource(ts)._entropy(dom)
+        assert kept[1] is not None  # the source took the closed form too
+
+        def refuse(*args):
+            raise AssertionError("tree_entropy built a source")
+        monkeypatch.setattr(measure.CoarsenedSource, "__init__", refuse)
+        assert tree_entropy(ts, dom).hex() == kept[0].hex()
+
 
 class TestEntropySum:
     def test_routes_match_word_domains(self, flip03):
@@ -562,31 +579,6 @@ class TestD1:
         assert sum(np.abs(sb.joints[s] - sa.joints[s]).sum() for s in sa.joints) < 1e-12
 
 
-def masked_sinkhorn_system(spec, k, rng, n_perms):
-    """Random invariant system whose matrices have zeros.
-
-    Each positive generator's joint is supported on the union of the
-    identity and ``n_perms`` random permutations, a pattern with total
-    support, and is Sinkhorn-scaled to uniform margins.
-    """
-    pi = np.full(k, 1.0 / k)
-    mats = {}
-    for s in spec.positive_generators():
-        mask = np.eye(k, dtype=bool)
-        for _ in range(n_perms):
-            mask[np.arange(k), rng.permutation(k)] = True
-        j = np.where(mask, rng.uniform(0.1, 1.0, size=(k, k)), 0.0)
-        for _ in range(10_000):
-            j *= (pi / j.sum(axis=1))[:, None]
-            j *= pi / j.sum(axis=0)
-            if np.abs(j.sum(axis=1) - pi).max() < 1e-15:
-                break
-        mats[s] = j / pi[:, None]
-        if spec.is_group:
-            mats[-s] = j.T / pi[:, None]
-    return TransitionSystem(spec, tuple(range(k)), pi, mats)
-
-
 class TestSupportCount:
     """The hull-tree count against enumeration and the brute-force oracle."""
 
@@ -599,7 +591,7 @@ class TestSupportCount:
                          max_size=3))
     def test_matches_enumeration_and_oracle(self, kind, k, seed, n_perms, picks):
         spec = GroupSpec(2, kind)
-        ts = masked_sinkhorn_system(spec, k, np.random.default_rng(seed), n_perms)
+        ts = sinkhorn_system(spec, k, seed, n_perms)
         src = MarkovSource(ts)
         pi, mats = as_lists(ts)
         b2 = ball(spec, 2)
@@ -645,7 +637,7 @@ class TestSumProductOracle:
     def test_coarsened_marginals(self, kind, k, seed, n_perms, picks):
         spec = GroupSpec(2, kind)
         rng = np.random.default_rng(seed)
-        ts = masked_sinkhorn_system(spec, k, rng, n_perms)
+        ts = sinkhorn_system(spec, k, rng, n_perms)
         cmap = rng.integers(0, k, size=k).tolist()
         src = coarsen(ts, cmap)
         pi, mats = as_lists(ts)
@@ -671,7 +663,7 @@ class TestSumProductOracle:
            n_perms=st.integers(min_value=0, max_value=3))
     def test_coarsened_F_nonincreasing(self, kind, k, seed, n_perms):
         rng = np.random.default_rng(seed)
-        ts = masked_sinkhorn_system(GroupSpec(2, kind), k, rng, n_perms)
+        ts = sinkhorn_system(GroupSpec(2, kind), k, rng, n_perms)
         src = coarsen(ts, rng.integers(0, k, size=k).tolist())
         prev = math.inf
         for n in range(3):
@@ -697,7 +689,7 @@ class TestDomainEntropy:
     def test_matches_marginal_and_oracle(self, kind, k, seed, n_perms, picks):
         spec = GroupSpec(2, kind)
         rng = np.random.default_rng(seed)
-        ts = masked_sinkhorn_system(spec, k, rng, n_perms)
+        ts = sinkhorn_system(spec, k, rng, n_perms)
         cmap = rng.integers(0, k, size=k).tolist()
         pi, mats = as_lists(ts)
         b2 = ball(spec, 2)
@@ -740,7 +732,7 @@ class TestDomainEntropy:
         # the one table hook: the same masses, so the same bits and refusals
         spec = GroupSpec(2, kind)
         rng = np.random.default_rng(seed)
-        src = empirical_source(masked_sinkhorn_system(spec, k, rng, n_perms), 2,
+        src = empirical_source(sinkhorn_system(spec, k, rng, n_perms), 2,
                                seed=seed, count=200)
         b2 = ball(spec, 2)
         domains = [ball_domain(spec, n) for n in range(4)]
@@ -831,7 +823,7 @@ class TestGridEntropy:
            n_perms=st.integers(min_value=0, max_value=3))
     def test_matches_marginal_closed_form_and_oracle(self, kind, rank, k, seed, n_perms):
         spec = GroupSpec(rank, kind)
-        ts = masked_sinkhorn_system(spec, k, np.random.default_rng(seed), n_perms)
+        ts = sinkhorn_system(spec, k, seed, n_perms)
         src = MarkovSource(ts)
         pi, mats = as_lists(ts)
         domains = []  # every ball and pair domain whose grid fits
@@ -921,7 +913,7 @@ class TestClassCodes:
     def test_coarsened_codes_match_oracle(self, kind, k, seed, n_perms, picks):
         spec = GroupSpec(2, kind)
         rng = np.random.default_rng(seed)
-        ts = masked_sinkhorn_system(spec, k, rng, n_perms)
+        ts = sinkhorn_system(spec, k, rng, n_perms)
         cmap = rng.integers(0, k, size=k).tolist()
         src = coarsen(ts, cmap)
         pi, mats = as_lists(ts)
@@ -988,6 +980,20 @@ class TestClassCodes:
             assert lead.dtype == dtype and lead.tolist() == [c >> (485 - p) for c in expected]
             assert lead.tolist() == _encode(marg._digits(range(p)), 2, p).tolist()
 
+    @pytest.mark.parametrize("n,dtype", [(62, np.int64), (63, object)])
+    def test_code_dtype_at_two_to_the_63(self, n, dtype, coarsened_cycle, flip03):
+        # 2^62 codes fit int64; 2^63 of them need exact ints, at every site
+        assert _code_dtype(2, n) is dtype
+        codes = _encode([np.ones(3, dtype=np.int64)] * n, 2, n)
+        assert codes.dtype == dtype and codes.tolist() == [2 ** n - 1] * 3
+        table = (np.ones((2, 1)), np.arange(2), n - 1)
+        assert _join(table, (np.ones((2, 1)), np.arange(2), 1), 2, n)[1].dtype == dtype
+        dom = ball(G2, 5)[:n]  # the words of length 3 or less, and some of length 4
+        for src in (coarsened_cycle, empirical_source(flip03, 4, seed=3, count=40)):
+            marg = src.ball_marginal(dom)
+            assert len(marg.domain) == n and marg.codes.dtype == dtype
+            assert marg.sub_codes(range(n)).dtype == dtype
+
     def test_empirical_codes_from_sample_columns(self, wsf2):
         dom, rows = sample_indices(wsf2, 3, seed=6, count=300)
         before = rows.copy()
@@ -1018,8 +1024,7 @@ class TestSamplerOracle:
     @example(kind="group", rank=2, k=1, radius=2, count=300, seed=5, n_perms=0)
     @example(kind="semigroup", rank=3, k=6, radius=3, count=0, seed=6, n_perms=3)
     def test_sinkhorn_systems(self, kind, rank, k, radius, count, seed, n_perms):
-        ts = masked_sinkhorn_system(GroupSpec(rank, kind), k,
-                                    np.random.default_rng(seed), n_perms)
+        ts = sinkhorn_system(GroupSpec(rank, kind), k, seed, n_perms)
         self._check(ts, radius, seed, count)
 
     @pytest.mark.parametrize("ts", [flip_system(2, 0.3), wsf_system(2), matching_system(2),
@@ -1128,6 +1133,34 @@ class TestInputRefusals:
                            match="support exceeds 4 patterns on a 7-vertex hull") as exc:
             measure._join(table, table, 3, 7)
         assert (exc.value.needed, exc.value.limit) == (6, 4)
+
+    @pytest.mark.parametrize("kp,wa,wb", [(3, 2, 1), (2, 40, 30)], ids=["int64", "object"])
+    def test_blocked_join_is_the_one_block_join(self, kp, wa, wb, monkeypatch):
+        # 30 pairs past a limit of 12, formed 2 rows of the first table at a
+        # time; the 10 nonzero rows stay within it
+        from freemarkov import measure
+        ta = np.eye(3)[[0, 1, 2, 0, 1, 2]] * np.arange(1, 7)[:, None]
+        tb = np.eye(3)[[0, 0, 1, 1, 2]] * np.arange(1, 6)[:, None]
+        ca = np.arange(6) * (kp ** wa // 7)  # ascending codes below kp**wa
+        cb = np.arange(5) * (kp ** wb // 6)
+        for a, b in (((ta, ca, wa), (tb, cb, wb)), ((ta, None, wa), (tb, None, wb))):
+            whole = _join(a, b, kp, 9)
+            monkeypatch.setattr(measure, "SPARSE_LIMIT", 12)
+            blocked = _join(a, b, kp, 9)
+            monkeypatch.undo()
+            assert len(whole[0]) == 10 and whole[2] == blocked[2] == wa + wb
+            assert whole[0].tobytes() == blocked[0].tobytes()
+            if a[1] is None:
+                assert whole[1] is None and blocked[1] is None
+                continue
+            assert whole[1].dtype == blocked[1].dtype == _code_dtype(kp, wa + wb)
+            assert whole[1].tolist() == blocked[1].tolist()
+
+    def test_join_of_an_empty_table(self):
+        table, empty = (np.ones((3, 2)), np.arange(3), 1), (np.ones((0, 2)), np.arange(0), 1)
+        for a, b in ((empty, table), (table, empty), (empty, empty)):
+            rows, codes, width = _join(a, b, 3, 7)
+            assert rows.shape == (0, 2) and codes.shape == (0,) and width == 2
 
     def test_short_state_map_refused(self, flip03):
         with pytest.raises(ValueError, match="state_map has 1 entries for 2 states"):

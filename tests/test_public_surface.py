@@ -58,3 +58,10 @@ def test_public_members_are_pinned():
                      for n in dir(base)}
         members[name] = {n for n in dir(cls) if not n.startswith("_")} - inherited
     assert members == MEMBERS
+
+
+def test_system_data_is_pinned():
+    # dir(cls) cannot see dataclass fields or what __post_init__ sets
+    ts = freemarkov.flip_system(2, 0.3)
+    assert {n for n in vars(ts) if not n.startswith("_")} == {
+        "spec", "states", "pi", "matrices", "stacked"}

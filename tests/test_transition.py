@@ -6,14 +6,14 @@ import pytest
 
 from freemarkov.entropy import f_markov
 from freemarkov.errors import FormatError, InconsistentMarginalsError, StructuralError
-from freemarkov.measure import empirical_source, pair_stats
+from freemarkov.measure import MarkovSource, coarsen, empirical_source, pair_stats
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
                                    flip_system, from_json_dict,
                                    from_pair_marginals, matching_system,
                                    permutation_system, product_system,
                                    require_valid, to_json_dict, validate,
                                    wsf_system)
-from freemarkov.words import GroupSpec
+from freemarkov.words import GroupSpec, ball, ball_domain
 
 G2 = GroupSpec(2, "group")
 S2 = GroupSpec(2, "semigroup")
@@ -380,3 +380,52 @@ class TestJsonRank:
 
     def test_integer_rank_loads(self, flip03):
         assert from_json_dict(json.loads(json.dumps(to_json_dict(flip03)))).spec == G2
+
+
+class TestOneStack:
+    """A system copies its matrices once, into one read-only stack."""
+
+    def test_every_write_is_refused(self, flip03):
+        m = np.eye(2)
+        with pytest.raises(TypeError):
+            flip03.matrices[1] = m
+        with pytest.raises(TypeError):
+            del flip03.matrices[1]
+        with pytest.raises(AttributeError):
+            flip03.matrices.update({1: m})
+        with pytest.raises(ValueError, match="read-only"):
+            flip03.stacked[0, 0, 0] = 0.9
+        with pytest.raises(ValueError, match="read-only"):
+            flip03.matrices[1][0, 0] = 0.9
+        assert flip03.stacked[:, 0, 0].tolist() == [0.3] * 4
+
+    def test_stack_in_generator_order_mapping_in_key_order(self):
+        # keys given in reverse; each matrix distinct, so a misplaced row shows
+        gens = G2.generators()
+        given = {s: np.eye(2) * 0.1 * a + np.array([[0, 1], [1, 0]]) * (1 - 0.1 * a)
+                 for a, s in reversed(list(enumerate(gens)))}
+        ts = TransitionSystem(G2, (0, 1), np.array([0.5, 0.5]), given)
+        assert list(ts.matrices) == list(reversed(gens))
+        assert ts.stacked.shape == (4, 2, 2) and ts.stacked.flags.c_contiguous
+        for a, s in enumerate(gens):
+            assert ts.stacked[a].tobytes() == given[s].tobytes()
+            assert np.shares_memory(ts.matrices[s], ts.stacked)
+        for m in given.values():
+            m[0, 0] = 7.0  # the caller's arrays were copied
+        assert (ts.stacked[:, 0, 0] != 7.0).all()
+        assert "mappingproxy" in repr(ts)
+
+    def test_sources_hold_no_matrix_copy(self, wsf2):
+        # the grid, sum-product, support count and closed form all ran; every
+        # array a chain source keeps is a vector, not a stack of its own
+        for src in (MarkovSource(wsf2), coarsen(wsf2, [0, 0, 1, 1])):
+            assert src.ts.stacked is wsf2.stacked
+            src.ball_marginal(ball(G2, 1))
+            src.domain_entropy(ball_domain(G2, 1, 1))
+            src._support_count(ball_domain(G2, 2))
+            src._root_and_edge_entropies
+            for obj in (src, getattr(src, "base", src)):
+                arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+                arrays += [a for v in vars(obj).values() if isinstance(v, tuple)
+                           for a in v if isinstance(a, np.ndarray)]
+                assert all(a.ndim < 2 or np.shares_memory(a, wsf2.stacked) for a in arrays)
