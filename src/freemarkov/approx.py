@@ -105,6 +105,9 @@ def markov_approximation(src: MeasureSource, m: int) -> SuperstateSystem:
     assumes.  For Markov sources this reproduces the source; in general
     its f equals big_F(src, m).
     """
+    m = _integer(m, "depth")
+    if m < 0:
+        raise ValueError(f"depth must be nonnegative, got {m}")
     dom, patterns, labels, masses, joints = _superstate_statistics(src, m)
     mats = {s: j / masses[:, None] for s, j in joints.items()}
     inner = TransitionSystem(src.spec, labels, masses, mats)

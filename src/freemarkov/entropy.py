@@ -84,6 +84,7 @@ class EntropyReport:
 
 def big_F(src: MeasureSource, n: int) -> EntropyReport:
     """Evaluate F on the depth-n ball refinement from exact marginal entropies."""
+    n = _integer(n, "depth")
     if n < 0:
         raise ValueError(f"depth must be nonnegative, got {n}")
     # Pairs first: a plain left-to-right sum then rounds exactly as

@@ -32,7 +32,9 @@ sum-product over the hull's subtree classes (``Domain.subtree_classes``),
 the emission a 0/1 table at domain vertices, and refuses when the hull
 holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
 over the same classes.  Isomorphic subtrees share one table and one
-message per class and letter.  A marginal's tables carry class-local
+message per class and letter; each class joins them and the emission in
+one ``_join``, whose zero rows go once, unless a product would pass
+``SPARSE_LIMIT``.  A marginal's tables carry class-local
 codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
 at their shortlex positions (``Domain.preorder``).  A one-to-one entropy
 past the grid, on a domain that is its own hull, takes the closed form
@@ -66,7 +68,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -74,7 +75,8 @@ import numpy as np
 
 from .errors import CapabilityError
 from .transition import TransitionSystem, require_valid
-from .words import Domain, GroupSpec, IDENTITY, Word, _integer, ball_domain, past
+from .words import (Domain, GroupSpec, IDENTITY, Word, _frozen_ints, _integer,
+                    ball_domain, past)
 
 DENSE_LIMIT = 2 ** 20       # largest dense configuration table
 SPARSE_LIMIT = 2 ** 20      # most positive hidden patterns on a sum-product hull
@@ -333,35 +335,55 @@ def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
         needed=needed, limit=SPARSE_LIMIT)
 
 
-def _join(a: tuple, b: tuple, kp: int, hull_size: int) -> tuple:
-    """Every pair of rows of two sum-product tables, zero rows dropped.
+def _nonzero(rows: np.ndarray, codes: np.ndarray | None, width: int) -> tuple:
+    keep = rows.any(axis=1)
+    return rows[keep], None if codes is None else codes[keep], width
+
+
+def _pairs(a: tuple, b: tuple, kp: int, rows: slice = slice(None)) -> tuple:
+    """Each of the ``rows`` of table a with every row of table b, zero rows kept."""
+    (ta, ca, wa), (tb, cb, wb) = a, b
+    products = (ta[rows, None] * tb).reshape(-1, ta.shape[1])
+    return products, None if ca is None else (ca[rows, None] * kp ** wb + cb).ravel(), wa + wb
+
+
+def _join(pieces: Sequence[tuple], kp: int, hull_size: int, head: tuple | None = None) -> tuple:
+    """The table of one subtree class: every row of each piece with every
+    row of the next, left to right, then each row of ``head`` with every
+    row of that product; zero rows dropped, but a lone piece returned as it is.
 
     A table is (rows, codes, width): a row per observed pattern on ``width``
     domain vertices, with its code in base ``kp`` (None in a table without
     codes).  A pair's code is code_a * kp**width_b + code_b, in ``_code_dtype``.
-    The pairs are formed a block of ``a`` at a time, no block past
-    ``SPARSE_LIMIT`` pairs, and refused once their rows exceed the limit.
+    A product of at most ``SPARSE_LIMIT`` rows is formed whole, zero rows
+    kept, and cannot be refused, as its nonzero rows are fewer.  The zero
+    rows are dropped at the end, or before a product that would pass the
+    limit: a zero row stays zero, so the rows and their order are those of
+    dropping them after every product.  Past the limit the pairs are formed
+    a block of the left table at a time, no block past ``SPARSE_LIMIT``
+    pairs, and refused once their nonzero rows exceed the limit.
     """
-    (ta, ca, wa), (tb, cb, wb) = a, b
-    if ca is not None and _code_dtype(kp, wa + wb) is object:
-        ca, cb = ca.astype(object, copy=False), cb.astype(object, copy=False)
-
-    def pairs(block: slice) -> tuple[np.ndarray, np.ndarray | None]:
-        table = (ta[block, None, :] * tb[None, :, :]).reshape(-1, ta.shape[1])
-        rows = table.any(axis=1)
-        codes = None if ca is None else ((ca[block] * kp ** wb)[:, None] + cb).ravel()[rows]
-        return table[rows], codes
-
-    step, blocks, total = max(1, SPARSE_LIMIT // max(1, len(tb))), [], 0
-    for i in range(0, len(ta) or 1, step):  # an empty table is one empty block
-        blocks.append(pairs(slice(i, i + step)))
-        total += len(blocks[-1][0])
-        if total > SPARSE_LIMIT:
-            raise _support_refusal(total, hull_size)
-    if len(blocks) == 1:
-        return (*blocks[0], wa + wb)
-    tables, codes = zip(*blocks)
-    return np.concatenate(tables), None if ca is None else np.concatenate(codes), wa + wb
+    (table, _), *steps = [(p, False) for p in pieces] + [(head, True)] * (head is not None)
+    raw = False  # whether the table still has the zero rows of its products
+    for piece, left in steps:
+        if raw and len(table[0]) * len(piece[0]) > SPARSE_LIMIT:
+            table, raw = _nonzero(*table), False
+        a, b = (piece, table) if left else (table, piece)
+        if a[1] is not None and _code_dtype(kp, a[2] + b[2]) is object:
+            a, b = ((rows, codes.astype(object, copy=False), w) for rows, codes, w in (a, b))
+        raw = len(a[0]) * len(b[0]) <= SPARSE_LIMIT
+        if raw:
+            table = _pairs(a, b, kp)
+            continue
+        step, blocks, total = max(1, SPARSE_LIMIT // len(b[0])), [], 0
+        for i in range(0, len(a[0]), step):
+            blocks.append(_nonzero(*_pairs(a, b, kp, slice(i, i + step))))
+            total += len(blocks[-1][0])
+            if total > SPARSE_LIMIT:
+                raise _support_refusal(total, hull_size)
+        tables, codes, _ = zip(*blocks)
+        table = np.concatenate(tables), None if a[1] is None else np.concatenate(codes), a[2] + b[2]
+    return _nonzero(*table) if raw else table
 
 
 class CoarsenedSource(MeasureSource):
@@ -381,6 +403,8 @@ class CoarsenedSource(MeasureSource):
         index: dict = {}  # observed label -> its index, by first appearance
         self.index_map = tuple(index.setdefault(im, len(index)) for im in images)
         self.ts, self.spec, self.states = ts, ts.spec, tuple(index)
+        # the sum-product's emission: each hidden state's observed index, and the codes
+        self._emission, self._observed = map(_frozen_ints, (self.index_map, range(len(index))))
         self._one_to_one = len(index) == len(images)
         if not isinstance(self, MarkovSource):  # a Markov source is its own chain
             self.base = MarkovSource(ts)
@@ -446,10 +470,13 @@ class CoarsenedSource(MeasureSource):
         table of a class has a row per observed pattern on the domain
         vertices below it, with its class-local code, and a column per
         hidden state there: the pattern's probability given that state.
-        Domain vertices join the 0/1 emission table, as the leading digit;
-        other vertices add no digit and so are summed out.  A class sends
-        one message per letter it hangs by, shared by every parent that has
-        it as a child.  The root's digits, in the order of
+        A class's table is one ``_join`` of its children's messages, left
+        to right, and at a domain vertex the 0/1 emission table on their
+        left, as the leading digit; other vertices add no digit and so are
+        summed out.  The emission is built from the source's 1-D arrays.
+        A class sends one message per letter it hangs by, shared by every
+        parent that has it as a child and dropped after its last read, as
+        ``dom.class_messages`` lists them.  The root's digits, in the order of
         ``dom.preorder``, are put at their shortlex positions: in the
         pieces it joins when their rows bound it past ``_PLACE_FIRST``
         cells, else in its own table.  The codes come back ascending.
@@ -463,12 +490,9 @@ class CoarsenedSource(MeasureSource):
             if needed > SPARSE_LIMIT:
                 raise _support_refusal(needed, h)
         # emission[y, x] = [index_map[x] == y], with code y on one vertex
-        emitted = (np.eye(kp)[list(self.index_map)].T, np.arange(kp) if coded else None, 1)
+        emitted = (np.eye(kp)[self._emission].T, self._observed if coded else None, 1)
         classes, root = dom.subtree_classes
-        uses = Counter(child for _, children in classes for child in children)
-        sends: dict[int, list[int]] = {}
-        for c, a in uses:
-            sends.setdefault(c, []).append(a)
+        sends, last_reads = dom.class_messages
         weights = None  # at the root, the weight of each digit's shortlex position
         if coded and dom.preorder is not None:
             weights = kp ** (n - 1 - dom.preorder).astype(_code_dtype(kp, n))
@@ -477,17 +501,15 @@ class CoarsenedSource(MeasureSource):
             # the pieces' rows bound the root's: past _PLACE_FIRST cells, place them first
             placing = c == root and weights is not None and math.prod(
                 len(messages[child][0]) for child in children) * kp * n > _PLACE_FIRST
-            table, at = None, 1 if own else 0  # at: the digit a placed piece starts at
-            for child in children:
-                uses[child] -= 1  # a message is dropped after its last use
-                message = messages[child] if uses[child] else messages.pop(child)
+            pieces, at = [], 1 if own else 0  # at: the digit a placed piece starts at
+            for child, last in zip(children, last_reads[c]):
+                message = messages.pop(child) if last else messages[child]
                 if placing:
                     message, at = _place(message, kp, weights[at:at + message[2]]), at + message[2]
-                table = message if table is None else _join(table, message, kp, h)
-            if own:
-                head = _place(emitted, kp, weights[:1]) if placing else emitted
-                table = head if table is None else _join(head, table, kp, h)
-            for a in sends.get(c, ()):
+                pieces.append(message)
+            head = (_place(emitted, kp, weights[:1]) if placing else emitted) if own else None
+            table = _join(pieces, kp, h, head)
+            for a in sends[c]:
                 messages[c, a] = (table[0] @ self.ts.stacked[a].T, table[1], table[2])
         if weights is not None and not placing:
             table = _place(table, kp, weights)

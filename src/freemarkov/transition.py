@@ -12,6 +12,7 @@ rejects structural mismatches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -71,6 +72,11 @@ class TransitionSystem:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def _default_report(self) -> list[Violation]:
+        """``validate`` at ``DEFAULT_TOL``, on first use: a system cannot change."""
+        return validate(self, DEFAULT_TOL)
 
     def state_index(self, label) -> int:
         try:
@@ -140,7 +146,8 @@ def validate(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> list[Violation]:
 
 
 def require_valid(ts: TransitionSystem, tol: float = DEFAULT_TOL) -> None:
-    report = validate(ts, tol)
+    """Refuse a system with violations at ``tol``, naming up to five."""
+    report = ts._default_report if tol == DEFAULT_TOL else validate(ts, tol)
     if report:
         lines = ", ".join(f"{v.condition}{v.where}={v.residual:.3g}" for v in report[:5])
         more = "" if len(report) <= 5 else f" (+{len(report) - 5} more)"

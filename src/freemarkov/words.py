@@ -323,6 +323,19 @@ class Domain:
         return list(ids), c
 
     @functools.cached_property
+    def class_messages(self) -> tuple[list[list[int]], list[list[bool]]]:
+        """Per subtree class, the letters it hangs by, a sum-product message
+        each, and per child whether it reads that message for the last time."""
+        classes, _ = self.subtree_classes
+        reads = [child for _, children in classes for child in children]
+        last = {child: i for i, child in enumerate(reads)}  # the position of its last read
+        sends: list[list[int]] = [[] for _ in classes]
+        for c, a in last:
+            sends[c].append(a)
+        ends = iter([last[child] == i for i, child in enumerate(reads)])
+        return sends, [[next(ends) for _ in children] for _, children in classes]
+
+    @functools.cached_property
     def preorder(self) -> np.ndarray | None:
         """The domain positions in the digit order of the sum-product's
         class-local codes: depth first from the identity, each vertex

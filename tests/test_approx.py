@@ -142,6 +142,19 @@ class TestCrossValidation:
                     call(coarsened_cycle, depth)
 
 
+    def test_single_depth_named_as_the_sequences_name_it(self, coarsened_cycle):
+        # big_F and markov_approximation read their depth through the same
+        # check as f_sequence and approximation_sequence
+        for call in (big_F, markov_approximation):
+            with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+                call(coarsened_cycle, -1)
+            for depth in (float("nan"), float("inf"), 2.0, 2.5):
+                with pytest.raises(TypeError, match=f"^depth must be an integer, got {depth!r}$"):
+                    call(coarsened_cycle, depth)
+        assert repr(big_F(coarsened_cycle, True)) == repr(big_F(coarsened_cycle, 1))
+        assert type(markov_approximation(coarsened_cycle, True).m) is int
+
+
 class TestStructure:
     def test_superstates_positive_mass_only(self):
         src = MarkovSource(flip_system(2, 0.0))

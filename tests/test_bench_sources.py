@@ -7,9 +7,11 @@ benchmark builds, the identity and the reversed labelling give the Markov
 source's marginals and F bit for bit.  The benchmark tells sources apart by
 class: ``bench/serve.py``'s ``Checker`` holds a ``MarkovSource``'s F to
 ``f_markov(src.ts)``, and ``bench/tracing.py`` wraps a ``CoarsenedSource``'s
-``base`` as its chain.
+``base`` as its chain.  The sum-product's tables on the ``hidden_exact``
+sources and on masked Sinkhorn coarsenings are pinned by sha256 digests.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,11 +20,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from freemarkov import (CoarsenedSource, MarkovSource, big_F, coarsen,  # noqa: E402
-                        flip_system, from_json_dict)
+from freemarkov import (CoarsenedSource, GroupSpec, MarkovSource, ball,  # noqa: E402
+                        big_F, coarsen, flip_system, from_json_dict)
 from freemarkov.errors import CapabilityError  # noqa: E402
-from freemarkov.words import ball_domain  # noqa: E402
+from freemarkov.words import Domain, ball_domain  # noqa: E402
 from inputs import WORKLOADS, generate  # noqa: E402
+from systems import sinkhorn_system  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 
@@ -72,3 +75,87 @@ def test_what_bench_reads_from_a_coarsened_source(labels):
     assert isinstance(src, CoarsenedSource) and not isinstance(src, MarkovSource)
     assert type(src.base) is MarkovSource and src.base.ts is src.ts is ts
     assert Tracer().wrap_source(src) is src  # the walk into .base ends
+
+
+def _table_digest(src, domains):
+    """sha256 of each domain's marginal (codes with their dtype, and masses)
+    and uncoded sum-product masses, or its refusal, in domain order."""
+    digest = hashlib.sha256()
+    for dom in domains:
+        dom = Domain.of(dom, src.spec)
+        try:
+            marg = src.ball_marginal(dom)
+            uncoded = src._sum_product(dom, coded=False)
+        except CapabilityError as refusal:
+            digest.update(repr((str(refusal), refusal.needed, refusal.limit)).encode())
+            continue
+        assert uncoded[0] is None
+        digest.update(str(marg.codes.dtype).encode() + repr(marg.codes.tolist()).encode())
+        digest.update(marg.masses.tobytes() + uncoded[1].tobytes())
+    return digest.hexdigest()
+
+
+def _hidden_exact_sources():
+    """The sources of the ``hidden_exact`` workload at seed 801, each with its
+    balls and pair domains up to the deepest radius its requests read."""
+    doc = generate("hidden_exact", 801)
+    deepest = {}
+    for request in doc["requests"]:
+        if "source" in request:
+            n = request.get("n", request.get("m"))
+            deepest[request["source"]] = max(n, deepest.get(request["source"], 0))
+    out = {}
+    for name, sdoc in doc["sources"].items():
+        src = CoarsenedSource(from_json_dict(doc["systems"][sdoc["system"]]), sdoc["coarsen"])
+        domains = [ball_domain(src.spec, n) for n in range(deepest[name] + 1)]
+        domains += [ball_domain(src.spec, n, s) for n in range(deepest[name] + 1)
+                    for s in src.spec.positive_generators()]
+        out[name] = (src, domains)
+    return out
+
+
+# sha256 pins of ``_table_digest``, taken before the sum-product joined each
+# class in one pass
+HIDDEN_EXACT_PINS = {
+    "cycle": "8bd887ba00fd72e1bda3bf40ff3a211d3c2b6de9638d2333713e58f0a1bfab4f",
+    "flipflip": "ab70e97b297520041f2ad6111ad36a0f00649799f21920edb70ddaa1465952b1",
+    "wsf2": "f16005b2ee6552a9990f632795dfc95662b63a79f0e2bbd221321c372225f927",
+    "matching2": "aa4c27175f963fbf8808b806a9259edcba172340fc154edde262523e4d8c9c3e",
+    "rand_g3": "cbbe2931442eb87d0e68e431bc1bc94a33668961296aba53b8dfb5d1a7de8d20",
+    "rand_g4": "552bb5cd319cd6df62eb3bb861d4fd57ffd9032376ff153d9cabb935c0b38e5e",
+    "rank3": "4b234b02b70591084af314431146b5833a6fddd990ee9a357c55be60860477fc",
+    "semigroup": "3115c7fa44fbaeee59aa40a3dd913ba07610b16a7ca514e58eba7bb5cdf3ff44",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIDDEN_EXACT_PINS))
+def test_sum_product_tables_pinned(name):
+    src, domains = _hidden_exact_sources()[name]
+    assert _table_digest(src, domains) == HIDDEN_EXACT_PINS[name]
+
+
+def _masked_sources():
+    """Masked Sinkhorn coarsenings, whose matrices have zeros, so that the
+    joined tables have zero rows; one has a domain that is not its own hull,
+    and one refuses on its deepest ball."""
+    g2, s2 = GroupSpec(2), GroupSpec(2, "semigroup")
+    group = coarsen(sinkhorn_system(g2, 4, 5, n_perms=1), [0, 1, 1, 0])
+    semigroup = coarsen(sinkhorn_system(s2, 5, 7, n_perms=2), [0, 1, 2, 1, 0])
+    return {
+        "group": (group, [ball_domain(g2, n) for n in range(3)]
+                  + [ball_domain(g2, 1, s) for s in (1, 2)] + [ball(g2, 2)[1:9]]),
+        "semigroup": (semigroup, [ball_domain(s2, n) for n in range(5)]
+                      + [ball_domain(s2, 3, s) for s in (1, 2)]),
+    }
+
+
+MASKED_PINS = {
+    "group": "8be0f2a2b7419850a82abba84d8c44cbfb2c888132d422c9555bf5c8e857407d",
+    "semigroup": "f066d1a933245e1d3333969fb522dfccc8079b3ac786d6c6f6b82a3fbdfc5ebb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASKED_PINS))
+def test_masked_sinkhorn_tables_pinned(name):
+    src, domains = _masked_sources()[name]
+    assert _table_digest(src, domains) == MASKED_PINS[name]

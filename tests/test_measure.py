@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import Counter
 
@@ -481,6 +482,23 @@ class TestSampling:
             with pytest.raises(ValueError, match="fails validation"):
                 sample_indices(ts, 1, seed=1, count=10)
 
+    def test_one_verdict_per_system(self, monkeypatch):
+        # a system cannot change, so each is validated on its first draw
+        # only; an invalid one is refused with the same message every time
+        from freemarkov import transition
+        calls, validate_once = [], transition.validate
+        monkeypatch.setattr(transition, "validate",
+                            lambda ts, tol: calls.append(ts) or validate_once(ts, tol))
+        good, bad = flip_system(2, 0.3), perturbed_flip(0.3)
+        draws = [sample_indices(good, 1, seed=4, count=10)[1] for _ in range(3)]
+        assert all((rows == draws[0]).all() for rows in draws) and calls == [good]
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="fails validation at 1e-09") as refusal:
+                sample_indices(bad, 1, seed=1, count=10)
+            messages.append(str(refusal.value))
+        assert messages == messages[:1] * 3 and calls == [good, bad]
+
 
 class TestEmpirical:
     def test_marginal_within_ball(self, flip03):
@@ -953,6 +971,28 @@ class TestClassCodes:
             np.testing.assert_array_equal(out[0][0], out[1][0])
             np.testing.assert_array_equal(out[0][1], out[1][1])
 
+    def test_one_join_per_class(self, coarsened_cycle, monkeypatch):
+        # each class joins all its pieces at once: its children's messages
+        # and, at a domain vertex, the emission head
+        from freemarkov import measure
+        calls, join = [], measure._join
+
+        def spy(pieces, kp, hull_size, head=None):
+            calls.append((len(pieces), head is not None))
+            return join(pieces, kp, hull_size, head)
+
+        monkeypatch.setattr(measure, "_join", spy)
+        flipflip = coarsen(product_system(flip_system(2, 0.3), flip_system(2, 0.1)), [0, 1, 1, 0])
+        for src, dom in ((coarsened_cycle, ball_domain(G2, 3)), (flipflip, ball(G2, 2)[1:9]),
+                         (flipflip, ball_domain(G2, 1, 2))):
+            dom = Domain.of(dom, G2)
+            for coded in (True, False):
+                calls.clear()
+                src._sum_product(dom, coded=coded)
+                classes, _ = dom.subtree_classes
+                assert calls == [(len(children), own is True) for own, children in classes]
+            assert any(n > 1 for n, _ in calls)
+
     def test_coarsened_cycle_exact_ints(self, coarsened_cycle):
         # x(w) = x(e) + (signed letter count of w) mod 3, observed as [0, 1, 1]
         words = ball(G2, 5)
@@ -987,7 +1027,7 @@ class TestClassCodes:
         codes = _encode([np.ones(3, dtype=np.int64)] * n, 2, n)
         assert codes.dtype == dtype and codes.tolist() == [2 ** n - 1] * 3
         table = (np.ones((2, 1)), np.arange(2), n - 1)
-        assert _join(table, (np.ones((2, 1)), np.arange(2), 1), 2, n)[1].dtype == dtype
+        assert _join([table, (np.ones((2, 1)), np.arange(2), 1)], 2, n)[1].dtype == dtype
         dom = ball(G2, 5)[:n]  # the words of length 3 or less, and some of length 4
         for src in (coarsened_cycle, empirical_source(flip03, 4, seed=3, count=40)):
             marg = src.ball_marginal(dom)
@@ -1131,7 +1171,7 @@ class TestInputRefusals:
         # 9 pairs, formed one row of the first table at a time: 3, then 6 > 4
         with pytest.raises(CapabilityError,
                            match="support exceeds 4 patterns on a 7-vertex hull") as exc:
-            measure._join(table, table, 3, 7)
+            measure._join([table, table], 3, 7)
         assert (exc.value.needed, exc.value.limit) == (6, 4)
 
     @pytest.mark.parametrize("kp,wa,wb", [(3, 2, 1), (2, 40, 30)], ids=["int64", "object"])
@@ -1144,9 +1184,9 @@ class TestInputRefusals:
         ca = np.arange(6) * (kp ** wa // 7)  # ascending codes below kp**wa
         cb = np.arange(5) * (kp ** wb // 6)
         for a, b in (((ta, ca, wa), (tb, cb, wb)), ((ta, None, wa), (tb, None, wb))):
-            whole = _join(a, b, kp, 9)
+            whole = _join([a, b], kp, 9)
             monkeypatch.setattr(measure, "SPARSE_LIMIT", 12)
-            blocked = _join(a, b, kp, 9)
+            blocked = _join([a, b], kp, 9)
             monkeypatch.undo()
             assert len(whole[0]) == 10 and whole[2] == blocked[2] == wa + wb
             assert whole[0].tobytes() == blocked[0].tobytes()
@@ -1159,8 +1199,79 @@ class TestInputRefusals:
     def test_join_of_an_empty_table(self):
         table, empty = (np.ones((3, 2)), np.arange(3), 1), (np.ones((0, 2)), np.arange(0), 1)
         for a, b in ((empty, table), (table, empty), (empty, empty)):
-            rows, codes, width = _join(a, b, 3, 7)
+            rows, codes, width = _join([a, b], 3, 7)
             assert rows.shape == (0, 2) and codes.shape == (0,) and width == 2
+
+    @staticmethod
+    def _pairwise(pieces, kp, hull_size, head=None):
+        # one join per pair, as the sum-product joined before: each child
+        # piece on the right, then the head on the left
+        table = pieces[0] if pieces else head
+        for piece in pieces[1:]:
+            table = _join([table, piece], kp, hull_size)
+        return table if head is None or not pieces else _join([table], kp, hull_size, head)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_pieces=st.integers(1, 4),
+           own=st.booleans(), coded=st.booleans(), limit=st.integers(1, 200))
+    def test_class_join_is_the_pairwise_fold(self, seed, n_pieces, own, coded, limit):
+        # tables with zero rows, under a patched limit: the same rows, codes
+        # and width where the fold fits, and the same refusal where a
+        # partial product passes the limit
+        from freemarkov import measure
+        rng = np.random.default_rng(seed)
+        k, kp = 3, 2
+        pieces = []
+        for _ in range(n_pieces):
+            rows = rng.integers(0, 7)
+            width = int(rng.integers(1, 3))
+            table = rng.random((rows, k)) * (rng.random((rows, k)) < 0.5)
+            codes = np.sort(rng.choice(kp ** width, size=rows)) if coded else None
+            pieces.append((table, codes, width))
+        head = (np.eye(kp)[[0, 1, 1]].T, np.arange(kp) if coded else None, 1) if own else None
+        # the rows of each product the fold forms, before its zero rows go
+        sizes = list(itertools.accumulate((len(t[0]) for t in pieces + [head] * own),
+                                          operator.mul))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measure, "SPARSE_LIMIT", limit)
+            try:
+                want = self._pairwise(pieces, kp, 9, head)
+            except CapabilityError as refusal:
+                assert max(sizes[1:]) > limit
+                with pytest.raises(CapabilityError) as got:
+                    _join(pieces, kp, 9, head)
+                assert (str(got.value), got.value.needed, got.value.limit) == (
+                    str(refusal), refusal.needed, refusal.limit)
+                return
+            got = _join(pieces, kp, 9, head)  # no refusal where the fold has none
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+        assert got[2] == want[2]
+        if coded:
+            assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+        else:
+            assert got[1] is None and want[1] is None
+
+    def test_class_join_refuses_where_a_partial_product_passes(self, monkeypatch):
+        # 4 x 3 rows fit a limit of 12 and are kept whole; times 3 more they
+        # would not, so the 3 zero rows go first, and the 9 rows left are
+        # joined 4 at a time: 12 pairs, then 24, refused where the pairwise
+        # fold refuses (with the zero rows kept the blocks would hold 3, 15 and 27)
+        from freemarkov import measure
+        monkeypatch.setattr(measure, "SPARSE_LIMIT", 12)
+        a = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.arange(4), 2)
+        b = (np.ones((3, 2)), np.arange(3), 2)
+        refusals = []
+        for join in (lambda: self._pairwise([a, b, b], 4, 7), lambda: _join([a, b, b], 4, 7)):
+            with pytest.raises(CapabilityError) as refusal:
+                join()
+            refusals.append((str(refusal.value), refusal.value.needed, refusal.value.limit))
+        assert refusals[0] == refusals[1] == (
+            "support exceeds 12 patterns on a 7-vertex hull", 24, 12)
+        # 4 x 3 x 1 rows fit the limit whole: no refusal, and the fold's table
+        c = (np.ones((1, 2)), np.arange(1), 1)
+        got, want = _join([a, b, c], 4, 7), self._pairwise([a, b, c], 4, 7)
+        assert len(got[0]) == 9 and got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist() and got[2] == want[2] == 5
 
     def test_short_state_map_refused(self, flip03):
         with pytest.raises(ValueError, match="state_map has 1 entries for 2 states"):

@@ -87,6 +87,25 @@ class TestValidate:
                 check()
         assert validate(flip_system(2, 0.3), 0.0) == validate(flip_system(2, 0.3)) == []
 
+    def test_require_valid_keeps_one_default_verdict(self, monkeypatch):
+        # at DEFAULT_TOL a system is validated once; another tolerance is
+        # validated on every call, and both refuse with validate's report
+        from freemarkov import transition
+        calls, validate_once = [], transition.validate
+        monkeypatch.setattr(transition, "validate",
+                            lambda ts, tol: calls.append(tol) or validate_once(ts, tol))
+        bad = bernoulli_system(G2, [0.3, 0.7])
+        bad = TransitionSystem(G2, bad.states, np.array([0.7, 0.7]), dict(bad.matrices))
+        for tol in (1e-9, 1e-9, 1e-3, 1e-3):
+            with pytest.raises(ValueError) as refusal:
+                require_valid(bad, tol)
+            assert str(refusal.value) == (
+                f"transition system fails validation at {tol:g}: pi_sum()=0.4, "
+                "steady_state(-2, 0)=0.28, steady_state(-2, 1)=0.28, "
+                "steady_state(-1, 0)=0.28, steady_state(-1, 1)=0.28 (+8 more)")
+        assert calls == [1e-9, 1e-3, 1e-3]
+        require_valid(flip_system(2, 0.3))
+
     def test_structural_error_is_distinct(self):
         with pytest.raises(StructuralError):
             TransitionSystem(G2, (0, 1), np.array([0.5, 0.5]),
