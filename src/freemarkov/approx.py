@@ -27,7 +27,7 @@ from .entropy import f_markov
 from .errors import CapabilityError
 from .measure import MarkovSource, MeasureSource
 from .transition import TransitionSystem
-from .words import GroupSpec, Word, _integer, ball_domain
+from .words import GroupSpec, Word, _depth, ball_domain
 
 ENTRY_LIMIT = 2 ** 26
 
@@ -105,9 +105,7 @@ def markov_approximation(src: MeasureSource, m: int) -> SuperstateSystem:
     assumes.  For Markov sources this reproduces the source; in general
     its f equals big_F(src, m).
     """
-    m = _integer(m, "depth")
-    if m < 0:
-        raise ValueError(f"depth must be nonnegative, got {m}")
+    m = _depth(m)
     dom, patterns, labels, masses, joints = _superstate_statistics(src, m)
     mats = {s: j / masses[:, None] for s, j in joints.items()}
     inner = TransitionSystem(src.spec, labels, masses, mats)
@@ -122,9 +120,7 @@ def approximation_sequence(src: MeasureSource, m_max: int) -> list[tuple[int, fl
     Computes each value through the superstate pipeline; entry-for-entry it
     equals the F sequence of the source, so the two are mutual oracles.
     """
-    m_max = _integer(m_max, "depth")
-    if m_max < 0:
-        raise ValueError(f"depth must be nonnegative, got {m_max}")
+    m_max = _depth(m_max)
     return [(m, f_markov(markov_approximation(src, m).inner))
             for m in range(m_max + 1)]
 

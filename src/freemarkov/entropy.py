@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CapabilityError
 from .measure import MeasureSource, _check_masses, _closed_form, _plogp
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
-from .words import Word, _integer, ball_domain, check_radius
+from .words import Word, _depth, _integer, ball_domain, check_radius
 
 FSTAR_CONFIG_LIMIT = 2 ** 24
 
@@ -84,9 +84,7 @@ class EntropyReport:
 
 def big_F(src: MeasureSource, n: int) -> EntropyReport:
     """Evaluate F on the depth-n ball refinement from exact marginal entropies."""
-    n = _integer(n, "depth")
-    if n < 0:
-        raise ValueError(f"depth must be nonnegative, got {n}")
+    n = _depth(n)
     # Pairs first: a plain left-to-right sum then rounds exactly as
     # coefficient * h_ball + sum(pair_entropies).
     terms = [(1, ball_domain(src.spec, n, s)) for s in src.spec.positive_generators()]
@@ -123,9 +121,7 @@ def f_sequence(src: MeasureSource, n_max: int) -> list[EntropyReport]:
     exact f only when the source is Markov.  The deepest ball is checked
     against the ball guard before any row is computed.
     """
-    n_max = _integer(n_max, "depth")
-    if n_max < 0:
-        raise ValueError(f"depth must be nonnegative, got {n_max}")
+    n_max = _depth(n_max)
     check_radius(src.spec, n_max)
     return [big_F(src, n) for n in range(n_max + 1)]
 

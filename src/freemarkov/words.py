@@ -368,6 +368,14 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _depth(value) -> int:
+    """``value`` as a depth: an integer, refused when negative."""
+    depth = _integer(value, "depth")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    return depth
+
+
 def check_radius(spec: GroupSpec, n: int) -> None:
     """Refuse a negative radius, and a ball B(e, n) past ``BALL_LIMIT``
     vertices, from its closed-form size before anything is built."""

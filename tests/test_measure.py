@@ -1204,8 +1204,8 @@ class TestInputRefusals:
 
     @staticmethod
     def _pairwise(pieces, kp, hull_size, head=None):
-        # one join per pair, as the sum-product joined before: each child
-        # piece on the right, then the head on the left
+        # the reference: one two-table join after another, zero rows dropped
+        # after each, each child piece on the right, then the head on the left
         table = pieces[0] if pieces else head
         for piece in pieces[1:]:
             table = _join([table, piece], kp, hull_size)
