@@ -32,9 +32,9 @@ sum-product over the hull's subtree classes (``Domain.subtree_classes``),
 the emission a 0/1 table at domain vertices, and refuses when the hull
 holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
 over the same classes.  Isomorphic subtrees share one table and one
-message per class and letter; each class joins them and the emission in
-one ``_join``, whose zero rows go once, unless a product would pass
-``SPARSE_LIMIT``.  A marginal's tables carry class-local
+message per class and letter; each class joins its children's messages
+and the emission in one ``_join``, dropping zero rows once unless a
+product would pass ``SPARSE_LIMIT``.  A marginal's tables carry class-local
 codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
 at their shortlex positions (``Domain.preorder``).  A one-to-one entropy
 past the grid, on a domain that is its own hull, takes the closed form
