@@ -8,7 +8,9 @@ source's marginals and F bit for bit.  The benchmark tells sources apart by
 class: ``bench/serve.py``'s ``Checker`` holds a ``MarkovSource``'s F to
 ``f_markov(src.ts)``, and ``bench/tracing.py`` wraps a ``CoarsenedSource``'s
 ``base`` as its chain.  The sum-product's tables on the ``hidden_exact``
-sources and on masked Sinkhorn coarsenings are pinned by sha256 digests.
+sources and on masked Sinkhorn coarsenings are pinned by sha256 digests, as
+are the ``big_F`` reports the ``hidden_exact`` and ``markov_deep`` requests
+read.
 """
 
 import hashlib
@@ -21,10 +23,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from freemarkov import (CoarsenedSource, GroupSpec, MarkovSource, ball,  # noqa: E402
-                        big_F, coarsen, flip_system, from_json_dict)
+                        big_F, coarsen, empirical_source, flip_system,
+                        from_json_dict)
 from freemarkov.errors import CapabilityError  # noqa: E402
 from freemarkov.words import Domain, ball_domain  # noqa: E402
-from inputs import WORKLOADS, generate  # noqa: E402
+from inputs import WORKLOADS, generate, load_inputs  # noqa: E402
 from systems import sinkhorn_system  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
@@ -159,3 +162,40 @@ MASKED_PINS = {
 def test_masked_sinkhorn_tables_pinned(name):
     src, domains = _masked_sources()[name]
     assert _table_digest(src, domains) == MASKED_PINS[name]
+
+
+def _report_digest(workload, seed):
+    """sha256 of the ``repr`` of each ``big_F`` report a workload's requests
+    read, in request order: the report of each ``big_F`` request, and
+    ``big_F(emp, 1)`` of each ``empirical`` request's sample."""
+    doc, systems, sources = load_inputs(json.dumps(generate(workload, seed)))
+    digest = hashlib.sha256()
+    for request in doc["requests"]:
+        if request["op"] == "big_F":
+            report = big_F(sources[request["source"]], request["n"])
+        elif request["op"] == "empirical":
+            emp = empirical_source(systems[request["system"]], request["radius"],
+                                   request["sample_seed"], request["count"])
+            report = big_F(emp, 1)
+        else:
+            continue
+        digest.update(repr(report).encode())
+    return digest.hexdigest()
+
+
+# sha256 pins of ``_report_digest``, taken before the one-block entropy tail
+REPORT_PINS = {
+    ("hidden_exact", 801):
+        "ad05bf4e3bbf04d97c25ff4fb8e374be28141738198175c1ebffc34c261ea28d",
+    ("hidden_exact", 1):
+        "3ef08ca2756053d3594a5d0362592d1d89deb3b994d2f6f91a29e7e64566c7c4",
+    ("markov_deep", 801):
+        "d00f6ed5d80d405045b3099e226ecf695592697f95334cad1c73e64e4d3aa495",
+    ("markov_deep", 1):
+        "4b263695b221efd7bc863e88bfe72e8d08110f337b38f263adc51222117699ad",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(REPORT_PINS))
+def test_entropy_reports_pinned(workload, seed):
+    assert _report_digest(workload, seed) == REPORT_PINS[workload, seed]
