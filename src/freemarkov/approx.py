@@ -58,10 +58,13 @@ def _superstate_statistics(src: MeasureSource, m: int):
 
     A pattern on the pair domain B(e, m) ∪ B(e, m)·s is read at the ball,
     its leading positions, for its superstate, and at ``translates``, the
-    positions of the w·s, for its s-translate's.  Joint entry (a, b) adds
-    the masses of the patterns with those two superstates in code order,
-    as one ``np.bincount`` over a * |superstates| + b; on a group the
-    joint of -s is the transpose of that of s.
+    positions of the w·s, for its s-translate's; the superstates of every
+    pair marginal are found by one ``np.searchsorted``.  Joint entry (a, b)
+    adds the masses of the patterns with those two superstates in code
+    order, as one ``np.bincount`` over a * |superstates| + b; on a group
+    the joint of -s is the transpose of that of s.  A label joins its
+    states' strings, with no separator when every state's string is one
+    character, else as ``pattern_label`` joins it.
     """
     marg = src.ball_marginal(ball_domain(src.spec, m))
     dom, codes = marg.domain, marg.codes
@@ -73,25 +76,29 @@ def _superstate_statistics(src: MeasureSource, m: int):
             f"entries, past the guard ({ENTRY_LIMIT})",
             needed=n_super ** 2 * len(gens), limit=ENTRY_LIMIT)
 
-    def superstates(sub_codes: np.ndarray) -> np.ndarray:
-        at = np.minimum(np.searchsorted(codes, sub_codes), n_super - 1)
-        if (codes[at] != sub_codes).any():
-            raise ValueError("a pair pattern restricts to no superstate; "
-                             "the source is not shift-invariant")
-        return at
-
-    joints = {}
+    pairs, reads = [], []
     for s in src.spec.positive_generators():
         pair = ball_domain(src.spec, m, s)
         mu = src.ball_marginal(pair)
-        za = superstates(mu.sub_codes(range(len(dom))))  # the ball comes first
-        zb = superstates(mu.sub_codes(pair.translates))
-        joints[s] = np.bincount(za * n_super + zb, weights=mu.masses,
+        pairs.append((s, mu.masses))
+        reads += [mu.sub_codes(range(len(dom))), mu.sub_codes(pair.translates)]  # the ball first
+    sub_codes = np.concatenate(reads)
+    at = np.minimum(np.searchsorted(codes, sub_codes), n_super - 1)
+    if (codes[at] != sub_codes).any():
+        raise ValueError("a pair pattern restricts to no superstate; "
+                         "the source is not shift-invariant")
+    joints, start = {}, 0
+    for s, masses in pairs:
+        za, zb = at[start:start + 2 * masses.size].reshape(2, -1)
+        start += 2 * masses.size
+        joints[s] = np.bincount(za * n_super + zb, weights=masses,
                                 minlength=n_super ** 2).reshape(n_super, n_super)
         if src.spec.is_group:
             joints[-s] = joints[s].T  # pair consistency of an invariant measure
     patterns = tuple(marg.patterns())
-    labels = tuple(pattern_label(tuple(src.states[i] for i in pat)) for pat in patterns)
+    names = [str(v) for v in src.states]
+    join = "".join if all(len(name) == 1 for name in names) else pattern_label
+    labels = tuple(join(map(names.__getitem__, pat)) for pat in patterns)
     return dom, patterns, labels, marg.masses, joints
 
 

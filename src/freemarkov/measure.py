@@ -47,7 +47,16 @@ combination of domain entropies; the chain source merges the integer edge
 counts of all closed-form terms before the single dot product with e, so
 coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, shared by the closed form, the table entropies and
-``entropy``, and adds its block sums with ``math.fsum``.  Samples are
+``entropy``: one numpy sum for a table of one ``_PLOGP_BLOCK``, else its
+block sums added with ``math.fsum``, and a zero entropy is +0.0.
+``_check_masses`` turns numpy's floating-point warnings off only on its
+refusal path.  What a table's set-up reads but its data do not change is
+built once: the read-only 0/1 emission table in a small module-level
+cache keyed by the emission and K' (``_emission_table``), and the root's
+digit weights and ``_place``'s digit leads on the domain itself, per K'
+(``Domain.digit_constants``, filled by ``_root_digits``), so that they go
+with the domain; codes already in shortlex order skip the root's sort.
+Samples are
 drawn on a ball given by its radius and an integer count:
 ``sample_indices(ts, radius, seed, count)`` fills a vertex-major table
 with one uniform per sample and vertex, compared at the root against the
@@ -89,21 +98,34 @@ _PLOGP_BLOCK = 2 ** 15     # entries per block of a -sum p log p
 
 def _plogp(values: np.ndarray) -> float:
     """-sum p log p over the positive entries, in C order, a block of
-    ``_PLOGP_BLOCK`` at a time: each block's sum as a float, added exactly."""
+    ``_PLOGP_BLOCK`` at a time: each block's sum as a float, added exactly
+    (a table of one block is its one sum).  A zero entropy is +0.0."""
     flat = np.ravel(values)
-    blocks = (flat[i:i + _PLOGP_BLOCK] for i in range(0, flat.size or 1, _PLOGP_BLOCK))
-    return -math.fsum(float((v * np.log(v)).sum()) for v in (b[b > 0] for b in blocks))
+    if flat.size <= _PLOGP_BLOCK:
+        v = flat[flat > 0]
+        return 0.0 - float((v * np.log(v)).sum())
+    blocks = (flat[i:i + _PLOGP_BLOCK] for i in range(0, flat.size, _PLOGP_BLOCK))
+    return 0.0 - math.fsum(float((v * np.log(v)).sum()) for v in (b[b > 0] for b in blocks))
 
 
 def _check_masses(masses: np.ndarray) -> float:
     """The smallest of the pattern probabilities, after refusing non-finite
-    ones, any below -1e-12, and a total off 1 by more than ``_NORM_TOL``."""
-    with np.errstate(invalid="ignore"):  # inf - inf is reported below
-        total, low = masses.sum(), masses.min(initial=math.inf)
-    if not math.isfinite(total):
-        raise ValueError("non-finite pattern probability")
-    if low < -1e-12:
-        raise ValueError(f"negative pattern probability {low:.3g}")
+    ones, any below -1e-12, and a total off 1 by more than ``_NORM_TOL``.
+
+    Masses in [-1e-12, 2] are summed as they are, which can neither
+    overflow nor meet inf - inf; any other table is refused, and is summed
+    with numpy's floating-point warnings off, so that the refusal is the
+    one report."""
+    low = np.minimum.reduce(masses, axis=None, initial=math.inf)
+    if low >= -1e-12 and np.maximum.reduce(masses, axis=None, initial=0.0) <= 2.0:
+        total = np.add.reduce(masses, axis=None)
+    else:  # NaN fails the test above
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(masses, axis=None)
+        if not math.isfinite(total):
+            raise ValueError("non-finite pattern probability")
+        if low < -1e-12:
+            raise ValueError(f"negative pattern probability {low:.3g}")
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"pattern probabilities sum to {float(total)!r}, not 1")
     return low
@@ -125,12 +147,30 @@ def _encode(digits: Iterable, k: int, n: int) -> np.ndarray:
     return codes
 
 
-def _place(table: tuple, k: int, weights: np.ndarray) -> tuple:
+def _root_digits(dom: Domain, kp: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The constants of the sum-product's root codes on ``dom`` over ``kp``
+    observed states, kept in ``dom.digit_constants``: the weight
+    kp^(n-1-p) of each ``dom.preorder`` digit's shortlex position p, in
+    ``_code_dtype(kp, n)``, and ``_place``'s digit leads by table width."""
+    cached = dom.digit_constants.get(kp)
+    if cached is None:
+        n = len(dom)
+        weights = kp ** (n - 1 - dom.preorder).astype(_code_dtype(kp, n))
+        weights.setflags(write=False)
+        cached = dom.digit_constants[kp] = weights, {}
+    return cached
+
+
+def _place(table: tuple, k: int, weights: np.ndarray, leads: dict[int, np.ndarray]) -> tuple:
     """A sum-product table with codes sum_a x_a weights[a] of the base-k
     digits x_0, x_1, .. of its codes, in the dtype of the weights, and width
-    0, so that joins add them; a block of rows at a time."""
+    0, so that joins add them; a block of rows at a time.  ``leads`` keeps
+    the column k^(width-1-a) of each width, in the codes' ``_code_dtype``."""
     rows, codes, width = table
-    lead = k ** np.arange(width - 1, -1, -1, dtype=codes.dtype)[:, None]
+    lead = leads.get(width)
+    if lead is None:
+        lead = leads[width] = k ** np.arange(width - 1, -1, -1, dtype=_code_dtype(k, width))[:, None]
+        lead.setflags(write=False)
     placed, step = [], 2 ** 16 // width + 1
     for i in range(0, len(codes) or 1, step):
         x = codes[i:i + step] // lead  # row a: the leading a + 1 digits
@@ -336,7 +376,9 @@ def _support_refusal(needed: int, hull_size: int) -> CapabilityError:
 
 
 def _nonzero(rows: np.ndarray, codes: np.ndarray | None, width: int) -> tuple:
-    keep = rows.any(axis=1)
+    keep = np.logical_or.reduce(rows, axis=1)  # rows.any(axis=1)
+    if np.logical_and.reduce(keep):
+        return rows, codes, width
     return rows[keep], None if codes is None else codes[keep], width
 
 
@@ -386,6 +428,14 @@ def _join(pieces: Sequence[tuple], kp: int, hull_size: int, head: tuple | None =
     return _nonzero(*table) if raw else table
 
 
+@functools.lru_cache(maxsize=16)
+def _emission_table(index_map: tuple[int, ...], kp: int) -> np.ndarray:
+    """The read-only 0/1 table emission[y, x] = [index_map[x] == y]."""
+    table = np.eye(kp)[np.array(index_map, dtype=np.int64)].T
+    table.setflags(write=False)
+    return table
+
+
 class CoarsenedSource(MeasureSource):
     """Exact marginals of a chain ``ts`` seen through a state-space quotient.
 
@@ -403,8 +453,7 @@ class CoarsenedSource(MeasureSource):
         index: dict = {}  # observed label -> its index, by first appearance
         self.index_map = tuple(index.setdefault(im, len(index)) for im in images)
         self.ts, self.spec, self.states = ts, ts.spec, tuple(index)
-        # the sum-product's emission: each hidden state's observed index, and the codes
-        self._emission, self._observed = map(_frozen_ints, (self.index_map, range(len(index))))
+        self._observed = _frozen_ints(range(len(index)))  # the emission's codes
         self._one_to_one = len(index) == len(images)
         if not isinstance(self, MarkovSource):  # a Markov source is its own chain
             self.base = MarkovSource(ts)
@@ -479,7 +528,8 @@ class CoarsenedSource(MeasureSource):
         ``dom.class_messages`` lists them.  The root's digits, in the order of
         ``dom.preorder``, are put at their shortlex positions: in the
         pieces it joins when their rows bound it past ``_PLACE_FIRST``
-        cells, else in its own table.  The codes come back ascending.
+        cells, else in its own table, and then sorted; codes whose digits
+        are already in shortlex order come out of the joins ascending.
         Without ``coded`` no code is formed, and the codes are None and the
         masses unordered.  Refuses past ``SPARSE_LIMIT`` hidden patterns on
         the hull, counted first, or rows in a table.
@@ -490,12 +540,12 @@ class CoarsenedSource(MeasureSource):
             if needed > SPARSE_LIMIT:
                 raise _support_refusal(needed, h)
         # emission[y, x] = [index_map[x] == y], with code y on one vertex
-        emitted = (np.eye(kp)[self._emission].T, self._observed if coded else None, 1)
+        emitted = (_emission_table(self.index_map, kp), self._observed if coded else None, 1)
         classes, root = dom.subtree_classes
         sends, last_reads = dom.class_messages
         weights = None  # at the root, the weight of each digit's shortlex position
         if coded and dom.preorder is not None:
-            weights = kp ** (n - 1 - dom.preorder).astype(_code_dtype(kp, n))
+            weights, leads = _root_digits(dom, kp)
         messages: dict[tuple[int, int], tuple] = {}
         for c, (own, children) in enumerate(classes):
             # the pieces' rows bound the root's: past _PLACE_FIRST cells, place them first
@@ -505,17 +555,18 @@ class CoarsenedSource(MeasureSource):
             for child, last in zip(children, last_reads[c]):
                 message = messages.pop(child) if last else messages[child]
                 if placing:
-                    message, at = _place(message, kp, weights[at:at + message[2]]), at + message[2]
+                    message, at = (_place(message, kp, weights[at:at + message[2]], leads),
+                                   at + message[2])
                 pieces.append(message)
-            head = (_place(emitted, kp, weights[:1]) if placing else emitted) if own else None
+            head = (_place(emitted, kp, weights[:1], leads) if placing else emitted) if own else None
             table = _join(pieces, kp, h, head)
             for a in sends[c]:
                 messages[c, a] = (table[0] @ self.ts.stacked[a].T, table[1], table[2])
         if weights is not None and not placing:
-            table = _place(table, kp, weights)
+            table = _place(table, kp, weights, leads)
         masses, codes = table[0] @ self.ts.pi, table[1]  # the root's class is the last
-        if not coded:
-            return None, masses
+        if weights is None:  # no codes, or class-local codes in shortlex order: ascending
+            return codes, masses
         order = np.argsort(codes, kind="stable")
         return codes[order], masses[order]
 

@@ -218,6 +218,9 @@ class Domain:
     subtree classes (``subtree_classes``: hull vertices grouped by the
     shape, letters and domain vertices of the subtree below them) and
     ``preorder`` are found once; any other word set comes from ``of``.
+    ``digit_constants`` holds, per observed alphabet size K', the constants
+    the sum-product's root codes read on this domain, filled by ``measure``
+    on first use and dropped with the domain.
     """
 
     def __init__(self, spec: GroupSpec, label_counts: np.ndarray, tree,
@@ -226,6 +229,7 @@ class Domain:
         self.spec, self.label_counts, self.keep = spec, label_counts, keep
         self.hull_size = int(label_counts.sum()) + 1
         self._build, self._translate = tree, translates
+        self.digit_constants: dict[int, tuple] = {}
         if words is not None:
             self.words = words
 

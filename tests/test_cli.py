@@ -145,6 +145,13 @@ class TestFseq:
         f1 = float(lines[2].split(",")[-2])
         assert abs(f0 - f1) < 1e-9
 
+    def test_one_state_coarsening_prints_positive_zeros(self, tmp_path, capsys):
+        path = tmp_path / "flip.json"
+        path.write_text(json.dumps(to_json_dict(flip_system(2, 0.3))))
+        assert main(["fseq", str(path), "--coarsen", "x,x", "--nmax", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == ["0,0.0,0.0,0.0,0.0,", "1,0.0,0.0,0.0,0.0,"]
+
     def test_coarsened_drop(self, cycle_file, capsys):
         assert main(["fseq", cycle_file, "--coarsen", "0,1,1",
                      "--nmax", "1"]) == 0

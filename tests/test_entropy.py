@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,23 @@ class TestShannon:
         with pytest.raises(ValueError, match="non-finite"):
             shannon(dist)
 
+    @pytest.mark.parametrize("dist", [
+        [math.nan, 1.0], [math.inf, 0.0], [-math.inf, 1.0], [math.inf, -math.inf],
+        [1e308, 1e308], [-1e308, -1e308], [-0.5, math.nan]],
+        ids=["nan", "inf", "-inf", "inf-inf", "overflow", "-overflow", "negative-nan"])
+    def test_non_finite_refused_with_no_numpy_warning(self, dist):
+        # the gate's own refusal, not numpy's overflow or invalid-value warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite pattern probability"):
+                shannon(dist)
+
+    def test_zero_entropy_is_positive_zero(self):
+        # as the closed form gives it; before, -fsum made every zero -0.0
+        for dist in ([1.0], [0.0, 1.0, 0.0], np.eye(2)[:1]):
+            h = shannon(np.ravel(dist))
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
 
 class TestConditionalEntropy:
     def test_independent_joint(self):
@@ -71,6 +89,12 @@ class TestConditionalEntropy:
 
 
 class TestBigF:
+    def test_one_state_coarsening_reads_positive_zeros(self):
+        report = big_F(CoarsenedSource(flip_system(2, 0.3), ["x", "x"]), 1)
+        for h in (report.h_ball, *report.pair_entropies, report.big_f):
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+        assert "-0.0" not in repr(report)
+
     def test_flip_depth_zero_formula(self):
         for eps in (0.0, 0.2, 0.5):
             rep = big_F(MarkovSource(flip_system(2, eps)), 0)

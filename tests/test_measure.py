@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import math
 import operator
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -881,12 +883,13 @@ class TestGridEntropy:
 
 
 class TestPlogp:
-    """The blocked -sum p log p: one block as a single numpy sum, more as an exact sum."""
+    """The blocked -sum p log p: one block as a single numpy sum, more as an exact sum;
+    a zero entropy is +0.0."""
 
     @staticmethod
     def _one_sum(values):
         v = values[values > 0]
-        return float(-(v * np.log(v)).sum())
+        return 0.0 - float((v * np.log(v)).sum())
 
     @pytest.mark.parametrize("size", [0, 1, _PLOGP_BLOCK - 1, _PLOGP_BLOCK,
                                       _PLOGP_BLOCK + 1, 3 * _PLOGP_BLOCK + 7])
@@ -970,6 +973,41 @@ class TestClassCodes:
             assert out[0][0].dtype == out[1][0].dtype
             np.testing.assert_array_equal(out[0][0], out[1][0])
             np.testing.assert_array_equal(out[0][1], out[1][1])
+
+    def test_cached_domain_read_by_two_alphabet_sizes(self):
+        # the root's digit constants are kept per domain and K': one cached
+        # pair domain, read in turn over K' = 2 and K' = 3, gives each the oracle codes
+        ts = wsf_system(2)
+        pi, mats = as_lists(ts)
+        pair = ball_domain(G2, 1, 1)
+        assert pair.preorder is not None  # its root codes are placed
+        words = [x.letters for x in pair]
+        for _ in range(2):
+            for cmap in ([0, 0, 1, 1], [0, 1, 2, 2]):
+                src = coarsen(ts, cmap)
+                marg = src.ball_marginal(pair)
+                codes, masses = _oracle_codes(oracle_marginal(pi, mats, words, coarsen_map=cmap),
+                                              src.states, len(src.states), len(pair))
+                np.testing.assert_array_equal(marg.codes, codes)
+                assert np.abs(marg.masses - masses).max() <= 1e-14
+        assert {2, 3} <= set(pair.digit_constants)
+
+    def test_collected_domain_hands_on_no_constants(self):
+        # each Domain.of domain starts with no constants of its own, even
+        # where it takes the place of a collected one
+        src = coarsen(wsf_system(2), [0, 1, 2, 2])
+        pi, mats = as_lists(src.ts)
+        b2 = ball(G2, 2)
+        for lo in range(1, 5):
+            dom = Domain.of(b2[lo:lo + 4], G2)  # hulls of 5 to 7 vertices
+            assert dom.digit_constants == {}
+            codes, _ = _oracle_codes(oracle_marginal(pi, mats, [x.letters for x in dom],
+                                                     coarsen_map=[0, 1, 2, 2]),
+                                     src.states, 3, len(dom))
+            np.testing.assert_array_equal(src.ball_marginal(dom).codes, codes)
+            assert set(dom.digit_constants) == {3}
+            del dom
+            gc.collect()
 
     def test_one_join_per_class(self, coarsened_cycle, monkeypatch):
         # each class joins all its pieces at once: its children's messages
@@ -1156,6 +1194,15 @@ class TestInputRefusals:
     def test_zero_mass_dropped(self):
         marg = BallMarginal([IDENTITY], (0, 1), np.array([0, 1]), np.array([0.0, 1.0]))
         assert marg.codes.tolist() == [1] and marg.masses.tolist() == [1.0]
+
+    @pytest.mark.parametrize("masses", [
+        [math.nan, 1.0], [math.inf, 0.0], [-math.inf, 1.0], [math.inf, -math.inf],
+        [1e308, 1e308]], ids=["nan", "inf", "-inf", "inf-inf", "overflow"])
+    def test_non_finite_masses_refused_with_no_numpy_warning(self, masses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite pattern probability"):
+                BallMarginal([IDENTITY], (0, 1), np.array([0, 1]), np.array(masses))
 
     def test_marginalize_refusals(self, flip03):
         marg = MarkovSource(flip03).ball_marginal(ball(G2, 1))
