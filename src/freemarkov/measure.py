@@ -48,15 +48,12 @@ counts of all closed-form terms before the single dot product with e, so
 coefficients that cancel do so exactly; ``_plogp`` is the one
 -sum p log p, shared by the closed form, the table entropies and
 ``entropy``: one numpy sum for a table of one ``_PLOGP_BLOCK``, else its
-block sums added with ``math.fsum``, and a zero entropy is +0.0.
-``_check_masses`` turns numpy's floating-point warnings off only on its
-refusal path.  What a table's set-up reads but its data do not change is
-built once: the read-only 0/1 emission table in a small module-level
-cache keyed by the emission and K' (``_emission_table``), and the root's
-digit weights and ``_place``'s digit leads on the domain itself, per K'
-(``Domain.digit_constants``, filled by ``_root_digits``), so that they go
-with the domain; codes already in shortlex order skip the root's sort.
-Samples are
+block sums added with ``math.fsum``; a zero entropy is +0.0.  A
+sum-product's data-free constants are built once: the read-only 0/1
+emission in a small module-level cache keyed by the emission and K'
+(``_emission_table``), and the root's digit weights and ``_place``'s
+digit leads per K' on the domain itself (``Domain.digit_constants``, filled
+by ``_root_digits``).  Samples are
 drawn on a ball given by its radius and an integer count:
 ``sample_indices(ts, radius, seed, count)`` fills a vertex-major table
 with one uniform per sample and vertex, compared at the root against the
@@ -111,11 +108,8 @@ def _plogp(values: np.ndarray) -> float:
 def _check_masses(masses: np.ndarray) -> float:
     """The smallest of the pattern probabilities, after refusing non-finite
     ones, any below -1e-12, and a total off 1 by more than ``_NORM_TOL``.
-
-    Masses in [-1e-12, 2] are summed as they are, which can neither
-    overflow nor meet inf - inf; any other table is refused, and is summed
-    with numpy's floating-point warnings off, so that the refusal is the
-    one report."""
+    Masses in [-1e-12, 2] cannot overflow or meet inf - inf; any others are
+    refused, and summed with numpy's warnings off, so the refusal is the one report."""
     low = np.minimum.reduce(masses, axis=None, initial=math.inf)
     if low >= -1e-12 and np.maximum.reduce(masses, axis=None, initial=0.0) <= 2.0:
         total = np.add.reduce(masses, axis=None)
@@ -169,7 +163,8 @@ def _place(table: tuple, k: int, weights: np.ndarray, leads: dict[int, np.ndarra
     rows, codes, width = table
     lead = leads.get(width)
     if lead is None:
-        lead = leads[width] = k ** np.arange(width - 1, -1, -1, dtype=_code_dtype(k, width))[:, None]
+        lead = leads[width] = k ** np.arange(width - 1, -1, -1,
+                                             dtype=_code_dtype(k, width))[:, None]
         lead.setflags(write=False)
     placed, step = [], 2 ** 16 // width + 1
     for i in range(0, len(codes) or 1, step):
@@ -528,8 +523,8 @@ class CoarsenedSource(MeasureSource):
         ``dom.class_messages`` lists them.  The root's digits, in the order of
         ``dom.preorder``, are put at their shortlex positions: in the
         pieces it joins when their rows bound it past ``_PLACE_FIRST``
-        cells, else in its own table, and then sorted; codes whose digits
-        are already in shortlex order come out of the joins ascending.
+        cells, else in its own table, and then sorted; codes with no digit
+        to place come out of the joins ascending.
         Without ``coded`` no code is formed, and the codes are None and the
         masses unordered.  Refuses past ``SPARSE_LIMIT`` hidden patterns on
         the hull, counted first, or rows in a table.
@@ -558,7 +553,8 @@ class CoarsenedSource(MeasureSource):
                     message, at = (_place(message, kp, weights[at:at + message[2]], leads),
                                    at + message[2])
                 pieces.append(message)
-            head = (_place(emitted, kp, weights[:1], leads) if placing else emitted) if own else None
+            head = ((_place(emitted, kp, weights[:1], leads) if placing else emitted)
+                    if own else None)
             table = _join(pieces, kp, h, head)
             for a in sends[c]:
                 messages[c, a] = (table[0] @ self.ts.stacked[a].T, table[1], table[2])
