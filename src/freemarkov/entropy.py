@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .measure import MeasureSource, _check_masses, _closed_form, _plogp
+from .measure import MeasureSource, _closed_form, _table_entropy
 from .transition import DEFAULT_TOL, TransitionSystem, require_valid
 from .words import Word, _depth, _integer, ball_domain, check_radius
 
@@ -37,9 +37,7 @@ FSTAR_CONFIG_LIMIT = 2 ** 24
 def shannon(dist: Sequence[float]) -> float:
     """Entropy -sum p log p in nats, with 0 log 0 = 0, of a probability
     vector that passes the mass checks of a marginal (``_check_masses``)."""
-    p = np.asarray(dist, dtype=float)
-    _check_masses(p)
-    return _plogp(p)
+    return _table_entropy(np.asarray(dist, dtype=float))
 
 
 def binary_entropy(eps: float) -> float:
@@ -47,8 +45,10 @@ def binary_entropy(eps: float) -> float:
 
 
 def conditional_entropy(joint: np.ndarray) -> float:
-    """H(A | B) from a joint table with A on axis 0 and B on axis 1."""
+    """H(A | B) from a 2-D joint table with A on axis 0 and B on axis 1."""
     j = np.asarray(joint, dtype=float)
+    if j.ndim != 2:
+        raise ValueError(f"joint table must be 2-D, got {j.ndim} axes")
     return shannon(j.ravel()) - shannon(j.sum(axis=0))
 
 
@@ -138,6 +138,7 @@ def big_F_star(src: MeasureSource, n: int = 0, m: int = 3) -> float:
     Nonincreasing in m; for Markov sources at n = 0 it equals big_F at
     every m >= 1.
     """
+    n = _depth(n)
     m = _integer(m, "truncation m")
     if m < 1:
         raise ValueError(f"truncation must be at least 1, got {m}")

@@ -21,10 +21,10 @@ table, refused past ``DENSE_LIMIT`` cells.  Every source supplies one
 hook, ``_table(dom, coded=True)``: the codes and masses of its positive
 patterns on a ``Domain``; without ``coded`` the codes are None and the
 masses may keep zeros.  ``MeasureSource`` builds every marginal from the
-coded table and every table entropy from the uncoded masses, once they
-pass the checks a marginal's masses pass (``_check_masses``), so an
-entropy forms no codes.  One chain source, ``CoarsenedSource``, sees a
-chain ``ts`` through an emission, the observed index of each hidden state;
+coded table and every table entropy from the uncoded masses
+(``_table_entropy``: ``_check_masses``, then ``_plogp``), so an entropy
+forms no codes.  One chain source, ``CoarsenedSource``, sees a chain
+``ts`` through an emission, the observed index of each hidden state;
 ``MarkovSource(ts)`` is its one-to-one coarsening.  A one-to-one emission
 with K >= 2 and a hull grid K^|hull| within ``DENSE_LIMIT`` fills that grid
 one hull vertex at a time; every other table is one leaves-to-root
@@ -32,36 +32,37 @@ sum-product over the hull's subtree classes (``Domain.subtree_classes``),
 the emission a 0/1 table at domain vertices, and refuses when the hull
 holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
 over the same classes.  Isomorphic subtrees share one table and one
-message per class and letter; each class joins its children's messages
-and the emission in one ``_join``, dropping zero rows once unless a
-product would pass ``SPARSE_LIMIT``.  A marginal's tables carry class-local
-codes, joined as code_a * K'^width_b + code_b, whose digits the root puts
-at their shortlex positions (``Domain.preorder``).  A one-to-one entropy
+message per class and letter; each class joins its pieces, left to
+right, in one ``_join``: at a domain vertex the emission first, then its
+children's messages, dropping zero rows once unless a product would pass
+``SPARSE_LIMIT``.  A marginal's tables carry class-local codes, joined as
+code_a * K'^width_b + code_b, whose digits the root puts at their
+shortlex positions (``Domain.preorder``).  A one-to-one entropy
 past the grid, on a domain that is its own hull, takes the closed form
 H(pi) + sum_s c_s e_s (c_s counts the induced tree edges labelled s, e_s
 is the conditional entropy of one s-step); every other entropy the table.
-``_closed_form``, the one owner of the closed form's terms, checks pi and
-each joint as a table's masses are checked, so no route answers where
-another refuses.  ``MeasureSource.entropy_sum`` adds up a linear
-combination of domain entropies; the chain source merges the integer edge
-counts of all closed-form terms before the single dot product with e, so
-coefficients that cancel do so exactly; ``_plogp`` is the one
--sum p log p, shared by the closed form, the table entropies and
-``entropy``: one numpy sum for a table of one ``_PLOGP_BLOCK``, else its
-block sums added with ``math.fsum``; a zero entropy is +0.0.  A
-sum-product's data-free constants are built once: the read-only 0/1
-emission in a small module-level cache keyed by the emission and K'
-(``_emission_table``), and the root's digit weights and ``_place``'s
-digit leads per K' on the domain itself (``Domain.digit_constants``, filled
-by ``_root_digits``).  Samples are
-drawn on a ball given by its radius and an integer count:
-``sample_indices(ts, radius, seed, count)`` fills a vertex-major table
-with one uniform per sample and vertex, compared at the root against the
-normalized cumulative sums of pi (numpy ``choice``'s draws) and elsewhere
-against those of the parent state's row.  The passed compares are
-counted in one reused buffer of the narrowest unsigned int that holds K,
-clamped to K-1 at non-root vertices and cast once into the vertex's
-int64 column; the table is returned as its transposed
+``_closed_form``, the one owner of the closed form's terms, takes the
+``_table_entropy`` of pi and each joint, so no route answers where another
+refuses.  ``MeasureSource`` owns the one entropy path, ``_entropy(dom)``
+(H, with the edge-label counts of a closed-form H: the chain source's one
+override), read by ``domain_entropy`` and by the one ``entropy_sum``,
+which merges the integer edge counts of all closed-form terms before the
+single dot product with e, so coefficients that cancel do so exactly.
+``_plogp`` is the one -sum p log p, shared by ``_table_entropy``, which
+``shannon`` calls too, and ``entropy``: one numpy sum for a table of one
+``_PLOGP_BLOCK``, else its block sums added with ``math.fsum``; a zero
+entropy is +0.0.  A sum-product's data-free constants are built once: the
+read-only 0/1 emission and ``_place``'s digit leads in small module-level
+caches (``_emission_table``, ``_leads``), and the root's digit weights per
+K' on the domain itself (``Domain.digit_constants``, filled by
+``_root_digits``).  Samples are drawn on a ball given by its radius and an
+integer count: ``sample_indices(ts, radius, seed, count)`` fills a
+vertex-major table with one uniform per sample and vertex, compared at the
+root against the normalized cumulative sums of pi (numpy ``choice``'s
+draws) and elsewhere against those of the parent state's row.  The passed
+compares are counted in one reused buffer of the narrowest unsigned int
+that holds K, clamped to K-1 at non-root vertices and cast once into the
+vertex's int64 column; the table is returned as its transposed
 (count, |ball|) view, and refused past ``SAMPLE_LIMIT`` cells.  An
 empirical source's table encodes that table's vertex columns in place
 and counts the codes with one ``np.bincount`` when the K^|domain| cells
@@ -72,6 +73,7 @@ decoded a run of up to 32 digits at a time (``BallMarginal._digits``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -125,6 +127,12 @@ def _check_masses(masses: np.ndarray) -> float:
     return low
 
 
+def _table_entropy(masses: np.ndarray) -> float:
+    """-sum p log p of masses that pass a marginal's checks (``_check_masses``)."""
+    _check_masses(masses)
+    return _plogp(masses)
+
+
 def _code_dtype(k: int, n: int) -> type:
     """Codes of n base-k digits are int64 while K^n < 2^63, else exact ints."""
     return np.int64 if k ** n < 2 ** 63 else object
@@ -141,31 +149,34 @@ def _encode(digits: Iterable, k: int, n: int) -> np.ndarray:
     return codes
 
 
-def _root_digits(dom: Domain, kp: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The constants of the sum-product's root codes on ``dom`` over ``kp``
-    observed states, kept in ``dom.digit_constants``: the weight
+def _root_digits(dom: Domain, kp: int) -> np.ndarray:
+    """The read-only weights of the sum-product's root codes on ``dom`` over
+    ``kp`` observed states, kept in ``dom.digit_constants[kp]``: the weight
     kp^(n-1-p) of each ``dom.preorder`` digit's shortlex position p, in
-    ``_code_dtype(kp, n)``, and ``_place``'s digit leads by table width."""
-    cached = dom.digit_constants.get(kp)
-    if cached is None:
+    ``_code_dtype(kp, n)``."""
+    weights = dom.digit_constants.get(kp)
+    if weights is None:
         n = len(dom)
-        weights = kp ** (n - 1 - dom.preorder).astype(_code_dtype(kp, n))
+        weights = dom.digit_constants[kp] = kp ** (n - 1 - dom.preorder).astype(_code_dtype(kp, n))
         weights.setflags(write=False)
-        cached = dom.digit_constants[kp] = weights, {}
-    return cached
+    return weights
 
 
-def _place(table: tuple, k: int, weights: np.ndarray, leads: dict[int, np.ndarray]) -> tuple:
+@functools.lru_cache(maxsize=32)
+def _leads(k: int, width: int) -> np.ndarray:
+    """The read-only column k^(width-1-a), a = 0 .. width-1, in ``_code_dtype(k, width)``."""
+    lead = k ** np.arange(width - 1, -1, -1, dtype=_code_dtype(k, width))[:, None]
+    lead.setflags(write=False)
+    return lead
+
+
+def _place(table: tuple, k: int, weights: np.ndarray) -> tuple:
     """A sum-product table with codes sum_a x_a weights[a] of the base-k
     digits x_0, x_1, .. of its codes, in the dtype of the weights, and width
-    0, so that joins add them; a block of rows at a time.  ``leads`` keeps
-    the column k^(width-1-a) of each width, in the codes' ``_code_dtype``."""
+    0, so that joins add them; a block of rows at a time, the digits read
+    by the column of ``_leads``."""
     rows, codes, width = table
-    lead = leads.get(width)
-    if lead is None:
-        lead = leads[width] = k ** np.arange(width - 1, -1, -1,
-                                             dtype=_code_dtype(k, width))[:, None]
-        lead.setflags(write=False)
+    lead = _leads(k, width)
     placed, step = [], 2 ** 16 // width + 1
     for i in range(0, len(codes) or 1, step):
         x = codes[i:i + step] // lead  # row a: the leading a + 1 digits
@@ -303,7 +314,8 @@ class MeasureSource:
 
     A source supplies one hook, ``_table(dom, coded=True)``: the ascending
     codes of its positive patterns on a ``Domain`` (None without ``coded``)
-    and their masses.  ``ball_marginal`` and ``domain_entropy`` read it.
+    and their masses.  ``ball_marginal`` reads it, and ``_entropy``, the one
+    route of ``domain_entropy`` and ``entropy_sum``, its uncoded masses.
     """
 
     spec: GroupSpec
@@ -312,25 +324,38 @@ class MeasureSource:
     def _table(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         raise NotImplementedError
 
+    def _entropy(self, dom: Domain) -> tuple[float, np.ndarray | None]:
+        """H(dom), with the edge-label counts of a closed-form H, else None:
+        here the table entropy.  A source that returns counts supplies
+        ``_root_and_edge_entropies``, H(pi) and the e_s the counts weigh."""
+        return _table_entropy(self._table(dom, coded=False)[1]), None
+
     def ball_marginal(self, domain: Iterable[Word]) -> BallMarginal:
         dom = Domain.of(domain, self.spec)
         return BallMarginal(dom.words, self.states, *self._table(dom))
 
     def domain_entropy(self, domain: Iterable[Word]) -> float:
-        """H of the uncoded table's masses, which pass a marginal's checks."""
-        masses = self._table(Domain.of(domain, self.spec), coded=False)[1]
-        _check_masses(masses)
-        return _plogp(masses)
+        return self._entropy(Domain.of(domain, self.spec))[0]
 
     def entropy_sum(self, terms: Sequence[tuple[float, Iterable[Word]]]
                     ) -> tuple[float, list[float]]:
-        """sum(coef * H(domain)) over ``(coef, domain)`` terms, and each H.
-
-        The default adds ``coef * domain_entropy(domain)`` in term order;
-        subclasses may assemble the sum more exactly.
-        """
-        entropies = [self.domain_entropy(dom) for _, dom in terms]
-        return sum(coef * h for (coef, _), h in zip(terms, entropies)), entropies
+        """sum(coef * H(domain)) over ``(coef, domain)`` terms, and each H:
+        table terms added as ``coef * H`` in term order, closed-form terms as
+        ``(sum coef) H(pi) + (sum coef c) . e`` from their summed integer edge
+        counts, so the sum loses no precision to cancellation."""
+        total, entropies, root_coef, merged = 0.0, [], 0, None
+        for coef, domain in terms:
+            h, counts = self._entropy(Domain.of(domain, self.spec))
+            entropies.append(h)
+            if counts is None:
+                total += coef * h
+            else:
+                root_coef += coef
+                merged = coef * counts if merged is None else merged + coef * counts
+        if merged is not None:
+            h_root, edge = self._root_and_edge_entropies
+            total += root_coef * h_root + float(merged @ edge)
+        return total, entropies
 
 
 def _grid_fits(k: int, size: int) -> bool:
@@ -340,11 +365,9 @@ def _grid_fits(k: int, size: int) -> bool:
 
 def _closed_form(ts: TransitionSystem) -> tuple[float, np.ndarray]:
     """H(pi) and, in ``spec.generators()`` order, H(x_e, x_s) of each joint pi (x) P_s:
-    the terms of the closed form, once pi and each joint pass ``_check_masses``."""
-    joints = ts.pi[:, None] * ts.stacked
-    for masses in (ts.pi, *joints):
-        _check_masses(masses)
-    return _plogp(ts.pi), np.array([_plogp(j) for j in joints])
+    the terms of the closed form, each a ``_table_entropy``."""
+    h_root, *h_pair = (_table_entropy(m) for m in (ts.pi, *ts.pi[:, None] * ts.stacked))
+    return h_root, np.array(h_pair)
 
 
 def tree_entropy(ts: TransitionSystem, domain: Iterable[Word]) -> float:
@@ -384,10 +407,10 @@ def _pairs(a: tuple, b: tuple, kp: int, rows: slice = slice(None)) -> tuple:
     return products, None if ca is None else (ca[rows, None] * kp ** wb + cb).ravel(), wa + wb
 
 
-def _join(pieces: Sequence[tuple], kp: int, hull_size: int, head: tuple | None = None) -> tuple:
+def _join(pieces: Sequence[tuple], kp: int, hull_size: int) -> tuple:
     """The table of one subtree class: every row of each piece with every
-    row of the next, left to right, then each row of ``head`` with every
-    row of that product; zero rows dropped, but a lone piece returned as it is.
+    row of the next, left to right; zero rows dropped, but a lone piece
+    returned as it is.
 
     A table is (rows, codes, width): a row per observed pattern on ``width``
     domain vertices, with its code in base ``kp`` (None in a table without
@@ -400,12 +423,12 @@ def _join(pieces: Sequence[tuple], kp: int, hull_size: int, head: tuple | None =
     a block of the left table at a time, no block past ``SPARSE_LIMIT``
     pairs, and refused once their nonzero rows exceed the limit.
     """
-    (table, _), *steps = [(p, False) for p in pieces] + [(head, True)] * (head is not None)
+    table, *rest = pieces
     raw = False  # whether the table still has the zero rows of its products
-    for piece, left in steps:
-        if raw and len(table[0]) * len(piece[0]) > SPARSE_LIMIT:
+    for b in rest:
+        if raw and len(table[0]) * len(b[0]) > SPARSE_LIMIT:
             table, raw = _nonzero(*table), False
-        a, b = (piece, table) if left else (table, piece)
+        a = table
         if a[1] is not None and _code_dtype(kp, a[2] + b[2]) is object:
             a, b = ((rows, codes.astype(object, copy=False), w) for rows, codes, w in (a, b))
         raw = len(a[0]) * len(b[0]) <= SPARSE_LIMIT
@@ -514,10 +537,10 @@ class CoarsenedSource(MeasureSource):
         table of a class has a row per observed pattern on the domain
         vertices below it, with its class-local code, and a column per
         hidden state there: the pattern's probability given that state.
-        A class's table is one ``_join`` of its children's messages, left
-        to right, and at a domain vertex the 0/1 emission table on their
-        left, as the leading digit; other vertices add no digit and so are
-        summed out.  The emission is built from the source's 1-D arrays.
+        A class's table is one ``_join`` of its pieces, left to right: at a
+        domain vertex the 0/1 emission table first, as the leading digit,
+        then its children's messages; other vertices add no digit and so
+        are summed out.  The emission is built from the source's 1-D arrays.
         A class sends one message per letter it hangs by, shared by every
         parent that has it as a child and dropped after its last read, as
         ``dom.class_messages`` lists them.  The root's digits, in the order of
@@ -540,26 +563,24 @@ class CoarsenedSource(MeasureSource):
         sends, last_reads = dom.class_messages
         weights = None  # at the root, the weight of each digit's shortlex position
         if coded and dom.preorder is not None:
-            weights, leads = _root_digits(dom, kp)
+            weights = _root_digits(dom, kp)
         messages: dict[tuple[int, int], tuple] = {}
         for c, (own, children) in enumerate(classes):
+            pieces = [emitted] if own else []
+            pieces += [messages.pop(child) if last else messages[child]
+                       for child, last in zip(children, last_reads[c])]
             # the pieces' rows bound the root's: past _PLACE_FIRST cells, place them first
             placing = c == root and weights is not None and math.prod(
-                len(messages[child][0]) for child in children) * kp * n > _PLACE_FIRST
-            pieces, at = [], 1 if own else 0  # at: the digit a placed piece starts at
-            for child, last in zip(children, last_reads[c]):
-                message = messages.pop(child) if last else messages[child]
-                if placing:
-                    message, at = (_place(message, kp, weights[at:at + message[2]], leads),
-                                   at + message[2])
-                pieces.append(message)
-            head = ((_place(emitted, kp, weights[:1], leads) if placing else emitted)
-                    if own else None)
-            table = _join(pieces, kp, h, head)
+                len(piece[0]) for piece in pieces) * n > _PLACE_FIRST
+            if placing:  # each piece's digits start where the previous piece's end
+                starts = itertools.accumulate((piece[2] for piece in pieces), initial=0)
+                pieces = [_place(piece, kp, weights[at:at + piece[2]])
+                          for piece, at in zip(pieces, starts)]
+            table = _join(pieces, kp, h)
             for a in sends[c]:
                 messages[c, a] = (table[0] @ self.ts.stacked[a].T, table[1], table[2])
         if weights is not None and not placing:
-            table = _place(table, kp, weights, leads)
+            table = _place(table, kp, weights)
         masses, codes = table[0] @ self.ts.pi, table[1]  # the root's class is the last
         if weights is None:  # no codes, or class-local codes in shortlex order: ascending
             return codes, masses
@@ -572,41 +593,14 @@ class CoarsenedSource(MeasureSource):
             return self._grid(dom, coded)
         return self._sum_product(dom, coded=coded)
 
-    def _entropy(self, domain) -> tuple[float, np.ndarray | None]:
-        """H(domain), with its edge-label counts if it takes the closed form:
-        one-to-one, on a domain that is its own hull, past the grid."""
-        domain = Domain.of(domain, self.spec)
-        if (not self._one_to_one or domain.keep is not None
-                or _grid_fits(len(self.states), domain.hull_size)):
-            return super().domain_entropy(domain), None
+    def _entropy(self, dom: Domain) -> tuple[float, np.ndarray | None]:
+        """The closed form, with its edge-label counts, when one-to-one on a
+        domain that is its own hull, past the grid; else the table entropy."""
+        if (not self._one_to_one or dom.keep is not None
+                or _grid_fits(len(self.states), dom.hull_size)):
+            return super()._entropy(dom)
         h_root, edge = self._root_and_edge_entropies
-        return h_root + float(domain.label_counts @ edge), domain.label_counts
-
-    def domain_entropy(self, domain: Iterable[Word]) -> float:
-        return self._entropy(domain)[0]
-
-    def entropy_sum(self, terms: Sequence[tuple[float, Iterable[Word]]]
-                    ) -> tuple[float, list[float]]:
-        """As ``MeasureSource.entropy_sum``, with closed-form terms merged.
-
-        Table-route terms are added as ``coef * H``.  Closed-form terms
-        contribute ``(sum coef) H(pi) + (sum coef c) . e`` from their summed
-        integer edge counts, so the sum loses no precision to cancellation.
-        """
-        total, entropies = 0.0, []
-        root_coef, merged = 0, None
-        for coef, domain in terms:
-            h, counts = self._entropy(domain)
-            entropies.append(h)
-            if counts is None:
-                total += coef * h
-            else:
-                root_coef += coef
-                merged = coef * counts if merged is None else merged + coef * counts
-        if merged is not None:
-            h_root, edge = self._root_and_edge_entropies
-            total += root_coef * h_root + float(merged @ edge)
-        return total, entropies
+        return h_root + float(dom.label_counts @ edge), dom.label_counts
 
 
 class MarkovSource(CoarsenedSource):

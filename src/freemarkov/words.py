@@ -64,6 +64,7 @@ class GroupSpec:
     kind: str = GROUP
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", int(_integer(self.rank, "rank")))  # np.int64(2), True: ints
         if self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank}")
         if self.kind not in (GROUP, SEMIGROUP):
@@ -128,12 +129,14 @@ class Word:
     """A reduced word; the empty tuple is the identity.
 
     Raw (unreduced) letter sequences exist only at the ``reduce_word``
-    boundary; construction rejects adjacent inverse pairs.
+    boundary; construction rejects letter 0 and adjacent inverse pairs.
     """
 
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if 0 in self.letters:
+            raise ValueError(f"letters {self.letters} hold 0, which names no generator")
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
                 raise ValueError(
@@ -218,9 +221,9 @@ class Domain:
     subtree classes (``subtree_classes``: hull vertices grouped by the
     shape, letters and domain vertices of the subtree below them) and
     ``preorder`` are found once; any other word set comes from ``of``.
-    ``digit_constants`` holds, per observed alphabet size K', the constants
-    the sum-product's root codes read on this domain, filled by ``measure``
-    on first use and dropped with the domain.
+    ``digit_constants`` holds, per observed alphabet size K', the digit
+    weights the sum-product's root codes read on this domain, filled by
+    ``measure`` on first use and dropped with the domain.
     """
 
     def __init__(self, spec: GroupSpec, label_counts: np.ndarray, tree,
@@ -229,7 +232,7 @@ class Domain:
         self.spec, self.label_counts, self.keep = spec, label_counts, keep
         self.hull_size = int(label_counts.sum()) + 1
         self._build, self._translate = tree, translates
-        self.digit_constants: dict[int, tuple] = {}
+        self.digit_constants: dict[int, np.ndarray] = {}
         if words is not None:
             self.words = words
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from freemarkov.approx import (approximation_sequence, markov_approximation,
                                markov_fixed_point_gap, pattern_label)
-from freemarkov.entropy import big_F, f_markov, f_sequence
+from freemarkov.entropy import big_F, big_F_star, f_markov, f_sequence
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import CoarsenedSource, MarkovSource, coarsen, pair_stats
 from freemarkov.transition import (TransitionSystem, bernoulli_system,
@@ -143,9 +143,9 @@ class TestCrossValidation:
 
 
     def test_single_depth_named_as_the_sequences_name_it(self, coarsened_cycle):
-        # big_F and markov_approximation read their depth through the same
-        # check as f_sequence and approximation_sequence
-        for call in (big_F, markov_approximation):
+        # big_F, big_F_star and markov_approximation read their depth through
+        # the same check as f_sequence and approximation_sequence
+        for call in (big_F, big_F_star, markov_approximation):
             with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
                 call(coarsened_cycle, -1)
             for depth in (float("nan"), float("inf"), 2.0, 2.5):

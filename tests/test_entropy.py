@@ -78,6 +78,13 @@ class TestConditionalEntropy:
         h = conditional_entropy(joint)
         assert 0.0 <= h <= shannon(joint.sum(axis=1))
 
+    @pytest.mark.parametrize("joint,axes", [([0.5, 0.5], 1), (np.full((2, 2, 2), 0.125), 3)],
+                             ids=["1d", "3d"])
+    def test_table_that_is_not_2d_refused(self, joint, axes):
+        # a vector would read as its own entropy, a 3-D table as H(axis 0 | axes 1, 2)
+        with pytest.raises(ValueError, match=f"^joint table must be 2-D, got {axes} axes$"):
+            conditional_entropy(joint)
+
 
 class TestBigF:
     def test_one_state_coarsening_reads_positive_zeros(self):

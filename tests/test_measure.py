@@ -1014,14 +1014,14 @@ class TestClassCodes:
             gc.collect()
 
     def test_one_join_per_class(self, coarsened_cycle, monkeypatch):
-        # each class joins all its pieces at once: its children's messages
-        # and, at a domain vertex, the emission head
+        # each class joins all its pieces at once: at a domain vertex the
+        # emission, then its children's messages
         from freemarkov import measure
         calls, join = [], measure._join
 
-        def spy(pieces, kp, hull_size, head=None):
-            calls.append((len(pieces), head is not None))
-            return join(pieces, kp, hull_size, head)
+        def spy(pieces, kp, hull_size):
+            calls.append(len(pieces))
+            return join(pieces, kp, hull_size)
 
         monkeypatch.setattr(measure, "_join", spy)
         flipflip = coarsen(product_system(flip_system(2, 0.3), flip_system(2, 0.1)), [0, 1, 1, 0])
@@ -1032,8 +1032,8 @@ class TestClassCodes:
                 calls.clear()
                 src._sum_product(dom, coded=coded)
                 classes, _ = dom.subtree_classes
-                assert calls == [(len(children), own is True) for own, children in classes]
-            assert any(n > 1 for n, _ in calls)
+                assert calls == [len(children) + (own is True) for own, children in classes]
+            assert any(n > 2 for n in calls)
 
     def test_coarsened_cycle_exact_ints(self, coarsened_cycle):
         # x(w) = x(e) + (signed letter count of w) mod 3, observed as [0, 1, 1]
@@ -1251,15 +1251,16 @@ class TestInputRefusals:
         table = pieces[0] if pieces else head
         for piece in pieces[1:]:
             table = _join([table, piece], kp, hull_size)
-        return table if head is None or not pieces else _join([table], kp, hull_size, head)
+        return table if head is None or not pieces else _join([head, table], kp, hull_size)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_pieces=st.integers(1, 4),
            own=st.booleans(), coded=st.booleans(), limit=st.integers(1, 200))
     def test_class_join_is_the_pairwise_fold(self, seed, n_pieces, own, coded, limit):
-        # tables with zero rows, under a patched limit: the same rows, codes
-        # and width where the fold fits, and the same refusal where a
-        # partial product passes the limit
+        # tables with zero rows, under a patched limit, the emission head
+        # joined first: the rows, codes and width of the fold with the head
+        # joined last wherever neither refuses, and the refusal of the fold
+        # in the joined order where a partial product passes the limit
         from freemarkov import measure
         rng = np.random.default_rng(seed)
         k, kp = 3, 2
@@ -1271,27 +1272,32 @@ class TestInputRefusals:
             codes = np.sort(rng.choice(kp ** width, size=rows)) if coded else None
             pieces.append((table, codes, width))
         head = (np.eye(kp)[[0, 1, 1]].T, np.arange(kp) if coded else None, 1) if own else None
+        first = [head] * own + pieces  # the order the sum-product joins them in
         # the rows of each product the fold forms, before its zero rows go
-        sizes = list(itertools.accumulate((len(t[0]) for t in pieces + [head] * own),
-                                          operator.mul))
+        sizes = list(itertools.accumulate((len(t[0]) for t in first), operator.mul))
+        outcomes = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(measure, "SPARSE_LIMIT", limit)
-            try:
-                want = self._pairwise(pieces, kp, 9, head)
-            except CapabilityError as refusal:
-                assert max(sizes[1:]) > limit
-                with pytest.raises(CapabilityError) as got:
-                    _join(pieces, kp, 9, head)
-                assert (str(got.value), got.value.needed, got.value.limit) == (
-                    str(refusal), refusal.needed, refusal.limit)
-                return
-            got = _join(pieces, kp, 9, head)  # no refusal where the fold has none
-        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
-        assert got[2] == want[2]
-        if coded:
-            assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
-        else:
-            assert got[1] is None and want[1] is None
+            for join in (lambda: self._pairwise(first, kp, 9), lambda: _join(first, kp, 9),
+                         lambda: self._pairwise(pieces, kp, 9, head)):
+                try:
+                    outcomes.append(join())
+                except CapabilityError as refusal:
+                    outcomes.append(refusal)
+        fold, got, last = outcomes
+        if isinstance(fold, CapabilityError):
+            assert max(sizes[1:]) > limit
+            assert isinstance(got, CapabilityError)
+            assert (str(got), got.needed, got.limit) == (str(fold), fold.needed, fold.limit)
+            return
+        assert not isinstance(got, CapabilityError)  # no refusal where the fold has none
+        for want in (fold,) if isinstance(last, CapabilityError) else (fold, last):
+            assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+            assert got[2] == want[2]
+            if coded:
+                assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+            else:
+                assert got[1] is None and want[1] is None
 
     def test_class_join_refuses_where_a_partial_product_passes(self, monkeypatch):
         # 4 x 3 rows fit a limit of 12 and are kept whole; times 3 more they

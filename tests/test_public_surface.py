@@ -65,3 +65,17 @@ def test_system_data_is_pinned():
     ts = freemarkov.flip_system(2, 0.3)
     assert {n for n in vars(ts) if not n.startswith("_")} == {
         "spec", "states", "pi", "matrices", "stacked"}
+
+
+def test_sources_share_one_entropy_path():
+    # a source overrides at most _entropy: domain_entropy and entropy_sum,
+    # the closed-form merge included, are written once, on MeasureSource
+    subclasses, stack = [], [freemarkov.MeasureSource]
+    while stack:
+        children = stack.pop().__subclasses__()
+        subclasses += children
+        stack += children
+    assert {"CoarsenedSource", "EmpiricalSource", "MarkovSource"} <= {
+        cls.__name__ for cls in subclasses}
+    assert [(cls.__name__, name) for cls in subclasses for name in vars(cls)
+            if name in ("domain_entropy", "entropy_sum")] == []

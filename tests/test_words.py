@@ -42,6 +42,9 @@ class TestReduce:
     def test_word_constructor_rejects_unreduced(self):
         with pytest.raises(ValueError, match="not reduced"):
             Word((1, -1))
+        # letter 0 would print as "Z", which parses as the inverse of generator 25
+        with pytest.raises(ValueError, match=r"^letters \(2, 0\) hold 0, which names no generator$"):
+            Word((2, 0))
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
@@ -439,5 +442,13 @@ class TestGroupSpec:
     def test_bad_rank_and_kind(self):
         with pytest.raises(ValueError):
             GroupSpec(0)
+        for rank in (2.0, 1.5, "2"):  # 2.0 would equal GroupSpec(2) yet fail in generators()
+            with pytest.raises(TypeError, match=f"^rank must be an integer, got {rank!r}$"):
+                GroupSpec(rank)
         with pytest.raises(ValueError):
             GroupSpec(2, "monoid")
+
+    def test_integer_rank_stored_as_int(self):
+        spec = GroupSpec(np.int64(2))
+        assert type(spec.rank) is int and spec == G2 and spec.generators() == G2.generators()
+        assert repr(GroupSpec(True)) == repr(GroupSpec(1))
