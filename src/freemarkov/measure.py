@@ -27,20 +27,24 @@ forms no codes.  One chain source, ``CoarsenedSource``, sees a chain
 ``ts`` through an emission, the observed index of each hidden state;
 ``MarkovSource(ts)`` is its one-to-one coarsening.  A one-to-one emission
 with K >= 2 and a hull grid K^|hull| within ``DENSE_LIMIT`` fills that grid
-one hull vertex at a time; every other table is one leaves-to-root
-sum-product over the hull's subtree classes (``Domain.subtree_classes``),
-the emission a 0/1 table at domain vertices, and refuses when the hull
-holds more than ``SPARSE_LIMIT`` positive hidden patterns, counted first
-over the same classes.  Isomorphic subtrees share one table and one
-message per class and letter; each class joins its pieces, left to
-right, in one ``_join``: at a domain vertex the emission first, then its
-children's messages, dropping zero rows once unless a product would pass
-``SPARSE_LIMIT``.  A marginal's tables carry class-local codes, joined as
-code_a * K'^width_b + code_b, whose digits the root puts at their
-shortlex positions (``Domain.preorder``).  A one-to-one entropy
-past the grid, on a domain that is its own hull, takes the closed form
-H(pi) + sum_s c_s e_s (c_s counts the induced tree edges labelled s, e_s
-is the conditional entropy of one s-step); every other entropy the table.
+one hull vertex v at a time, a matrix column at a time: seen as (K^p, K,
+K^(v-1-p)), p the parent of v, the grid so far times column j of v's matrix
+is the new grid at state j of v, one ``np.multiply`` a column, so each
+cell is the same product as a broadcast fill's.  Every other table is one
+leaves-to-root sum-product over the hull's subtree classes
+(``Domain.subtree_classes``), the emission a 0/1 table at domain vertices,
+and refuses when the hull holds more than ``SPARSE_LIMIT`` positive hidden
+patterns, counted first over the same classes.  Isomorphic subtrees share
+one table and one message per class and letter; each class joins its
+pieces, left to right, in one ``_join``: at a domain vertex the emission
+first, then its children's messages, dropping zero rows once unless a
+product would pass ``SPARSE_LIMIT``.  A marginal's tables carry
+class-local codes, joined as code_a * K'^width_b + code_b, whose digits
+the root puts at their shortlex positions (``Domain.preorder``).  A
+one-to-one entropy past the grid, on a domain that is its own hull, takes
+the closed form H(pi) + sum_s c_s e_s (c_s counts the induced tree edges
+labelled s, e_s is the conditional entropy of one s-step); every other
+entropy the table.
 ``_closed_form``, the one owner of the closed form's terms, takes the
 ``_table_entropy`` of pi and each joint, so no route answers where another
 refuses.  ``MeasureSource`` owns the one entropy path, ``_entropy(dom)``
@@ -51,13 +55,16 @@ single dot product with e, so coefficients that cancel do so exactly.
 ``_plogp`` is the one -sum p log p, shared by ``_table_entropy``, which
 ``shannon`` calls too, and ``entropy``: one numpy sum for a table of one
 ``_PLOGP_BLOCK``, else its block sums added with ``math.fsum``; a zero
-entropy is +0.0.  A sum-product's data-free constants are built once: the
-read-only 0/1 emission and ``_place``'s digit leads in small module-level
-caches (``_emission_table``, ``_leads``), and the root's digit weights per
-K' on the domain itself (``Domain.digit_constants``, filled by
-``_root_digits``).  Samples are drawn on a ball given by its radius and an
-integer count: ``sample_indices(ts, radius, seed, count)`` fills a
-vertex-major table with one uniform per sample and vertex, compared at the
+entropy is +0.0.  It sums the positive masses of each block, and skips that
+filter, a copy, when every mass is positive: a marginal's masses, and a
+table whose smallest mass, from ``_check_masses``, is positive.  A
+sum-product's data-free constants are built once: the read-only 0/1
+emission and ``_place``'s digit leads in small module-level caches
+(``_emission_table``, ``_leads``), and the root's digit weights per K' on
+the domain itself (``Domain.digit_constants``, filled by ``_root_digits``).
+Samples are drawn on a ball given by its radius and an integer count:
+``sample_indices(ts, radius, seed, count)`` fills a vertex-major table
+with one uniform per sample and vertex, compared at the
 root against the normalized cumulative sums of pi (numpy ``choice``'s
 draws) and elsewhere against those of the parent state's row.  The passed
 compares are counted in one reused buffer of the narrowest unsigned int
@@ -95,16 +102,20 @@ _PLACE_FIRST = 2 ** 14     # root rows times digits past which its pieces are pl
 _PLOGP_BLOCK = 2 ** 15     # entries per block of a -sum p log p
 
 
-def _plogp(values: np.ndarray) -> float:
+def _plogp(values: np.ndarray, all_positive: bool = False) -> float:
     """-sum p log p over the positive entries, in C order, a block of
     ``_PLOGP_BLOCK`` at a time: each block's sum as a float, added exactly
-    (a table of one block is its one sum).  A zero entropy is +0.0."""
+    (a table of one block is its one sum).  A zero entropy is +0.0.  With
+    ``all_positive`` (every entry is positive) each block is summed as it
+    is, with no filtered copy: the same values in the same order."""
     flat = np.ravel(values)
     if flat.size <= _PLOGP_BLOCK:
-        v = flat[flat > 0]
+        v = flat if all_positive else flat[flat > 0]
         return 0.0 - float((v * np.log(v)).sum())
     blocks = (flat[i:i + _PLOGP_BLOCK] for i in range(0, flat.size, _PLOGP_BLOCK))
-    return 0.0 - math.fsum(float((v * np.log(v)).sum()) for v in (b[b > 0] for b in blocks))
+    if not all_positive:
+        blocks = (b[b > 0] for b in blocks)
+    return 0.0 - math.fsum(float((v * np.log(v)).sum()) for v in blocks)
 
 
 def _check_masses(masses: np.ndarray) -> float:
@@ -128,9 +139,9 @@ def _check_masses(masses: np.ndarray) -> float:
 
 
 def _table_entropy(masses: np.ndarray) -> float:
-    """-sum p log p of masses that pass a marginal's checks (``_check_masses``)."""
-    _check_masses(masses)
-    return _plogp(masses)
+    """-sum p log p of masses that pass a marginal's checks (``_check_masses``),
+    with no positive filter when the smallest mass is positive."""
+    return _plogp(masses, all_positive=_check_masses(masses) > 0)
 
 
 def _code_dtype(k: int, n: int) -> type:
@@ -281,7 +292,7 @@ class BallMarginal:
         return float(self.masses.sum())
 
     def entropy(self) -> float:
-        return _plogp(self.masses)
+        return _plogp(self.masses, all_positive=True)
 
     def marginalize(self, subdomain: Iterable[Word]) -> "BallMarginal":
         pos = {w: a for a, w in enumerate(self.domain)}
@@ -485,16 +496,22 @@ class CoarsenedSource(MeasureSource):
     def _grid(self, dom: Domain, coded: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """Codes and masses of the patterns on the domain, via the hull grid.
 
-        Each hull vertex adds an axis: the grid so far times the matrix
-        entry from its parent's state to its own; axes off the domain are
-        summed out.  Without ``coded`` the codes are None and the masses
-        are the whole flat table, zeros kept.
+        Each hull vertex v adds an axis: the grid so far times the matrix
+        entry from its parent p's state to its own.  Seen as (K^p, K,
+        K^(v-1-p)), the grid is multiplied by column j of the matrix into
+        the cells of state j at v, one ``np.multiply`` a column, so numpy's
+        inner loop runs over the K^(v-1-p) cells between parent and child.
+        Axes off the domain are summed out.  Without ``coded`` the codes are
+        None and the masses are the whole flat table, zeros kept.
         """
-        k, table = self.ts.n_states, self.ts.pi
+        k, grid = self.ts.n_states, self.ts.pi
         for v, (p, a) in enumerate(dom.tree_edges(), start=1):
-            shape = [1] * (v + 1)
-            shape[p] = shape[v] = k
-            table = table[..., None] * self.ts.stacked[a].reshape(shape)
+            grid = grid.reshape(k ** p, k, k ** (v - 1 - p))
+            new, matrix = np.empty(grid.shape + (k,)), self.ts.stacked[a]
+            for j in range(k):
+                np.multiply(grid, matrix[:, j, None], out=new[..., j])
+            grid = new
+        table = grid.reshape((k,) * dom.hull_size)
         if dom.keep is not None:
             table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(dom.keep))))
         flat = table.ravel()

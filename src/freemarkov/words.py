@@ -129,12 +129,15 @@ class Word:
     """A reduced word; the empty tuple is the identity.
 
     Raw (unreduced) letter sequences exist only at the ``reduce_word``
-    boundary; construction rejects letter 0 and adjacent inverse pairs.
+    boundary; construction reads the letters as a tuple of ints, and
+    rejects a letter that is not an integer, letter 0 and adjacent inverse
+    pairs.
     """
 
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(_integer(l, "letter") for l in self.letters))
         if 0 in self.letters:
             raise ValueError(f"letters {self.letters} hold 0, which names no generator")
         for a, b in zip(self.letters, self.letters[1:]):

@@ -3,9 +3,12 @@
 Everything here recomputes measure-theoretic quantities from first
 principles with plain Python (itertools enumeration, dict accumulation,
 math.fsum), sharing no code path with the library's numpy implementation.
-The one exception is ``oracle_sample_rows``: seeded draws are defined by
+The exceptions are ``oracle_sample_rows``: seeded draws are defined by
 numpy's random stream, so it uses numpy, on a row-major table with a
-row-wise comparison, where the library fills a vertex-major one.
+row-wise comparison, where the library fills a vertex-major one; and
+``oracle_grid``, the hull grid filled by numpy broadcasting, the reference
+for the bytes of the library's grid, which is filled a matrix column at a
+time.
 Words are bare tuples of signed ints; the letter order matches the
 library's shortlex convention so pattern encodings agree.
 """
@@ -106,6 +109,22 @@ def oracle_marginal(pi, mats, domain, coarsen_map=None):
             key = tuple(coarsen_map[i] for i in key)
         out[key] = out.get(key, 0.0) + p
     return out
+
+
+def oracle_grid(pi, edges, keep=None):
+    """The flat hull grid, filled by broadcasting: pi, then for each hull
+    vertex v = 1, 2, .. with ``edges[v - 1] = (parent, matrix)`` a new last
+    axis, the grid times ``matrix[x_parent, x_v]``; then summed over the axes
+    not in ``keep`` (None keeps all).  Every cell is a product of the same
+    floats, in the same order, as the library's grid."""
+    table, k = np.asarray(pi, dtype=float), len(pi)
+    for v, (parent, matrix) in enumerate(edges, start=1):
+        shape = [1] * (v + 1)
+        shape[parent] = shape[v] = k
+        table = table[..., None] * np.asarray(matrix, dtype=float).reshape(shape)
+    if keep is not None:
+        table = table.sum(axis=tuple(sorted(set(range(table.ndim)) - set(keep))))
+    return table.ravel()
 
 
 def oracle_support_count(pi, mats, domain):

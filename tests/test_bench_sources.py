@@ -9,11 +9,12 @@ class: ``bench/serve.py``'s ``Checker`` holds a ``MarkovSource``'s F to
 ``f_markov(src.ts)``, and ``bench/tracing.py`` wraps a ``CoarsenedSource``'s
 ``base`` as its chain.  The sum-product's tables on the ``hidden_exact``
 sources and on masked Sinkhorn coarsenings are pinned by sha256 digests, as
-are the ``big_F`` reports the ``hidden_exact`` and ``markov_deep`` requests
-read.
+are the hull grids of the ``markov_deep`` sources and the ``big_F`` reports
+the ``hidden_exact`` and ``markov_deep`` requests read.
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,8 @@ from freemarkov import (CoarsenedSource, GroupSpec, MarkovSource, ball,  # noqa:
                         big_F, coarsen, empirical_source, flip_system,
                         from_json_dict)
 from freemarkov.errors import CapabilityError  # noqa: E402
-from freemarkov.words import Domain, ball_domain  # noqa: E402
+from freemarkov.measure import _grid_fits  # noqa: E402
+from freemarkov.words import IDENTITY, Domain, Word, ball_domain  # noqa: E402
 from inputs import WORKLOADS, generate, load_inputs  # noqa: E402
 from systems import sinkhorn_system  # noqa: E402
 from tracing import Tracer  # noqa: E402
@@ -162,6 +164,62 @@ MASKED_PINS = {
 def test_masked_sinkhorn_tables_pinned(name):
     src, domains = _masked_sources()[name]
     assert _table_digest(src, domains) == MASKED_PINS[name]
+
+
+def _markov_deep_grids():
+    """The Markov sources of the ``markov_deep`` workload at seed 801, each with
+    every ball and pair domain whose hull grid fits, and a domain with a gap
+    between e and aa, which is not its own hull."""
+    out = {}
+    for name, sdoc in generate("markov_deep", 801)["systems"].items():
+        src = MarkovSource(from_json_dict(sdoc))
+        k, spec = src.ts.n_states, src.spec
+        domains = []
+        for n in itertools.count():
+            if not _grid_fits(k, ball_domain(spec, n).hull_size):
+                break
+            domains += [ball_domain(spec, n)] + [
+                d for d in (ball_domain(spec, n, s) for s in spec.positive_generators())
+                if _grid_fits(k, d.hull_size)]
+        domains.append(Domain.of([IDENTITY, Word((1, 1))], spec))
+        out[name] = (src, domains)
+    return out
+
+
+def _grid_digest(src, domains):
+    """sha256 of each domain's coded grid (codes with their dtype, and masses)
+    and uncoded grid (the flat masses), in domain order."""
+    digest = hashlib.sha256()
+    for dom in domains:
+        codes, masses = src._grid(dom)
+        uncoded = src._grid(dom, coded=False)
+        assert uncoded[0] is None
+        digest.update(str(codes.dtype).encode() + codes.tobytes() + masses.tobytes())
+        digest.update(uncoded[1].tobytes())
+    return digest.hexdigest()
+
+
+# sha256 pins of ``_grid_digest``, taken before the grid was filled a matrix
+# column at a time
+MARKOV_DEEP_GRID_PINS = {
+    "flip2": "3a3f0a0eb94a5f1be29aea198fec0d04997922630f712bd4998098d208e00d40",
+    "matching2": "d847a040625057227dcde4f8c47d0bc53395bd18d5eb0a9b19344fb120ccc862",
+    "rand_g3": "069829740b71d7ae9206f22334cb6c562a4431a7f7cccb67ab96c4e7e452b265",
+    "rand_g4": "0c0d157e1dd24477165cadc042c679cb884fb61db3ddaa90420201d3624c2f93",
+    "rand_g5": "d1cbd890b8a035ed3ca496996f0f99fa02863b67246a804d6e30be39ec34e0e8",
+    "rand_s3": "021f994a6ba7b6fa21de37e10639975596b8654ad79dbd73e8418c8cc99f1fad",
+    "rand_s4": "3d428c6034a24652b22ab5905142b7e88eb5f1a8903275d122a1b364a024afdb",
+    "rand_s5": "f1403758b1fc6e622f63c251ea24a77b32c9cc9b60052f31b2a4220c63eb75f9",
+    "semigroup": "22f3cb10495abfe38bb125150f938d8e5d97ceda415313315cfd0e5d9af3d0d4",
+    "wsf2": "15409845fd63705f984115b49203064855ecde83d3e34c2006a0e6f114e530a9",
+    "wsf3": "87d8fdec58759f66622a007311b5c1f5dab001d9c4bc3291ce86814d87c666a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_DEEP_GRID_PINS))
+def test_grid_tables_pinned(name):
+    src, domains = _markov_deep_grids()[name]
+    assert _grid_digest(src, domains) == MARKOV_DEEP_GRID_PINS[name]
 
 
 def _report_digest(workload, seed):

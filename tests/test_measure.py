@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freemarkov.approx import ENTRY_LIMIT, markov_approximation
-from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov
+from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov, shannon
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
                                 EmpiricalSource, MarkovSource,
@@ -31,7 +31,7 @@ from freemarkov.verify import (cycle_coarsening, cycle_system, perturbed_flip,
 from freemarkov.words import (Domain, GroupSpec, IDENTITY, Word, ball, ball_domain,
                               parse_word, tree_hull)
 
-from oracles import (as_lists, oracle_ball, oracle_entropy, oracle_marginal,
+from oracles import (as_lists, oracle_ball, oracle_entropy, oracle_grid, oracle_marginal,
                      oracle_sample_rows, oracle_support_count)
 from systems import sinkhorn_system
 
@@ -837,7 +837,8 @@ class TestDomainEntropy:
 
 
 class TestGridEntropy:
-    """The uncoded grid entropy against the marginal's, the closed form and the oracle."""
+    """The uncoded grid, byte for byte against the broadcast fill, and its
+    entropy against the marginal's, the closed form and the oracle."""
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(["group", "semigroup"]),
@@ -864,6 +865,9 @@ class TestGridEntropy:
         for dom in domains:
             tree = Domain.of(dom, spec)
             assert _grid_fits(k, tree.hull_size)
+            grid = oracle_grid(ts.pi, [(p, ts.stacked[a]) for p, a in tree.tree_edges()],
+                               None if tree.keep is None else tree.keep.tolist())
+            assert src._grid(tree, coded=False)[1].tobytes() == grid.tobytes()
             h = src.domain_entropy(dom)
             assert abs(h - src.ball_marginal(dom).entropy()) <= 1e-12
             if tree.keep is None:
@@ -888,7 +892,7 @@ class TestGridEntropy:
 
 class TestPlogp:
     """The blocked -sum p log p: one block as a single numpy sum, more as an exact sum;
-    a zero entropy is +0.0."""
+    a zero entropy is +0.0; all-positive masses summed with no filtered copy."""
 
     @staticmethod
     def _one_sum(values):
@@ -908,6 +912,19 @@ class TestPlogp:
             v = values[values > 0]
             exact = -math.fsum((v * np.log(v)).tolist())
             assert abs(h - exact) <= 1e-15 * abs(exact)
+
+    def test_all_positive_blocks(self):
+        # no zero mass: summed as they are, the bits of the filtered block sums
+        values = np.random.default_rng(7).uniform(0.5, 1.0, size=3 * _PLOGP_BLOCK + 7)
+        values /= values.sum()
+        blocks = (values[i:i + _PLOGP_BLOCK] for i in range(0, values.size, _PLOGP_BLOCK))
+        filtered = 0.0 - math.fsum(-self._one_sum(b) for b in blocks)
+        for h in (_plogp(values, all_positive=True), shannon(values)):
+            assert h.hex() == filtered.hex()
+
+    def test_zero_and_tiny_negative_left_out(self):
+        # the smallest mass is not positive: a zero and a mass in [-1e-12, 0) are filtered out
+        assert shannon([0.5, 0.0, 0.5, -1e-13]).hex() == shannon([0.5, 0.5]).hex()
 
     def test_two_dimensional(self, wsf2):
         # f_markov passes the joint pi_i P[s]_ij as a matrix; C order, as raveled

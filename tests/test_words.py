@@ -45,6 +45,11 @@ class TestReduce:
         # letter 0 would print as "Z", which parses as the inverse of generator 25
         with pytest.raises(ValueError, match=r"^letters \(2, 0\) hold 0, which names no generator$"):
             Word((2, 0))
+        # letters are read as a tuple of ints
+        with pytest.raises(TypeError, match=r"^letter must be an integer, got 1\.5$"):
+            Word((1.5,))
+        word = Word([1, 2])
+        assert word == Word((1, 2)) and hash(word) == hash(Word((1, 2)))
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
