@@ -59,7 +59,7 @@ entropy is +0.0.  It sums the positive masses of each block, and skips that
 filter, a copy, when every mass is positive: a marginal's masses, and a
 table whose smallest mass, from ``_check_masses``, is positive.  A
 sum-product's data-free constants are built once: the read-only 0/1
-emission and ``_place``'s digit leads in small module-level caches
+emission and ``_digit_blocks``' digit leads in small module-level caches
 (``_emission_table``, ``_leads``), and the root's digit weights per K' on
 the domain itself (``Domain.digit_constants``, filled by ``_root_digits``).
 Samples are drawn on a ball given by its radius and an integer count:
@@ -73,8 +73,9 @@ vertex's int64 column; the table is returned as its transposed
 (count, |ball|) view, and refused past ``SAMPLE_LIMIT`` cells.  An
 empirical source's table encodes that table's vertex columns in place
 and counts the codes with one ``np.bincount`` when the K^|domain| cells
-are no more than the samples, else by a sort.  Exact-int codes are
-decoded a run of up to 32 digits at a time (``BallMarginal._digits``).
+are no more than the samples, else by a sort.  ``_digit_blocks`` is the one
+decode of codes into digits: ``patterns()`` reads it, and ``_place`` recodes
+its digits for the sum-product's root and for ``sub_codes``.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -175,25 +176,34 @@ def _root_digits(dom: Domain, kp: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _leads(k: int, width: int) -> np.ndarray:
-    """The read-only column k^(width-1-a), a = 0 .. width-1, in ``_code_dtype(k, width)``."""
-    lead = k ** np.arange(width - 1, -1, -1, dtype=_code_dtype(k, width))[:, None]
+    """The read-only int64 column k^(width-1-a), a = 0 .. width-1."""
+    lead = k ** np.arange(width - 1, -1, -1, dtype=np.int64)[:, None]
     lead.setflags(write=False)
     return lead
 
 
-def _place(table: tuple, k: int, weights: np.ndarray) -> tuple:
-    """A sum-product table with codes sum_a x_a weights[a] of the base-k
-    digits x_0, x_1, .. of its codes, in the dtype of the weights, and width
-    0, so that joins add them; a block of rows at a time, the digits read
-    by the column of ``_leads``."""
-    rows, codes, width = table
-    lead = _leads(k, width)
-    placed, step = [], 2 ** 16 // width + 1
+def _digit_blocks(codes: np.ndarray, k: int, width: int) -> Iterator[np.ndarray]:
+    """The one decode of codes of ``width`` base-k digits: int64 (width, rows)
+    blocks of about 2^16 cells, row a digit a (one empty block for no rows).
+    Each code is cut into int64 runs of up to 62 bits, the last first; digit a
+    of a run r of w digits is r // k^(w-1-a) less k times r // k^(w-a)."""
+    run, step = 62 // ((k - 1).bit_length() or 1), 2 ** 16 // width + 1  # k^run < 2^63
     for i in range(0, len(codes) or 1, step):
-        x = codes[i:i + step] // lead  # row a: the leading a + 1 digits
-        x[1:] -= k * x[:-1]  # row a: digit a
-        placed.append(weights @ x.astype(weights.dtype))
-    return rows, np.concatenate(placed), 0
+        c, x = codes[i:i + step], []
+        for hi in range(width, 0, -run):
+            lo = max(hi - run, 0)  # an exact-int division a run, if lo
+            c, r = (c // k ** (hi - lo), c % k ** (hi - lo)) if lo else (c, c)
+            x.append(r.astype(np.int64, copy=False) // _leads(k, hi - lo))
+            x[-1][1:] -= k * x[-1][:-1]
+        yield x[0] if len(x) == 1 else np.concatenate(x[::-1])
+
+
+def _place(table: tuple, k: int, weights: np.ndarray) -> tuple:
+    """A sum-product table recoded as sum_a x_a weights[a] of its codes' digits
+    x_a (``_digit_blocks``), in the weights' dtype, and width 0, so joins add them."""
+    rows, codes, width = table
+    placed = [weights @ x for x in _digit_blocks(codes, k, width)]
+    return rows, placed[0] if len(placed) == 1 else np.concatenate(placed), 0
 
 
 class BallMarginal:
@@ -213,9 +223,12 @@ class BallMarginal:
                  masses: np.ndarray):
         codes, masses = np.asarray(codes), np.asarray(masses, dtype=float)
         low = _check_masses(masses)  # a mass, so a codes[0] once the shapes agree
-        if (codes.shape != masses.shape or codes[0] < 0 or (codes[1:] <= codes[:-1]).any()
+        exact = codes.dtype.type is np.int64 or (  # no float or bool codes
+            codes.dtype.type is np.object_ and all(type(c) is int for c in codes.flat))
+        if (not exact or codes.shape != masses.shape or codes[0] < 0
+                or np.count_nonzero(codes[1:] <= codes[:-1])
                 or int(codes[-1]) >= len(states) ** len(domain)):
-            raise ValueError("codes must be one per mass, strictly ascending in [0, K^|domain|)")
+            raise ValueError("codes must be ints, one per mass, strictly ascending in [0, K^|domain|)")
         if low <= 0:
             codes, masses = codes[masses > 0], masses[masses > 0]
         self.domain, self.states = tuple(domain), tuple(states)
@@ -252,41 +265,28 @@ class BallMarginal:
 
     def patterns(self) -> list[tuple[int, ...]]:
         """The positive patterns as tuples of state indices, in code order."""
-        columns = [d.tolist() for d in self._digits(range(len(self.domain)))]
-        return list(zip(*columns))
+        blocks = _digit_blocks(self.codes, self.n_states, len(self.domain))
+        return list(itertools.chain.from_iterable(zip(*x.tolist()) for x in blocks))
 
     @property
     def sparse(self) -> dict[tuple, float]:
         """A fresh map from positive patterns, as tuples of ints, to masses."""
         return dict(zip(self.patterns(), self.masses.tolist()))
 
-    def _digits(self, positions: Iterable[int]) -> list[np.ndarray]:
-        """The int64 digit columns at ``positions``.  Exact-int codes are cut
-        into int64 runs of up to 32 digits, one division a run, and each
-        run's digits come from one ``np.unravel_index``."""
-        k, n, codes = self.n_states, len(self.domain), self.codes
-        if codes.dtype != object:  # a division by k is faster than a remainder
-            return [(q := codes // k ** (n - 1 - a)) - q // k * k for a in positions]
-        width = min(32, 62 // (k - 1).bit_length())  # K^width < 2^63, and numpy 1's 32 axes
-        runs, out = {}, []
-        for a in positions:
-            lo = a - a % width
-            if lo not in runs:
-                hi = min(n, lo + width)
-                run = (codes // k ** (n - hi) % k ** (hi - lo)).astype(np.int64)
-                runs[lo] = np.unravel_index(run, (k,) * (hi - lo))
-            out.append(runs[lo][a - lo])
-        return out
-
     def sub_codes(self, positions: Sequence[int]) -> np.ndarray:
-        """Codes of the patterns read at ``positions``, in that order, in
-        ``_code_dtype``; the leading positions 0 .. p-1 by one division.
-        Positions may be Python or numpy ints."""
+        """Codes of the patterns read at ``positions`` (ints in [0, |domain|)), in
+        that order, in ``_code_dtype``: 0 .. p-1 by one division, others by ``_place``,
+        with weight K^(p-1-i) at ``positions[i]`` (added where one repeats), else 0."""
         positions = list(map(operator.index, positions))  # exact powers of K
         k, n, p = self.n_states, len(self.domain), len(positions)
-        if positions == list(range(p)):
+        if positions == list(range(p)) and p <= n:
             return (self.codes // k ** (n - p)).astype(_code_dtype(k, p), copy=False)
-        return _encode(self._digits(positions), k, p)
+        weights = [0] * n
+        for i, a in enumerate(positions):
+            if not 0 <= a < n:
+                raise ValueError(f"position {a} is outside the {n}-vertex domain")
+            weights[a] += k ** (p - 1 - i)
+        return _place((None, self.codes, n), k, np.array(weights, dtype=_code_dtype(k, p)))[1]
 
     def total(self) -> float:
         return float(self.masses.sum())

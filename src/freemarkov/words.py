@@ -103,13 +103,12 @@ class GroupSpec:
         return f"s{letter}" if letter > 0 else f"s{-letter}_inv"
 
     def letter_from_name(self, name: str) -> int:
-        base, inv = (name[:-4], True) if name.endswith("_inv") else (name, False)
-        if not base.startswith("s") or not base[1:].isdigit():
+        """The letter ``generator_name`` writes as ``name``; "s01" aliases none."""
+        base, sign = (name[:-4], -1) if name.endswith("_inv") else (name, 1)
+        if not base.startswith("s") or not base[1:].isdecimal() or (  # int() reads any decimal
+                self.generator_name(sign * int(base[1:])) != name):  # checks the letter first
             raise ValueError(f"bad generator name {name!r}")
-        letter = int(base[1:])
-        letter = -letter if inv else letter
-        self.check_letter(letter)
-        return letter
+        return sign * int(base[1:])
 
 
 def _free_reduce(letters: Iterable[int]) -> tuple[int, ...]:

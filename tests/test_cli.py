@@ -311,6 +311,14 @@ class TestErrorPaths:
         assert main(["validate", str(bad)]) == 4
         assert "malformed transition-system document" in capsys.readouterr().err
 
+    def test_aliased_generator_name_exit_4(self, tmp_path, capsys):
+        doc = to_json_dict(flip_system(2, 0.3))
+        doc["P"]["s01"] = [[1.0, 0.0], [0.0, 1.0]]  # would replace s1's matrix
+        bad = tmp_path / "alias.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 4
+        assert "bad generator name 's01'" in capsys.readouterr().err
+
     def test_wrong_schema_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"states": [0, 1]}))

@@ -17,7 +17,7 @@ from freemarkov.entropy import FSTAR_CONFIG_LIMIT, big_F, big_F_star, f_markov, 
 from freemarkov.errors import CapabilityError
 from freemarkov.measure import (DENSE_LIMIT, SAMPLE_LIMIT, SPARSE_LIMIT, BallMarginal,
                                 EmpiricalSource, MarkovSource,
-                                _PLOGP_BLOCK, _code_dtype, _encode, _grid_fits, _join, _plogp,
+                                _PLOGP_BLOCK, _code_dtype, _encode, _grid_fits, _join, _place, _plogp,
                                 check_markov_property,
                                 check_shift_invariance,
                                 coarsen, cylinder_prob, empirical_source,
@@ -234,9 +234,12 @@ class TestBallMarginal:
 
     @pytest.mark.parametrize("codes,masses", [([2], [1.0]), ([5], [1.0]), ([-1], [1.0]),
                                               ([0, 0], [0.5, 0.5]), ([1, 0], [0.5, 0.5]),
-                                              ([0], [0.5, 0.5])],
+                                              ([0], [0.5, 0.5]), ([0.5], [1.0]),
+                                              ([0.0, 1.0], [0.5, 0.5]),
+                                              ([False, True], [0.5, 0.5])],
                              ids=["past_top", "far_past_top", "negative", "repeated",
-                                  "descending", "length_mismatch"])
+                                  "descending", "length_mismatch", "fractional", "float",
+                                  "bool"])
     def test_malformed_codes_rejected(self, codes, masses):
         # one vertex, K = 2: codes 0 and 1, each once, ascending, one mass each
         with pytest.raises(ValueError, match="codes"):
@@ -1077,7 +1080,52 @@ class TestClassCodes:
         for p, dtype in ((1, np.int64), (62, np.int64), (63, object), (485, object)):
             lead = marg.sub_codes(range(p))
             assert lead.dtype == dtype and lead.tolist() == [c >> (485 - p) for c in expected]
-            assert lead.tolist() == _encode(marg._digits(range(p)), 2, p).tolist()
+            weights = np.zeros(485, dtype=dtype)  # the general recode of the same positions
+            weights[:p] = [2 ** (p - 1 - i) for i in range(p)]
+            assert lead.tolist() == _place((None, marg.codes, 485), 2, weights)[1].tolist()
+
+    def test_sub_codes_positions_in_range_and_repeated(self, flip03):
+        marg = MarkovSource(flip03).ball_marginal(ball_domain(G2, 1))  # all 32 patterns
+        for bad in (5, 7, -1):
+            with pytest.raises(ValueError, match=f"^position {bad} is outside the 5-vertex domain$"):
+                marg.sub_codes([0, bad])
+        # a repeated position adds its weights: 2 x_1 + x_1
+        assert marg.sub_codes([1, 1]).tolist() == ([0] * 8 + [3] * 8) * 2
+
+    @pytest.mark.parametrize("table", ["sinkhorn_k4", "exact_ints"])
+    def test_decode_across_blocks(self, table):
+        # 4^8 codes of 8 digits in 8 blocks, or 2,000 exact-int codes of 70
+        # digits in 3, read against a divmod decode of each code
+        rng = np.random.default_rng(26)
+        if table == "sinkhorn_k4":
+            marg = MarkovSource(sinkhorn_system(G2, 4, 11)).ball_marginal(ball_domain(G2, 1, 1))
+            assert marg.codes.tolist() == list(range(4 ** 8))
+        else:
+            codes = sorted({int(c) << 35 | int(d) for c, d in rng.integers(0, 2 ** 35, (2000, 2))})
+            marg = BallMarginal(ball(G2, 4)[:70], (0, 1), np.array(codes, dtype=object),
+                                np.full(len(codes), 1 / len(codes)))
+        k, n = marg.n_states, len(marg.domain)
+        expected = []
+        for c in marg.codes.tolist():
+            digits = []
+            for _ in range(n):
+                c, x = divmod(c, k)
+                digits.append(x)
+            expected.append(tuple(digits[::-1]))
+        patterns = marg.patterns()
+        assert patterns == expected and all(type(x) is int for x in patterns[-1])
+        for positions in (range(3), range(n), rng.integers(0, n, 5), rng.integers(0, n, n + 3),
+                          [n - 1, 0, n - 1, 2]):
+            positions = list(positions)
+            p = len(positions)
+            sub = marg.sub_codes(positions)
+            assert sub.dtype == _code_dtype(k, p)
+            assert sub.tolist() == [sum(d[a] * k ** (p - 1 - i) for i, a in enumerate(positions))
+                                    for d in expected]
+        weights = np.array([k ** a for a in rng.permutation(n).tolist()], dtype=_code_dtype(k, n))
+        placed = _place((None, marg.codes, n), k, weights)
+        assert placed[1].tolist() == [sum(x * y for x, y in zip(d, weights.tolist()))
+                                      for d in expected]
 
     @pytest.mark.parametrize("n,dtype", [(62, np.int64), (63, object)])
     def test_code_dtype_at_two_to_the_63(self, n, dtype, coarsened_cycle, flip03):

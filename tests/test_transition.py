@@ -337,6 +337,13 @@ class TestJson:
                             "states": [0, 1], "pi": [0.5, 0.5],
                             "P": {"s1": [[1.0, 0.0]]}})
 
+    def test_aliased_generator_name(self, flip03):
+        # "s01" would parse as s1 and, read after it, replace its matrix
+        doc = to_json_dict(flip03)
+        doc["P"]["s01"] = np.eye(2).tolist()
+        with pytest.raises(FormatError, match="bad generator name 's01'"):
+            from_json_dict(doc)
+
 
 class TestInputRefusals:
     """Each malformed input is refused with its own exception and message."""

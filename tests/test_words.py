@@ -439,7 +439,7 @@ class TestGroupSpec:
         for s in G2.generators():
             assert G2.letter_from_name(G2.generator_name(s)) == s
 
-    @pytest.mark.parametrize("name", ["x1", "s", "s1x", "_inv"])
+    @pytest.mark.parametrize("name", ["x1", "s", "s1x", "_inv", "s01", "s01_inv", "s\uff11"])
     def test_bad_generator_name(self, name):
         with pytest.raises(ValueError, match=f"bad generator name {name!r}"):
             G2.letter_from_name(name)
